@@ -115,11 +115,7 @@ def run_fit(cfg, out):
     converged = True
     payload = evaluation.to_dict()
     if cfg["method"] == "lsm":
-        best_dim = evaluation.selected_dim
-        result = fit(train, FitConfig(
-            dim=best_dim, max_iter=fc.max_iter, grad_tol=fc.grad_tol,
-            restarts=fc.restarts, seed=fc.seed,
-        ))
+        result = evaluation.fits[evaluation.selected_dim]
         converged = result.converged
         dump_json(result.to_dict(), os.path.join(out, "model.json"))
         artifacts.append("model.json")

@@ -40,18 +40,30 @@ class DissimilarityMatrix:
         object.__setattr__(self, "values", v)
 
 
-def _profile_correlation(w, mask, i, k):
-    """Pearson correlation of rows i and k over jointly observed columns."""
-    common = mask[i] & mask[k]
-    if common.sum() < 2:
-        return 0.0
-    a = w[i, common]
-    b = w[k, common]
-    sa = a.std()
-    sb = b.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+def _profile_correlations(w, mask):
+    """Pearson correlations between all rows of ``w`` over jointly observed columns.
+
+    One row at a time against every later row, with the two-pass centred
+    formula: means over the common columns first, then the centred moments.
+    Pairs with fewer than 2 common columns or a zero variance get 0.
+    """
+    # C order, so a row sum adds in the same order as the sum of that row alone
+    w, mask = np.ascontiguousarray(w), np.ascontiguousarray(mask)
+    n = w.shape[0]
+    rho = np.zeros((n, n))
+    for i in range(n - 1):
+        common = mask[i] & mask[i + 1 :]
+        cnt = common.sum(axis=1)
+        size = np.maximum(cnt, 1)
+        a = np.where(common, w[i], 0.0)
+        b = np.where(common, w[i + 1 :], 0.0)
+        a = np.where(common, a - (a.sum(axis=1) / size)[:, None], 0.0)
+        b = np.where(common, b - (b.sum(axis=1) / size)[:, None], 0.0)
+        cov = (a * b).sum(axis=1) / size
+        scale = np.sqrt((a * a).sum(axis=1) / size) * np.sqrt((b * b).sum(axis=1) / size)
+        ok = (cnt >= 2) & (scale > 0.0)
+        rho[i, i + 1 :] = np.divide(cov, scale, out=np.zeros(n - 1 - i), where=ok)
+    return rho + rho.T
 
 
 def build_dissimilarity(net):
@@ -63,16 +75,8 @@ def build_dissimilarity(net):
     cross = 1.0 - logistic(w)
     vals[:n_d, n_d:] = cross
     vals[n_d:, :n_d] = cross.T
-    for i in range(n_d):
-        for k in range(i + 1, n_d):
-            d = 1.0 - logistic(_profile_correlation(w, net.edge_mask, i, k))
-            vals[i, k] = vals[k, i] = d
-    wt = w.T
-    mt = net.edge_mask.T
-    for j in range(n_r):
-        for m in range(j + 1, n_r):
-            d = 1.0 - logistic(_profile_correlation(wt, mt, j, m))
-            vals[n_d + j, n_d + m] = vals[n_d + m, n_d + j] = d
+    vals[:n_d, :n_d] = 1.0 - logistic(_profile_correlations(w, net.edge_mask))
+    vals[n_d:, n_d:] = 1.0 - logistic(_profile_correlations(w.T, net.edge_mask.T))
     np.fill_diagonal(vals, 0.0)
     return DissimilarityMatrix(vals, n_d, n_r)
 

@@ -8,7 +8,7 @@ more.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,6 +85,7 @@ class RefinementEvaluation:
     method: str
     reports: dict  # dim -> EvalReport ({None: report} for raw)
     selected_dim: int
+    fits: dict = field(repr=False, compare=False)  # dim -> FitResult, lsm only
 
     def selected_report(self):
         return self.reports[self.selected_dim]
@@ -113,13 +114,15 @@ def _mu_scale(net):
 
 
 def _predict(method, train_net, dim, fit_config, nmtf_config, eta_only):
-    """Full prediction matrix for one method at one dimension."""
+    """Full prediction matrix for one method at one dimension, and the LSM fit."""
+    result = None
     if method == "raw":
         pred_eta = np.where(train_net.edge_mask, train_net.edge_weight, 0.0)
         delta, gamma = train_net.donor_weight, train_net.recipient_weight
     elif method == "lsm":
         cfg = fit_config if fit_config.dim == dim else replace(fit_config, dim=dim)
-        refined = refine_network(train_net, fit(train_net, cfg))
+        result = fit(train_net, cfg)
+        refined = refine_network(train_net, result)
         pred_eta, delta, gamma = refined.eta, refined.delta, refined.gamma
     elif method == "pca":
         pred_eta = pca_refine(mean_impute(train_net.edge_weight, train_net.edge_mask), dim)
@@ -134,9 +137,9 @@ def _predict(method, train_net, dim, fit_config, nmtf_config, eta_only):
         delta, gamma = train_net.donor_weight, train_net.recipient_weight
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if eta_only:
-        return pred_eta
-    return pred_eta + delta[:, None] + gamma[None, :]
+    if not eta_only:
+        pred_eta = pred_eta + delta[:, None] + gamma[None, :]
+    return pred_eta, result
 
 
 def evaluate_refinement(
@@ -178,8 +181,12 @@ def evaluate_refinement(
 
     dims = [None] if method == "raw" else list(dim_grid)
     reports = {}
+    fits = {}
     for dim in dims:
-        pred = _predict(method, train_net, dim, fit_config, nmtf_config, eta_only)[common]
+        pred, result = _predict(method, train_net, dim, fit_config, nmtf_config, eta_only)
+        if result is not None:
+            fits[dim] = result
+        pred = pred[common]
         reports[dim] = EvalReport(
             rmse=rmse(pred, obs),
             mean_log_prob=mean_log_prob(pred, obs, obs_se),
@@ -187,7 +194,7 @@ def evaluate_refinement(
             n_pairs=int(common.sum()),
         )
     selected = max(dims, key=lambda d: (reports[d].mean_log_prob, -(d or 0)))
-    return RefinementEvaluation(method=method, reports=reports, selected_dim=selected)
+    return RefinementEvaluation(method=method, reports=reports, selected_dim=selected, fits=fits)
 
 
 def format_eval_table(evaluations):

@@ -7,6 +7,10 @@ complete the compatibility ``mu_ij = eta_ij + delta_i + gamma_j``.  Observed
 node and edge weights are modeled as independent Gaussians around the model
 quantities with known (plug-in) standard deviations, and the log-likelihood is
 maximized by L-BFGS-B in an unconstrained parameterization ``b = log(beta)``.
+A fit that stops short of the gradient tolerance is finished by Newton steps
+on the gradient with the exact Hessian.  Distances do not change under
+translation or rotation of all positions, so the Hessian is singular along
+those (gauge) directions and the Newton step leaves them out.
 """
 
 import math
@@ -27,6 +31,7 @@ __all__ = [
     "predict_compatibility",
     "log_likelihood",
     "log_likelihood_gradient",
+    "log_likelihood_hessian",
     "fit",
     "refine_network",
 ]
@@ -224,6 +229,50 @@ def log_likelihood_gradient(params, net):
     )
 
 
+def log_likelihood_hessian(params, net):
+    """Analytic Hessian of :func:`log_likelihood` over the coupled block.
+
+    Rows and columns follow :func:`pack_params` up to and including b:
+    z_d rows, z_r rows, alpha, b = log(beta).  The node effects delta and
+    gamma couple to nothing; their Hessian is the diagonal -1/se^2 and is left
+    out.  The matrix is exactly symmetric.
+    """
+    _check_dims(params, net)
+    z_d, z_r, beta, dim = params.z_d, params.z_r, params.beta, params.dim
+    n_d, n_r = z_d.shape[0], z_r.shape[0]
+    u = z_d[:, None, :] - z_r[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", u, u)
+    eta = params.alpha - beta * d2
+    se = _floored(net.edge_se)
+    c = np.where(net.edge_mask, 1.0 / (se * se), 0.0)
+    e = np.where(net.edge_mask, (net.edge_weight - eta) / (se * se), 0.0)
+    v = np.sqrt(c)[:, :, None] * u
+    cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
+    eye = np.eye(dim)
+    nzd, nz = n_d * dim, (n_d + n_r) * dim
+    h = np.zeros((nz + 2, nz + 2))
+
+    cross = 4.0 * beta**2 * cuu + 2.0 * beta * e[:, :, None, None] * eye
+    h[:nzd, nzd:nz] = cross.transpose(0, 2, 1, 3).reshape(nzd, nz - nzd)
+    h[nzd:nz, :nzd] = h[:nzd, nzd:nz].T
+    for axis, start, n in ((1, 0, n_d), (0, nzd, n_r)):
+        blocks = -4.0 * beta**2 * cuu.sum(axis=axis)
+        blocks -= 2.0 * beta * e.sum(axis=axis)[:, None, None] * eye
+        rows = start + np.arange(n * dim).reshape(n, dim)
+        h[rows[:, :, None], rows[:, None, :]] = blocks
+
+    cu = c[:, :, None] * u
+    wu = (beta * c * d2 + e)[:, :, None] * u
+    h_alpha = 2.0 * beta * np.concatenate([cu.sum(axis=1).ravel(), -cu.sum(axis=0).ravel()])
+    h_b = -2.0 * beta * np.concatenate([wu.sum(axis=1).ravel(), -wu.sum(axis=0).ravel()])
+    h[nz, :nz] = h[:nz, nz] = h_alpha
+    h[nz + 1, :nz] = h[:nz, nz + 1] = h_b
+    h[nz, nz] = -c.sum()
+    h[nz, nz + 1] = h[nz + 1, nz] = beta * (c * d2).sum()
+    h[nz + 1, nz + 1] = -(beta**2) * (c * d2 * d2).sum() - beta * (e * d2).sum()
+    return h
+
+
 def pack_params(params):
     """Flatten parameters into the optimizer vector (with b = log beta)."""
     return np.concatenate(
@@ -277,41 +326,53 @@ def _start_points(net, config, init):
         yield k + 1, vec
 
 
-def _polish(x_free, free, template, grad_free, max_steps=4):
-    """Newton steps on the gradient itself.
+def _polish(x, net, dim, freeze_beta, max_steps=4):
+    """Newton steps on the gradient itself, with the exact Hessian.
 
     Near the optimum the objective changes by less than machine epsilon per
     step, so line-search methods stall with gradient norms around 1e-6; the
     gradient is still computed accurately, so root-finding on it tightens the
-    stationarity a few more orders of magnitude.  Steps are accepted only if
-    they shrink the gradient norm.
+    stationarity a few more orders of magnitude.  ``x`` is the full packed
+    vector (see :func:`pack_params`); a frozen b is held fixed.
+
+    The step for the coupled block comes from :func:`log_likelihood_hessian`
+    through its eigendecomposition.  Eigenvalues with |lambda| <= 1e-10 *
+    max|lambda| belong to the translation and rotation (gauge) directions,
+    along which the likelihood is flat, and are dropped.  The node effects
+    have the diagonal Hessian -1/se^2, so their step is closed form.  Steps
+    are accepted only if they shrink the gradient norm.
     """
-    m = x_free.size
-    g = grad_free(x_free)
+    n_d, n_r = net.n_d, net.n_r
+    n_coupled = (n_d + n_r) * dim + 2
+    k = n_coupled - 1 if freeze_beta else n_coupled  # b is the last coupled slot
+    node_var = np.concatenate([_floored(net.donor_se), _floored(net.recipient_se)]) ** 2
+
+    def gradient(params):
+        g = log_likelihood_gradient(params, net)
+        g[k:n_coupled] = 0.0
+        return g
+
+    params = unpack_params(x, n_d, n_r, dim)
+    g = gradient(params)
     gnorm = np.max(np.abs(g))
     for _ in range(max_steps):
         if gnorm == 0.0:
             break
-        h = np.empty((m, m))
-        eps = 1e-6 * np.maximum(1.0, np.abs(x_free))
-        for k in range(m):
-            xp = x_free.copy()
-            xm = x_free.copy()
-            xp[k] += eps[k]
-            xm[k] -= eps[k]
-            h[:, k] = (grad_free(xp) - grad_free(xm)) / (2.0 * eps[k])
-        h = 0.5 * (h + h.T)
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(h, -g, rcond=None)[0]
-        x_new = x_free + step
-        g_new = grad_free(x_new)
+        lam, vec = np.linalg.eigh(log_likelihood_hessian(params, net)[:k, :k])
+        live = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
+        step = np.zeros_like(x)
+        step[:k] = -vec[:, live] @ ((vec[:, live].T @ g[:k]) / lam[live])
+        step[n_coupled:] = node_var * g[n_coupled:]
+        x_new = x + step
+        if not np.all(np.isfinite(x_new)):
+            break
+        params_new = unpack_params(x_new, n_d, n_r, dim)
+        g_new = gradient(params_new)
         gnorm_new = np.max(np.abs(g_new))
         if not np.all(np.isfinite(g_new)) or gnorm_new >= gnorm:
             break
-        x_free, g, gnorm = x_new, g_new, gnorm_new
-    return x_free
+        x, params, g, gnorm = x_new, params_new, g_new, gnorm_new
+    return x
 
 
 def fit(net, config, init=None):
@@ -374,10 +435,10 @@ def fit(net, config, init=None):
             total_nit += res.nit
         if not math.isfinite(res.fun) or res.fun >= _BIG / 2:
             continue
-        x_best = res.x
+        x_best = expand(res.x, template)
         if np.max(np.abs(res.jac)) > config.grad_tol:
-            x_best = _polish(x_best, free, template, lambda x: -neg_grad(x, template))
-        params = unpack_params(expand(x_best, template), n_d, n_r, dim)
+            x_best = _polish(x_best, net, dim, config.freeze_beta)
+        params = unpack_params(x_best, n_d, n_r, dim)
         ll = log_likelihood(params, net)
         g = log_likelihood_gradient(params, net)
         if config.freeze_beta:

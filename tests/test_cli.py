@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import netlsm.metrics
+from netlsm._util import dump_json
 from netlsm.cli import main
+from netlsm.model import FitConfig, fit
+from netlsm.network import load_network_dir
 
 
 def read(path):
@@ -76,6 +80,24 @@ class TestFit:
         assert sel in reports
         best = max(reports.values(), key=lambda r: r["mean_log_prob"])
         assert reports[sel]["mean_log_prob"] == best["mean_log_prob"]
+
+    def test_one_fit_per_dimension(self, net_dir, tmp_path, monkeypatch):
+        dims = []
+
+        def counting_fit(net, config, init=None):
+            dims.append(config.dim)
+            return fit(net, config, init)
+
+        monkeypatch.setattr(netlsm.metrics, "fit", counting_fit)
+        out = tmp_path / "grid"
+        assert run(["fit", "--net", net_dir, "--method", "lsm", "--dim-grid", "1,2",
+                    "--restarts", 1, "--seed", 4, "--out", out]) == 0
+        assert dims == [1, 2]
+        selected = json.loads((out / "metrics.json").read_text())["selected_dim"]
+        train = load_network_dir(str(net_dir))
+        expected = fit(train, FitConfig(dim=selected, max_iter=500, grad_tol=1e-6,
+                                        restarts=1, seed=4))
+        assert (out / "model.json").read_text() == dump_json(expected.to_dict())
 
     def test_dim_exceeds_nodes_exits_2(self, net_dir, tmp_path):
         assert run(["fit", "--net", net_dir, "--method", "pca", "--dim", 99,

@@ -69,6 +69,67 @@ class TestDissimilarity:
             DissimilarityMatrix(np.array([[0.1, 0.2], [0.2, 0.0]]), 1, 1)
 
 
+def _loop_profile_correlation(w, mask, i, k):
+    """Reference: Pearson correlation of rows i and k over jointly observed columns."""
+    common = mask[i] & mask[k]
+    if common.sum() < 2:
+        return 0.0
+    a = w[i, common]
+    b = w[k, common]
+    sa = a.std()
+    sb = b.std()
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
+def loop_dissimilarity(net):
+    """Reference: the per-pair construction that build_dissimilarity vectorizes."""
+    n_d, n_r = net.n_d, net.n_r
+    w = np.where(net.edge_mask, net.edge_weight, 0.0)
+    vals = np.zeros((n_d + n_r, n_d + n_r))
+    cross = 1.0 - logistic(w)
+    vals[:n_d, n_d:] = cross
+    vals[n_d:, :n_d] = cross.T
+    for off, ww, mm in ((0, w, net.edge_mask), (n_d, w.T, net.edge_mask.T)):
+        for i in range(ww.shape[0]):
+            for k in range(i + 1, ww.shape[0]):
+                d = 1.0 - logistic(_loop_profile_correlation(ww, mm, i, k))
+                vals[off + i, off + k] = vals[off + k, off + i] = d
+    return vals
+
+
+class TestDissimilarityOracle:
+    def test_random_masked_networks(self):
+        rng = substream(4, "diss-oracle")
+        for n_d, n_r, frac in ((2, 3, 0.0), (7, 5, 0.3), (12, 15, 0.5), (20, 9, 0.8)):
+            net = random_network(rng, n_d, n_r, mask_frac=frac)
+            diff = np.abs(build_dissimilarity(net).values - loop_dissimilarity(net))
+            assert diff.max() <= 1e-12
+
+    def test_fully_observed_is_exact(self):
+        # every pair's common columns are the whole row, so the sums add in the
+        # loop's order on both sides, the transposed one included
+        net = random_network(substream(6, "diss-full"), 20, 25)
+        assert np.array_equal(build_dissimilarity(net).values, loop_dissimilarity(net))
+
+    def test_degenerate_rows(self):
+        rng = substream(5, "diss-degenerate")
+        w = rng.normal(size=(6, 9))
+        mask = rng.random((6, 9)) >= 0.2
+        w[0] = 0.75  # constant row; dyadic, so its mean and zero variance are exact
+        mask[0] = True
+        w[1, 4] = 1e8  # large offset, masked out of row 2's common columns
+        mask[1, 4], mask[2, 4] = True, False
+        mask[3] = False  # one observed column: < 2 common columns with any row
+        mask[3, 0] = True
+        mask[4] = False  # fully masked row
+        net = net_from_weights(w, mask)
+        got = build_dissimilarity(net).values
+        assert np.abs(got - loop_dissimilarity(net)).max() <= 1e-12
+        assert np.all(got[0, 1:6] == 0.5) and np.all(got[[3, 4], :6][:, [0, 1, 2, 5]] == 0.5)
+
+
 class TestClassicalMds:
     def test_two_points(self):
         coords = classical_mds(np.array([[0.0, 2.0], [2.0, 0.0]]), 1)
