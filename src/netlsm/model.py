@@ -7,6 +7,9 @@ complete the compatibility ``mu_ij = eta_ij + delta_i + gamma_j``.  Observed
 node and edge weights are modeled as independent Gaussians around the model
 quantities with known (plug-in) standard deviations, and the log-likelihood is
 maximized by L-BFGS-B in an unconstrained parameterization ``b = log(beta)``.
+Each optimizer evaluation is one pass that gives the log-likelihood and its
+gradient together, on slices of the optimizer vector; parameters are validated
+(as :class:`LsmParams`) only where they cross the API, not per evaluation.
 A fit that stops short of the gradient tolerance is finished by Newton steps
 on the gradient with the exact Hessian.  Distances do not change under
 translation or rotation of all positions, so the Hessian is singular along
@@ -181,26 +184,92 @@ def _floored(se):
     return np.maximum(se, SE_FLOOR)
 
 
+class _Objective:
+    """Log-likelihood and its gradient on one network, in one pass.
+
+    Everything that does not depend on the parameters (the floored standard
+    errors, their squares and the ``log(2 pi se^2)`` sums) is computed once
+    when the object is built; each evaluation computes the squared distances,
+    eta and the residuals once and shares them between the value and the
+    gradient.  Called on an optimizer vector it returns ``(-ll, -gradient)``
+    for ``minimize(..., jac=True)`` and builds no :class:`LsmParams`: the
+    parameters are slices of the vector.  That vector is the
+    :func:`pack_params` layout, without the b slot when ``fixed_b`` is given.
+    """
+
+    def __init__(self, net, dim, fixed_b=None):
+        self.net, self.dim = net, dim
+        m = net.edge_mask
+        se = _floored(net.edge_se)
+        s = se[m]
+        sd = _floored(net.donor_se)
+        sr = _floored(net.recipient_se)
+        self.mask, self.s, self.se2 = m, s, se * se
+        self.sd, self.sr, self.sd2, self.sr2 = sd, sr, sd * sd, sr * sr
+        self.c_edge = -0.5 * np.sum(np.log(2.0 * np.pi * s * s))
+        self.c_donor = -0.5 * np.sum(np.log(2.0 * np.pi * sd * sd))
+        self.c_recipient = -0.5 * np.sum(np.log(2.0 * np.pi * sr * sr))
+        self.nzd = net.n_d * dim
+        self.nz = self.nzd + net.n_r * dim
+        self.fixed_beta = None if fixed_b is None else math.exp(min(fixed_b, 300.0))
+        # every gradient slot but b's, for the fixed-b layout
+        self.free = np.arange(self.nz + 2 + net.n_d + net.n_r) != self.nz + 1
+
+    def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
+        """(ll, gradient in :func:`pack_params` order, b included)."""
+        net = self.net
+        d2 = _sqdist(z_d, z_r)
+        resid = net.edge_weight - (alpha - beta * d2)
+        r_d = net.donor_weight - delta
+        r_r = net.recipient_weight - gamma
+        ll = self.c_edge - 0.5 * np.sum((resid[self.mask] / self.s) ** 2)
+        ll += self.c_donor
+        ll += -0.5 * np.sum((r_d / self.sd) ** 2)
+        ll += self.c_recipient
+        ll += -0.5 * np.sum((r_r / self.sr) ** 2)
+        e = np.where(self.mask, resid / self.se2, 0.0)
+        g_alpha = e.sum()
+        g_b = beta * (-(e * d2).sum())
+        g_zd = -2.0 * beta * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
+        g_zr = 2.0 * beta * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
+        g = np.concatenate(
+            [g_zd.ravel(), g_zr.ravel(), [g_alpha, g_b], r_d / self.sd2, r_r / self.sr2]
+        )
+        return float(ll), g
+
+    def __call__(self, x):
+        n_d, nzd, nz = self.net.n_d, self.nzd, self.nz
+        z_d = x[:nzd].reshape(n_d, self.dim)
+        z_r = x[nzd:nz].reshape(self.net.n_r, self.dim)
+        k = nz + 1
+        if self.fixed_beta is None:
+            beta = math.exp(min(float(x[k]), 300.0))
+            k += 1
+        else:
+            beta = self.fixed_beta
+        ll, g = self.evaluate(z_d, z_r, float(x[nz]), beta, x[k : k + n_d], x[k + n_d :])
+        f = -ll if math.isfinite(ll) else _BIG
+        if not np.all(np.isfinite(g)):
+            return f, np.zeros(x.size)
+        if self.fixed_beta is not None:
+            g = g[self.free]
+        return f, -g
+
+
+def _evaluate(params, net):
+    _check_dims(params, net)
+    return _Objective(net, params.dim).evaluate(
+        params.z_d, params.z_r, params.alpha, params.beta, params.delta, params.gamma
+    )
+
+
 def log_likelihood(params, net):
     """Gaussian log-likelihood of the observed node and edge weights.
 
     Edge terms use the pair affinity eta_ij as the mean; node terms use the
     node effects.  Only observed (masked-true) edges contribute.
     """
-    _check_dims(params, net)
-    eta = params.alpha - params.beta * _sqdist(params.z_d, params.z_r)
-    m = net.edge_mask
-    se = _floored(net.edge_se)
-    r = (net.edge_weight - eta)[m]
-    s = se[m]
-    ll = -0.5 * np.sum(np.log(2.0 * np.pi * s * s)) - 0.5 * np.sum((r / s) ** 2)
-    for obs, mean, sig in (
-        (net.donor_weight, params.delta, _floored(net.donor_se)),
-        (net.recipient_weight, params.gamma, _floored(net.recipient_se)),
-    ):
-        ll += -0.5 * np.sum(np.log(2.0 * np.pi * sig * sig))
-        ll += -0.5 * np.sum(((obs - mean) / sig) ** 2)
-    return float(ll)
+    return _evaluate(params, net)[0]
 
 
 def log_likelihood_gradient(params, net):
@@ -210,23 +279,7 @@ def log_likelihood_gradient(params, net):
     b = log(beta), delta, gamma.  The slope derivative is taken with respect
     to the unconstrained b, i.e. chained through beta = exp(b).
     """
-    _check_dims(params, net)
-    z_d, z_r, beta = params.z_d, params.z_r, params.beta
-    d2 = _sqdist(z_d, z_r)
-    eta = params.alpha - beta * d2
-    se = _floored(net.edge_se)
-    e = np.where(net.edge_mask, (net.edge_weight - eta) / (se * se), 0.0)
-    g_alpha = e.sum()
-    g_b = beta * (-(e * d2).sum())
-    g_zd = -2.0 * beta * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
-    g_zr = 2.0 * beta * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
-    sd = _floored(net.donor_se)
-    sr = _floored(net.recipient_se)
-    g_delta = (net.donor_weight - params.delta) / (sd * sd)
-    g_gamma = (net.recipient_weight - params.gamma) / (sr * sr)
-    return np.concatenate(
-        [g_zd.ravel(), g_zr.ravel(), [g_alpha, g_b], g_delta, g_gamma]
-    )
+    return _evaluate(params, net)[1]
 
 
 def log_likelihood_hessian(params, net):
@@ -382,67 +435,48 @@ def fit(net, config, init=None):
     log-likelihood wins; ties within 1e-12 go to the lowest restart index.
     Restarts whose objective becomes non-finite are discarded; if all diverge
     a :class:`FitError` is raised.
+
+    L-BFGS-B gets the negative log-likelihood and its gradient from one pass
+    per evaluation; :class:`LsmParams` are built only by the polish and for
+    the result.
     """
     if init is not None:
         _check_dims(init, net)
         if init.dim != config.dim:
             raise ValueError("init latent dimension does not match config.dim")
     n_d, n_r, dim = net.n_d, net.n_r, config.dim
-    n_free = n_d * dim + n_r * dim + 2 + n_d + n_r
     b_slot = n_d * dim + n_r * dim + 1
-    free = np.ones(n_free, dtype=bool)
-    if config.freeze_beta:
-        free[b_slot] = False
-    b_fixed = math.log(config.fixed_beta)
-
-    def expand(x, template):
-        full = template.copy()
-        full[free] = x
-        return full
-
-    def neg_ll(x, template):
-        p = unpack_params(expand(x, template), n_d, n_r, dim)
-        v = log_likelihood(p, net)
-        return _BIG if not math.isfinite(v) else -v
-
-    def neg_grad(x, template):
-        full = expand(x, template)
-        g = log_likelihood_gradient(unpack_params(full, n_d, n_r, dim), net)
-        if not np.all(np.isfinite(g)):
-            return np.zeros(free.sum())
-        return -g[free]
+    b_fixed = math.log(config.fixed_beta) if config.freeze_beta else None
+    objective = _Objective(net, dim, b_fixed)
+    options = {
+        "maxiter": config.max_iter,
+        "gtol": config.grad_tol,
+        "ftol": 0.0,
+        "maxcor": 20,
+    }
 
     best = None
     for idx, x0 in _start_points(net, config, init):
-        template = x0.copy()
         if config.freeze_beta:
-            template[b_slot] = b_fixed
-        options = {
-            "maxiter": config.max_iter,
-            "gtol": config.grad_tol,
-            "ftol": 0.0,
-            "maxcor": 20,
-        }
-        res = minimize(neg_ll, x0[free], args=(template,), jac=neg_grad,
-                       method="L-BFGS-B", options=options)
+            x0 = np.delete(x0, b_slot)
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
         total_nit = res.nit
         # a fresh L-BFGS memory sometimes finishes the last stretch to gtol
         for _ in range(2):
             if res.nit >= config.max_iter or np.max(np.abs(res.jac)) <= config.grad_tol:
                 break
-            res = minimize(neg_ll, res.x, args=(template,), jac=neg_grad,
-                           method="L-BFGS-B", options=options)
+            res = minimize(objective, res.x, jac=True, method="L-BFGS-B", options=options)
             total_nit += res.nit
         if not math.isfinite(res.fun) or res.fun >= _BIG / 2:
             continue
-        x_best = expand(res.x, template)
+        x_best = res.x if b_fixed is None else np.insert(res.x, b_slot, b_fixed)
         if np.max(np.abs(res.jac)) > config.grad_tol:
             x_best = _polish(x_best, net, dim, config.freeze_beta)
         params = unpack_params(x_best, n_d, n_r, dim)
         ll = log_likelihood(params, net)
         g = log_likelihood_gradient(params, net)
         if config.freeze_beta:
-            g = g[free]
+            g = np.delete(g, b_slot)
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         cand = FitResult(
             params=params,

@@ -108,19 +108,64 @@ class TransplantDataset:
 
     @classmethod
     def from_csv(cls, path):
+        """Read the layout :meth:`to_csv` writes; covariates are the "x..." columns.
+
+        Malformed content raises ``ValueError`` naming the file and, for a
+        bad row, its line: a missing required column, a row whose field count
+        differs from the header's, a number that does not parse or is not
+        finite, an ``event`` other than 0 or 1, and a file without data rows.
+        Blank lines are skipped.
+        """
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
-            header = next(reader)
-            xcols = [k for k, h in enumerate(header) if h.startswith("x")]
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            missing = [c for c in _CSV_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
             col = {h: k for k, h in enumerate(header)}
-            rows = [r for r in reader if r]
+            xcols = [k for k, h in enumerate(header) if h.startswith("x")]
+            covariates, donor_type, recipient_type, time, event = [], [], [], [], []
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{where}: expected {len(header)} fields, got {len(row)}"
+                    )
+                covariates.extend(_csv_float(where, row[k], header[k]) for k in xcols)
+                time.append(_csv_float(where, row[col["time"]], "time"))
+                flag = row[col["event"]]
+                if flag not in ("0", "1"):
+                    raise ValueError(f"{where}: event must be 0 or 1, got {flag!r}")
+                event.append(flag == "1")
+                donor_type.append(row[col["donor_type"]])
+                recipient_type.append(row[col["recipient_type"]])
+        if not time:
+            raise ValueError(f"{path}: no data rows")
         return cls(
-            covariates=np.array([[float(r[k]) for k in xcols] for r in rows]),
-            donor_type=np.array([r[col["donor_type"]] for r in rows]),
-            recipient_type=np.array([r[col["recipient_type"]] for r in rows]),
-            time=np.array([float(r[col["time"]]) for r in rows]),
-            event=np.array([r[col["event"]] == "1" for r in rows]),
+            covariates=np.array(covariates, dtype=float).reshape(len(time), len(xcols)),
+            donor_type=np.array(donor_type),
+            recipient_type=np.array(recipient_type),
+            time=np.array(time),
+            event=np.array(event),
         )
+
+
+_CSV_COLUMNS = ("time", "event", "donor_type", "recipient_type")
+
+
+def _csv_float(where, text, what):
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValueError(f"{where}: malformed {what} {text!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{where}: non-finite {what}")
+    return v
 
 
 @dataclass(frozen=True)

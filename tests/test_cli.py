@@ -123,6 +123,18 @@ class TestTransplantsAndCox:
         assert (out / "network" / "edges.csv").exists()
 
 
+    def test_coxph_missing_column_exits_2(self, data_dir, tmp_path, capsys):
+        lines = (data_dir / "train.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        k = header.index("event")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != k)
+                                 for line in lines) + "\n")
+        assert run(["coxph", "--data", bad, "--out", tmp_path / "cox"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "event" in err and "Traceback" not in err
+
+
 class TestEval:
     def test_eval_table(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

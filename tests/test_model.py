@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import ortho_group
 
 from netlsm import (
@@ -16,9 +17,18 @@ from netlsm import (
     predict_compatibility,
     refine_network,
 )
-from netlsm.model import SE_FLOOR, pack_params, unpack_params
+from netlsm.model import (
+    _BIG,
+    SE_FLOOR,
+    _floored,
+    _Objective,
+    _sqdist,
+    _start_points,
+    pack_params,
+    unpack_params,
+)
 from netlsm.procrustes import procrustes_align
-from netlsm.simulate import SimConfig, simulate
+from netlsm.simulate import FULL_COMPATIBILITY, SimConfig, simulate
 from netlsm._util import substream
 
 from helpers import noiseless_network, random_network, random_params
@@ -213,6 +223,120 @@ class TestHessian:
             assert np.max(np.abs(h @ t)) <= 1e-12 * np.max(np.abs(h))
 
 
+def ref_log_likelihood(params, net):
+    """Reference: the log-likelihood as a separate pass over LsmParams."""
+    eta = params.alpha - params.beta * _sqdist(params.z_d, params.z_r)
+    m = net.edge_mask
+    se = _floored(net.edge_se)
+    r = (net.edge_weight - eta)[m]
+    s = se[m]
+    ll = -0.5 * np.sum(np.log(2.0 * np.pi * s * s)) - 0.5 * np.sum((r / s) ** 2)
+    for obs, mean, sig in (
+        (net.donor_weight, params.delta, _floored(net.donor_se)),
+        (net.recipient_weight, params.gamma, _floored(net.recipient_se)),
+    ):
+        ll += -0.5 * np.sum(np.log(2.0 * np.pi * sig * sig))
+        ll += -0.5 * np.sum(((obs - mean) / sig) ** 2)
+    return float(ll)
+
+
+def ref_log_likelihood_gradient(params, net):
+    """Reference: the gradient as a separate pass over LsmParams."""
+    z_d, z_r, beta = params.z_d, params.z_r, params.beta
+    d2 = _sqdist(z_d, z_r)
+    eta = params.alpha - beta * d2
+    se = _floored(net.edge_se)
+    e = np.where(net.edge_mask, (net.edge_weight - eta) / (se * se), 0.0)
+    g_alpha = e.sum()
+    g_b = beta * (-(e * d2).sum())
+    g_zd = -2.0 * beta * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
+    g_zr = 2.0 * beta * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
+    sd = _floored(net.donor_se)
+    sr = _floored(net.recipient_se)
+    g_delta = (net.donor_weight - params.delta) / (sd * sd)
+    g_gamma = (net.recipient_weight - params.gamma) / (sr * sr)
+    return np.concatenate(
+        [g_zd.ravel(), g_zr.ravel(), [g_alpha, g_b], g_delta, g_gamma]
+    )
+
+
+def ref_closures(net, dim, fixed_b=None):
+    """Reference optimizer objective: LsmParams built from the expanded vector per call.
+
+    Returns (neg_ll, neg_grad, template); the optimizer vector omits b when
+    ``fixed_b`` is given, and ``template`` holds it.
+    """
+    n_d, n_r = net.n_d, net.n_r
+    b_slot = (n_d + n_r) * dim + 1
+    free = np.ones(b_slot + 1 + n_d + n_r, dtype=bool)
+    template = np.zeros(free.size)
+    if fixed_b is not None:
+        free[b_slot] = False
+        template[b_slot] = fixed_b
+
+    def expand(x, template):
+        full = template.copy()
+        full[free] = x
+        return full
+
+    def neg_ll(x, template):
+        p = unpack_params(expand(x, template), n_d, n_r, dim)
+        v = ref_log_likelihood(p, net)
+        return _BIG if not math.isfinite(v) else -v
+
+    def neg_grad(x, template):
+        full = expand(x, template)
+        g = ref_log_likelihood_gradient(unpack_params(full, n_d, n_r, dim), net)
+        if not np.all(np.isfinite(g)):
+            return np.zeros(free.sum())
+        return -g[free]
+
+    return neg_ll, neg_grad, template
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("tiny", [0, 2])
+    @pytest.mark.parametrize("freeze_beta", [False, True])
+    def test_exactly_equals_reference(self, dim, tiny, freeze_beta):
+        rng = substream(dim, "kernel", str(tiny), str(freeze_beta))
+        n_d, n_r = 7, 5
+        net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
+        fixed_b = math.log(2.5) if freeze_beta else None
+        objective = _Objective(net, dim, fixed_b)
+        neg_ll, neg_grad, template = ref_closures(net, dim, fixed_b)
+        for _ in range(3):
+            p = random_params(rng, n_d, n_r, dim)
+            assert log_likelihood(p, net) == ref_log_likelihood(p, net)
+            assert np.array_equal(log_likelihood_gradient(p, net),
+                                  ref_log_likelihood_gradient(p, net))
+            x = pack_params(p)
+            if freeze_beta:
+                x = np.delete(x, (n_d + n_r) * dim + 1)
+            f, g = objective(x)
+            assert f == neg_ll(x, template)
+            assert np.array_equal(g, neg_grad(x, template))
+
+    @pytest.mark.parametrize("freeze_beta", [False, True])
+    def test_non_finite_paths(self, freeze_beta):
+        # an overflowing position makes the distance, ll and gradient non-finite
+        rng = substream(6, "kernel-overflow")
+        n_d, n_r, dim = 4, 3, 2
+        net = random_network(rng, n_d, n_r)
+        p = random_params(rng, n_d, n_r, dim)
+        x = pack_params(p)
+        x[0] = 1e200
+        fixed_b = 0.0 if freeze_beta else None
+        if freeze_beta:
+            x = np.delete(x, (n_d + n_r) * dim + 1)
+        neg_ll, neg_grad, template = ref_closures(net, dim, fixed_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, g = _Objective(net, dim, fixed_b)(x)
+            assert f == _BIG == neg_ll(x, template)
+            assert g.shape == x.shape and np.all(g == 0.0)
+            assert np.array_equal(g, neg_grad(x, template))
+
+
 class TestFit:
     def test_init_at_truth_stays(self):
         truth = random_params(substream(5, "truth"), 6, 5, 2)
@@ -295,6 +419,58 @@ def test_convergence_corpus(seed):
     # keeps the gauge directions stops near 4e-7 on seed 14)
     assert res.grad_norm <= 1e-3 * cfg.grad_tol
     assert abs(res.log_likelihood - CORPUS_LL[seed]) <= 1e-8 * CORPUS_LL[seed]
+
+
+OPTIONS = {"maxiter": 500, "gtol": 1e-6, "ftol": 0.0, "maxcor": 20}  # as in fit
+
+
+def trajectory_cases():
+    # the 60x60 corpus, then two 20x20 frozen-beta networks configured like table1
+    for seed in (10, 11, 12, 13):
+        yield SimConfig(n_d=60, n_r=60, seed=seed), FitConfig(dim=2, restarts=1, seed=seed)
+    for sc in (SimConfig(sigma_w=0.15, seed=0),
+               SimConfig(sigma_w=1.5, edge_mean_convention=FULL_COMPATIBILITY, seed=1)):
+        yield sc, FitConfig(dim=2, restarts=1, seed=sc.seed, freeze_beta=True,
+                            fixed_beta=sc.beta)
+
+
+@pytest.mark.parametrize("sim_config,config", list(trajectory_cases()),
+                         ids=["60x60-s10", "60x60-s11", "60x60-s12", "60x60-s13",
+                              "table1-low", "table1-high"])
+def test_lbfgs_trajectory_matches_reference(sim_config, config):
+    # the one-pass objective takes L-BFGS-B through exactly the reference's
+    # iterates, from the MDS start and from one random start
+    net = simulate(sim_config).observed
+    dim = config.dim
+    b_slot = (net.n_d + net.n_r) * dim + 1
+    fixed_b = math.log(config.fixed_beta) if config.freeze_beta else None
+    neg_ll, neg_grad, template = ref_closures(net, dim, fixed_b)
+    objective = _Objective(net, dim, fixed_b)
+    for _, x0 in _start_points(net, config, None):
+        if config.freeze_beta:
+            x0 = np.delete(x0, b_slot)
+        ref = minimize(neg_ll, x0, args=(template,), jac=neg_grad,
+                       method="L-BFGS-B", options=OPTIONS)
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS)
+        assert res.nit == ref.nit
+        assert np.array_equal(res.x, ref.x)
+
+
+def test_fit_validates_params_only_at_the_boundary(monkeypatch):
+    # LsmParams are built by the polish and for the result, never per evaluation
+    calls = []
+    post_init = LsmParams.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(LsmParams, "__post_init__", counting)
+    cfg = FitConfig(dim=2, restarts=1, seed=16)
+    res = fit(simulate(SimConfig(n_d=60, n_r=60, seed=16)).observed, cfg)
+    starts = 1 + cfg.restarts
+    assert res.iterations >= 300
+    assert len(calls) <= 8 * starts
 
 
 class TestRefine:

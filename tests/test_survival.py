@@ -368,6 +368,36 @@ class TestGenerator:
         assert np.array_equal(train.donor_type, back.donor_type)
 
 
+GOOD_CSV = "id,time,event,donor_type,recipient_type,x1\n0,1.5,1,A,x,0.25\n1,2.0,0,B,y,-1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", r"t\.csv: empty file"),
+    ("id,time,donor_type,recipient_type,x1\n0,1.5,A,x,0.25\n", r"missing column\(s\) event"),
+    ("id,time,event,x1\n0,1.5,1,0.25\n", r"missing column\(s\) donor_type, recipient_type"),
+    (GOOD_CSV + "2,3.0,1,A\n", r"t\.csv:4: expected 6 fields, got 4"),
+    (GOOD_CSV.replace("2.0", "soon"), r"t\.csv:3: malformed time 'soon'"),
+    (GOOD_CSV.replace("0.25", "abc"), r"t\.csv:2: malformed x1 'abc'"),
+    (GOOD_CSV.replace("-1", "nan"), r"t\.csv:3: non-finite x1"),
+    (GOOD_CSV.replace("2.0,0", "2.0,yes"), r"t\.csv:3: event must be 0 or 1, got 'yes'"),
+    ("id,time,event,donor_type,recipient_type\n", r"t\.csv: no data rows"),
+])
+def test_from_csv_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        TransplantDataset.from_csv(path)
+
+
+def test_from_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(GOOD_CSV.replace("\n1,", "\n\n1,"))
+    data = TransplantDataset.from_csv(path)
+    assert data.time.tolist() == [1.5, 2.0]
+    assert data.event.tolist() == [True, False]
+    assert data.covariates.tolist() == [[0.25], [-1.0]]
+
+
 class TestPipeline:
     def test_identity_refinement_is_noop(self):
         cfg = SurvivalGenConfig(n_per_split=1200, seed=2)
