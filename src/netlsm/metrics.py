@@ -1,10 +1,13 @@
-"""Prediction-accuracy metrics and the train/test refinement evaluation.
+"""Refinement methods, prediction-accuracy metrics and the train/test
+refinement evaluation.
 
-Predictions and targets are compared on the full compatibility scale
-mu = delta + gamma + eta, over pairs observed in both networks.  The mean
-log-probability scores each prediction under a Gaussian centered at the
-observed value with its standard error, so precisely-estimated targets weigh
-more.
+:func:`refine` is the one place that turns a network and a method name
+(``METHODS``) into refined estimates; held-out evaluation and the survival
+pipeline both call it.  Predictions and targets are compared on the full
+compatibility scale mu = delta + gamma + eta, over pairs observed in both
+networks.  The mean log-probability scores each prediction under a Gaussian
+centered at the observed value with its standard error, so precisely-estimated
+targets weigh more.
 """
 
 import math
@@ -13,10 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import NmtfConfig, mean_impute, nmtf_refine, pca_refine
-from .model import FitConfig, fit, refine_network
+from .model import FitConfig, RefinedEstimates, fit, refine_network
 
 __all__ = [
     "METHODS",
+    "refine",
     "EvalReport",
     "rmse",
     "mean_log_prob",
@@ -27,6 +31,45 @@ __all__ = [
 ]
 
 METHODS = ("raw", "lsm", "nmtf", "pca")
+
+
+def refine(net, method, dim, fit_config=None, nmtf_config=None):
+    """Refine ``net`` with one method at one dimension.
+
+    Returns ``(refined, result)``: estimates for every pair, masked pairs
+    included, and the LSM ``FitResult`` (``None`` for the other methods).
+
+    - ``lsm`` fits the latent space model at ``dim``.
+    - ``raw`` keeps the observed edge weights, 0 where masked; ``dim`` is
+      ignored.
+    - ``pca`` and ``nmtf`` reconstruct the column-mean-imputed edge weights at
+      rank ``dim`` (NMTF with ``nmtf_config``'s seed and stopping rule).
+
+    Every method but ``lsm`` keeps the observed node weights as delta/gamma.
+    An unknown method raises ``ValueError``.
+    """
+    if method == "lsm":
+        result = fit(net, replace(fit_config or FitConfig(), dim=dim))
+        return refine_network(net, result), result
+    if method == "raw":
+        eta = np.where(net.edge_mask, net.edge_weight, 0.0)
+    elif method == "pca":
+        eta = pca_refine(mean_impute(net.edge_weight, net.edge_mask), dim)
+    elif method == "nmtf":
+        cfg = replace(nmtf_config or NmtfConfig(), rank=dim)
+        eta = nmtf_refine(mean_impute(net.edge_weight, net.edge_mask), cfg).reconstruction
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    delta, gamma = net.donor_weight.copy(), net.recipient_weight.copy()
+    refined = RefinedEstimates(
+        donor_labels=net.donor_labels,
+        recipient_labels=net.recipient_labels,
+        mu=eta + delta[:, None] + gamma[None, :],
+        eta=eta,
+        delta=delta,
+        gamma=gamma,
+    )
+    return refined, None
 
 
 @dataclass(frozen=True)
@@ -113,69 +156,24 @@ def _mu_scale(net):
     return mu, np.sqrt(var)
 
 
-def _predict(method, train_net, dim, fit_config, nmtf_config, eta_only):
-    """Full prediction matrix for one method at one dimension, and the LSM fit."""
-    result = None
-    if method == "raw":
-        pred_eta = np.where(train_net.edge_mask, train_net.edge_weight, 0.0)
-        delta, gamma = train_net.donor_weight, train_net.recipient_weight
-    elif method == "lsm":
-        cfg = fit_config if fit_config.dim == dim else replace(fit_config, dim=dim)
-        result = fit(train_net, cfg)
-        refined = refine_network(train_net, result)
-        pred_eta, delta, gamma = refined.eta, refined.delta, refined.gamma
-    elif method == "pca":
-        pred_eta = pca_refine(mean_impute(train_net.edge_weight, train_net.edge_mask), dim)
-        delta, gamma = train_net.donor_weight, train_net.recipient_weight
-    elif method == "nmtf":
-        cfg = NmtfConfig(
-            rank=dim, max_iter=nmtf_config.max_iter, tol=nmtf_config.tol, seed=nmtf_config.seed
-        )
-        pred_eta = nmtf_refine(
-            mean_impute(train_net.edge_weight, train_net.edge_mask), cfg
-        ).reconstruction
-        delta, gamma = train_net.donor_weight, train_net.recipient_weight
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not eta_only:
-        pred_eta = pred_eta + delta[:, None] + gamma[None, :]
-    return pred_eta, result
-
-
-def evaluate_refinement(
-    train_net,
-    test_net,
-    method,
-    dim_grid,
-    fit_config=None,
-    nmtf_config=None,
-    eta_only=False,
-):
+def evaluate_refinement(train_net, test_net, method, dim_grid, fit_config=None, nmtf_config=None):
     """Refine ``train_net`` and score predictions against ``test_net``.
 
     The two networks must share node labels.  Metrics run over pairs observed
-    in both; the selected dimension maximizes mean log-probability.  With
-    ``eta_only`` the comparison drops the node effects (diagnostic).
+    in both, on the compatibility scale mu; the selected dimension maximizes
+    mean log-probability.
     """
     if train_net.donor_labels != test_net.donor_labels or (
         train_net.recipient_labels != test_net.recipient_labels
     ):
         raise ValueError("train and test networks must share node labels")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     common = train_net.edge_mask & test_net.edge_mask
     if not common.any():
         raise ValueError("no pairs observed in both networks")
     if method != "raw" and not dim_grid:
         raise ValueError("dim_grid must be non-empty")
-    fit_config = fit_config or FitConfig()
-    nmtf_config = nmtf_config or NmtfConfig()
 
-    if eta_only:
-        target = np.where(test_net.edge_mask, test_net.edge_weight, 0.0)
-        target_se = np.where(test_net.edge_mask, test_net.edge_se, 1.0)
-    else:
-        target, target_se = _mu_scale(test_net)
+    target, target_se = _mu_scale(test_net)
     obs = target[common]
     obs_se = target_se[common]
 
@@ -183,10 +181,10 @@ def evaluate_refinement(
     reports = {}
     fits = {}
     for dim in dims:
-        pred, result = _predict(method, train_net, dim, fit_config, nmtf_config, eta_only)
+        refined, result = refine(train_net, method, dim, fit_config, nmtf_config)
         if result is not None:
             fits[dim] = result
-        pred = pred[common]
+        pred = refined.mu[common]
         reports[dim] = EvalReport(
             rmse=rmse(pred, obs),
             mean_log_prob=mean_log_prob(pred, obs, obs_se),

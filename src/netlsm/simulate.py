@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import substream
+from .metrics import rmse
 from .model import FitConfig, fit, refine_network, LsmParams, _sqdist
 from .network import CompatibilityNetwork
 from .procrustes import procrustes_align
@@ -127,12 +128,6 @@ def _r2(pred, target):
     return float(1.0 - ss_res / ss_tot)
 
 
-def _rmse(pred, target):
-    pred = np.asarray(pred, dtype=float).ravel()
-    target = np.asarray(target, dtype=float).ravel()
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
-
-
 QUANTITIES = ("w", "z_d", "z_r", "delta", "gamma", "alpha")
 
 
@@ -173,12 +168,12 @@ def _replicate_metrics(config, fit_config, rep_seed):
     tgt = np.vstack([truth.z_d, truth.z_r])
     aligned = procrustes_align(src, tgt).aligned
     zd_hat, zr_hat = aligned[: net.n_d], aligned[net.n_d :]
-    rmse = {
-        "w": _rmse(pred_w[net.edge_mask], net.edge_weight[net.edge_mask]),
-        "z_d": _rmse(zd_hat, truth.z_d),
-        "z_r": _rmse(zr_hat, truth.z_r),
-        "delta": _rmse(est.delta, truth.delta),
-        "gamma": _rmse(est.gamma, truth.gamma),
+    errors = {
+        "w": rmse(pred_w[net.edge_mask], net.edge_weight[net.edge_mask]),
+        "z_d": rmse(zd_hat, truth.z_d),
+        "z_r": rmse(zr_hat, truth.z_r),
+        "delta": rmse(est.delta, truth.delta),
+        "gamma": rmse(est.gamma, truth.gamma),
         "alpha": abs(est.alpha - truth.alpha),
     }
     r2 = {
@@ -188,7 +183,7 @@ def _replicate_metrics(config, fit_config, rep_seed):
         "delta": _r2(est.delta, truth.delta),
         "gamma": _r2(est.gamma, truth.gamma),
     }
-    return {"seed": rep_seed, "rmse": rmse, "r2": r2, "converged": result.converged}
+    return {"seed": rep_seed, "rmse": errors, "r2": r2, "converged": result.converged}
 
 
 def run_replicates(config, fit_config, n_reps):

@@ -197,3 +197,33 @@ class TestManifestRerun:
         with pytest.raises(SystemExit):
             main(["table1", "--config", str(first / "manifest.json"),
                   "--out", str(tmp_path / "x")])
+
+    def _rerun_exits_2(self, tmp_path, capsys, manifest_path, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--config", str(manifest_path), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+
+    def test_missing_manifest_exits_2(self, tmp_path, capsys):
+        self._rerun_exits_2(tmp_path, capsys, tmp_path / "absent.json", "cannot read manifest")
+
+    def test_non_json_manifest_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("not json\n")
+        self._rerun_exits_2(tmp_path, capsys, path, "cannot read manifest")
+
+    def test_manifest_without_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "fit"}))
+        self._rerun_exits_2(tmp_path, capsys, path, "manifest has no config")
+
+    def test_config_missing_a_key_exits_2(self, tmp_path, capsys):
+        first = tmp_path / "one"
+        run(["simulate-network", "--n-d", 5, "--n-r", 5, "--out", first / "net"])
+        assert run(["fit", "--net", first / "net", "--method", "raw", "--out", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        del manifest["config"]["net"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        self._rerun_exits_2(tmp_path, capsys, path, "manifest config lacks net")

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netlsm import FitConfig, SimConfig, evaluate_refinement, mean_log_prob, rmse, sign_accuracy
-from netlsm.metrics import format_eval_table
+from netlsm.baselines import NmtfConfig, mean_impute, nmtf_refine, pca_refine
+from netlsm.metrics import METHODS, format_eval_table, refine
+from netlsm.model import RefinedEstimates, fit, refine_network
 from netlsm.simulate import simulate_train_test
 from netlsm._util import substream
 
@@ -149,3 +152,123 @@ class TestEvaluateRefinement:
         evs = [evaluate_refinement(net, net, m, [2]) for m in ("raw", "pca")]
         text = format_eval_table(evs)
         assert "rmse" in text and "raw" in text and "pca" in text
+
+
+# Reference: the three per-method dispatches that `refine` replaced, kept
+# verbatim (the unused `eta_only` path of `_predict` left out).
+def _old_predict(method, train_net, dim, fit_config, nmtf_config):
+    result = None
+    if method == "raw":
+        pred_eta = np.where(train_net.edge_mask, train_net.edge_weight, 0.0)
+        delta, gamma = train_net.donor_weight, train_net.recipient_weight
+    elif method == "lsm":
+        cfg = fit_config if fit_config.dim == dim else replace(fit_config, dim=dim)
+        result = fit(train_net, cfg)
+        refined = refine_network(train_net, result)
+        pred_eta, delta, gamma = refined.eta, refined.delta, refined.gamma
+    elif method == "pca":
+        pred_eta = pca_refine(mean_impute(train_net.edge_weight, train_net.edge_mask), dim)
+        delta, gamma = train_net.donor_weight, train_net.recipient_weight
+    elif method == "nmtf":
+        cfg = NmtfConfig(
+            rank=dim, max_iter=nmtf_config.max_iter, tol=nmtf_config.tol, seed=nmtf_config.seed
+        )
+        pred_eta = nmtf_refine(
+            mean_impute(train_net.edge_weight, train_net.edge_mask), cfg
+        ).reconstruction
+        delta, gamma = train_net.donor_weight, train_net.recipient_weight
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    pred_eta = pred_eta + delta[:, None] + gamma[None, :]
+    return pred_eta, result
+
+
+def _old_baseline_refined(net, method, dim, seed):
+    imputed = mean_impute(net.edge_weight, net.edge_mask)
+    if method == "pca":
+        eta = pca_refine(imputed, dim)
+    else:
+        eta = nmtf_refine(imputed, NmtfConfig(rank=dim, seed=seed)).reconstruction
+    return RefinedEstimates(
+        donor_labels=net.donor_labels,
+        recipient_labels=net.recipient_labels,
+        mu=eta + net.donor_weight[:, None] + net.recipient_weight[None, :],
+        eta=eta,
+        delta=net.donor_weight.copy(),
+        gamma=net.recipient_weight.copy(),
+    )
+
+
+def _old_identity_refined(net):
+    return RefinedEstimates(
+        donor_labels=net.donor_labels,
+        recipient_labels=net.recipient_labels,
+        mu=net.edge_weight + net.donor_weight[:, None] + net.recipient_weight[None, :],
+        eta=net.edge_weight.copy(),
+        delta=net.donor_weight.copy(),
+        gamma=net.recipient_weight.copy(),
+    )
+
+
+def _zero_masked(net):
+    """``net`` with 0 at masked pairs, as `extract_network` writes them."""
+    return replace(net, edge_weight=np.where(net.edge_mask, net.edge_weight, 0.0))
+
+
+def _reference_networks():
+    """Random masked 7x6 networks, the last with an all-masked column; the
+    masked pairs hold random weights, which every method must ignore."""
+    nets = [random_network(substream(s, "refine-ref"), 7, 6, mask_frac=0.3) for s in range(3)]
+    net = random_network(substream(3, "refine-ref"), 7, 6, mask_frac=0.2)
+    mask = net.edge_mask.copy()
+    mask[:, 2] = False
+    return nets + [replace(net, edge_mask=mask)]
+
+
+def _assert_same_estimates(a, b):
+    assert a.donor_labels == b.donor_labels and a.recipient_labels == b.recipient_labels
+    for name in ("mu", "eta", "delta", "gamma"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestRefine:
+    FIT = FitConfig(max_iter=60, restarts=1, seed=3)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_old_evaluation_dispatch(self, method, dim):
+        nmtf_config = NmtfConfig(seed=7)
+        for net in _reference_networks():
+            refined, result = refine(net, method, dim, self.FIT, nmtf_config)
+            pred, old_result = _old_predict(method, net, dim, self.FIT, nmtf_config)
+            assert np.array_equal(refined.mu, pred)
+            if method == "lsm":
+                assert result.log_likelihood == old_result.log_likelihood
+                _assert_same_estimates(refined, refine_network(net, old_result))
+            else:
+                assert result is None and old_result is None
+
+    @pytest.mark.parametrize("method", ["pca", "nmtf"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_old_pipeline_baselines(self, method, dim, seed):
+        for net in _reference_networks():
+            refined, _ = refine(net, method, dim, self.FIT, NmtfConfig(seed=seed))
+            _assert_same_estimates(refined, _old_baseline_refined(net, method, dim, seed))
+
+    def test_raw_matches_old_identity_refinement(self):
+        for net in map(_zero_masked, _reference_networks()):
+            refined, result = refine(net, "raw", None, self.FIT, NmtfConfig())
+            assert result is None
+            _assert_same_estimates(refined, _old_identity_refined(net))
+
+    def test_estimates_do_not_alias_the_network(self):
+        net = _reference_networks()[0]
+        refined, _ = refine(net, "raw", None)
+        refined.delta[0] += 1.0
+        assert refined.delta[0] != net.donor_weight[0]
+
+    def test_unknown_method_rejected(self):
+        net = _reference_networks()[0]
+        with pytest.raises(ValueError, match="unknown method 'ols'"):
+            refine(net, "ols", 2, self.FIT, NmtfConfig())

@@ -412,3 +412,10 @@ class TestPipeline:
         assert 0.0 <= res.c_raw <= 1.0
         for v in res.c_refined.values():
             assert 0.0 <= v <= 1.0
+
+    def test_raw_method_is_the_identity_and_unknown_rejected(self):
+        cfg = SurvivalGenConfig(n_per_split=600, seed=4)
+        res = pipeline_end_to_end(cfg, min_count=5, methods=("raw",))
+        assert res.deltas["raw"] == 0.0
+        with pytest.raises(ValueError, match="unknown method"):
+            pipeline_end_to_end(cfg, min_count=5, methods=("ols",))
