@@ -326,8 +326,28 @@ def _config_from_args(args):
     return cfg
 
 
+def _matches(value, default):
+    """Whether a manifest value has the type of the command's default.
+
+    An int is accepted where the default is a float, list items are checked
+    against the default's first item, and anything is accepted where the
+    default is ``None``.
+    """
+    if default is None:
+        return True
+    if isinstance(default, list):
+        item = default[0] if default else None
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
 def _read_manifest(parser, path, command):
-    """The manifest at ``path``; ``parser.error`` unless it holds a full config for ``command``."""
+    """The manifest at ``path``; ``parser.error`` unless it holds a full config for ``command``.
+
+    Every config value must have the type of the command's default (see :func:`_matches`).
+    """
     try:
         with open(path, encoding="utf-8") as f:
             manifest = json.load(f)
@@ -340,9 +360,17 @@ def _read_manifest(parser, path, command):
     cfg = manifest.get("config")
     if not isinstance(cfg, dict):
         parser.error("manifest has no config")
-    missing = set(_config_from_args(parser.parse_args([command]))) - set(cfg)
+    defaults = _config_from_args(parser.parse_args([command]))
+    missing = set(defaults) - set(cfg)
     if missing:
         parser.error(f"manifest config lacks {', '.join(sorted(missing))}")
+    wrong = [
+        f"{k}={cfg[k]!r} (expected {type(v).__name__})"
+        for k, v in sorted(defaults.items())
+        if not _matches(cfg[k], v)
+    ]
+    if wrong:
+        parser.error(f"manifest config has the wrong type: {', '.join(wrong)}")
     return manifest
 
 

@@ -45,7 +45,7 @@ def refine(net, method, dim, fit_config=None, nmtf_config=None):
     - ``pca`` and ``nmtf`` reconstruct the column-mean-imputed edge weights at
       rank ``dim`` (NMTF with ``nmtf_config``'s seed and stopping rule).
 
-    Every method but ``lsm`` keeps the observed node weights as delta/gamma.
+    Every method keeps the observed node weights as delta/gamma.
     An unknown method raises ``ValueError``.
     """
     if method == "lsm":

@@ -5,8 +5,13 @@ Euclidean space; the pair affinity is ``eta_ij = alpha - beta * ||z_d_i -
 z_r_j||^2`` with beta > 0, and per-node additive effects delta_i / gamma_j
 complete the compatibility ``mu_ij = eta_ij + delta_i + gamma_j``.  Observed
 node and edge weights are modeled as independent Gaussians around the model
-quantities with known (plug-in) standard deviations, and the log-likelihood is
-maximized by L-BFGS-B in an unconstrained parameterization ``b = log(beta)``.
+quantities with known (plug-in) standard deviations.
+
+Each node effect appears only in its own node term, so its maximum likelihood
+estimate is the observed node weight (``delta = donor_weight``, ``gamma =
+recipient_weight``).  The optimizer therefore carries only the coupled block
+``(z_d, z_r, alpha, b)``, with the unconstrained ``b = log(beta)``, and
+maximizes the log-likelihood over it by L-BFGS-B.
 Each optimizer evaluation is one pass that gives the log-likelihood and its
 gradient together, on slices of the optimizer vector; parameters are validated
 (as :class:`LsmParams`) only where they cross the API, not per evaluation.
@@ -22,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
+from ._util import substream
 from .mdsinit import mds_init
 
 __all__ = [
@@ -193,8 +199,10 @@ class _Objective:
     eta and the residuals once and shares them between the value and the
     gradient.  Called on an optimizer vector it returns ``(-ll, -gradient)``
     for ``minimize(..., jac=True)`` and builds no :class:`LsmParams`: the
-    parameters are slices of the vector.  That vector is the
-    :func:`pack_params` layout, without the b slot when ``fixed_b`` is given.
+    parameters are slices of the vector.  That vector is the coupled block
+    ``(z_d, z_r, alpha, b)`` of the :func:`pack_params` layout, without b
+    when ``fixed_b`` is given; the node effects are held at their closed
+    form, the observed node weights.
     """
 
     def __init__(self, net, dim, fixed_b=None):
@@ -212,8 +220,6 @@ class _Objective:
         self.nzd = net.n_d * dim
         self.nz = self.nzd + net.n_r * dim
         self.fixed_beta = None if fixed_b is None else math.exp(min(fixed_b, 300.0))
-        # every gradient slot but b's, for the fixed-b layout
-        self.free = np.arange(self.nz + 2 + net.n_d + net.n_r) != self.nz + 1
 
     def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
         """(ll, gradient in :func:`pack_params` order, b included)."""
@@ -238,22 +244,20 @@ class _Objective:
         return float(ll), g
 
     def __call__(self, x):
-        n_d, nzd, nz = self.net.n_d, self.nzd, self.nz
-        z_d = x[:nzd].reshape(n_d, self.dim)
-        z_r = x[nzd:nz].reshape(self.net.n_r, self.dim)
-        k = nz + 1
+        net, nzd, nz = self.net, self.nzd, self.nz
+        z_d = x[:nzd].reshape(net.n_d, self.dim)
+        z_r = x[nzd:nz].reshape(net.n_r, self.dim)
         if self.fixed_beta is None:
-            beta = math.exp(min(float(x[k]), 300.0))
-            k += 1
+            beta = math.exp(min(float(x[nz + 1]), 300.0))
         else:
             beta = self.fixed_beta
-        ll, g = self.evaluate(z_d, z_r, float(x[nz]), beta, x[k : k + n_d], x[k + n_d :])
+        ll, g = self.evaluate(
+            z_d, z_r, float(x[nz]), beta, net.donor_weight, net.recipient_weight
+        )
         f = -ll if math.isfinite(ll) else _BIG
         if not np.all(np.isfinite(g)):
             return f, np.zeros(x.size)
-        if self.fixed_beta is not None:
-            g = g[self.free]
-        return f, -g
+        return f, -g[: x.size]
 
 
 def _evaluate(params, net):
@@ -357,26 +361,33 @@ _BIG = 1e25  # stands in for a non-finite objective so line searches back off
 
 
 def _start_points(net, config, init):
-    """Yield (restart_index, initial parameter vector)."""
-    n_d, n_r, dim = net.n_d, net.n_r, config.dim
+    """Yield (restart_index, initial coupled vector ``(z_d, z_r, alpha, b)``).
+
+    A frozen b sits at ``log(config.fixed_beta)``; an ``init``'s node effects
+    are ignored.
+    """
+    nz = (net.n_d + net.n_r) * config.dim
     b0 = math.log(config.fixed_beta) if config.freeze_beta else 0.0
     if init is not None:
-        first = pack_params(init)
+        first = pack_params(init)[: nz + 2]
         if config.freeze_beta:
-            first[n_d * dim + n_r * dim + 1] = b0
+            first[nz + 1] = b0
         yield 0, first
     else:
-        z_d0, z_r0 = mds_init(net, dim)
-        yield 0, np.concatenate(
-            [z_d0.ravel(), z_r0.ravel(), [0.0, b0], net.donor_weight, net.recipient_weight]
-        )
-    from ._util import substream
-
+        z_d0, z_r0 = mds_init(net, config.dim)
+        yield 0, np.concatenate([z_d0.ravel(), z_r0.ravel(), [0.0, b0]])
     for k in range(config.restarts):
         rng = substream(config.seed, "lsm-restart", str(k))
-        vec = 0.5 * rng.standard_normal(n_d * dim + n_r * dim + 2 + n_d + n_r)
-        vec[n_d * dim + n_r * dim + 1] = b0 if config.freeze_beta else vec[n_d * dim + n_r * dim + 1]
+        vec = 0.5 * rng.standard_normal(nz + 2)
+        if config.freeze_beta:
+            vec[nz + 1] = b0
         yield k + 1, vec
+
+
+def _full_params(x, net, dim):
+    """:class:`LsmParams` at coupled vector ``x`` with the node effects at their MLE."""
+    vec = np.concatenate([x, net.donor_weight, net.recipient_weight])
+    return unpack_params(vec, net.n_d, net.n_r, dim)
 
 
 def _polish(x, net, dim, freeze_beta, max_steps=4):
@@ -385,42 +396,34 @@ def _polish(x, net, dim, freeze_beta, max_steps=4):
     Near the optimum the objective changes by less than machine epsilon per
     step, so line-search methods stall with gradient norms around 1e-6; the
     gradient is still computed accurately, so root-finding on it tightens the
-    stationarity a few more orders of magnitude.  ``x`` is the full packed
-    vector (see :func:`pack_params`); a frozen b is held fixed.
+    stationarity a few more orders of magnitude.  ``x`` is the coupled vector
+    ``(z_d, z_r, alpha, b)``; a frozen b is held fixed, and the node effects
+    stay at their closed form, the observed node weights.
 
-    The step for the coupled block comes from :func:`log_likelihood_hessian`
-    through its eigendecomposition.  Eigenvalues with |lambda| <= 1e-10 *
-    max|lambda| belong to the translation and rotation (gauge) directions,
-    along which the likelihood is flat, and are dropped.  The node effects
-    have the diagonal Hessian -1/se^2, so their step is closed form.  Steps
-    are accepted only if they shrink the gradient norm.
+    The step comes from :func:`log_likelihood_hessian` through its
+    eigendecomposition.  Eigenvalues with |lambda| <= 1e-10 * max|lambda|
+    belong to the translation and rotation (gauge) directions, along which
+    the likelihood is flat, and are dropped.  Steps are accepted only if they
+    shrink the gradient norm.
     """
-    n_d, n_r = net.n_d, net.n_r
-    n_coupled = (n_d + n_r) * dim + 2
-    k = n_coupled - 1 if freeze_beta else n_coupled  # b is the last coupled slot
-    node_var = np.concatenate([_floored(net.donor_se), _floored(net.recipient_se)]) ** 2
+    k = x.size - 1 if freeze_beta else x.size  # b is the last slot
 
-    def gradient(params):
-        g = log_likelihood_gradient(params, net)
-        g[k:n_coupled] = 0.0
-        return g
+    def at(x):
+        params = _full_params(x, net, dim)
+        return params, log_likelihood_gradient(params, net)[:k]
 
-    params = unpack_params(x, n_d, n_r, dim)
-    g = gradient(params)
+    params, g = at(x)
     gnorm = np.max(np.abs(g))
     for _ in range(max_steps):
         if gnorm == 0.0:
             break
         lam, vec = np.linalg.eigh(log_likelihood_hessian(params, net)[:k, :k])
         live = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
-        step = np.zeros_like(x)
-        step[:k] = -vec[:, live] @ ((vec[:, live].T @ g[:k]) / lam[live])
-        step[n_coupled:] = node_var * g[n_coupled:]
-        x_new = x + step
+        x_new = x.copy()
+        x_new[:k] -= vec[:, live] @ ((vec[:, live].T @ g) / lam[live])
         if not np.all(np.isfinite(x_new)):
             break
-        params_new = unpack_params(x_new, n_d, n_r, dim)
-        g_new = gradient(params_new)
+        params_new, g_new = at(x_new)
         gnorm_new = np.max(np.abs(g_new))
         if not np.all(np.isfinite(g_new)) or gnorm_new >= gnorm:
             break
@@ -436,16 +439,19 @@ def fit(net, config, init=None):
     Restarts whose objective becomes non-finite are discarded; if all diverge
     a :class:`FitError` is raised.
 
-    L-BFGS-B gets the negative log-likelihood and its gradient from one pass
-    per evaluation; :class:`LsmParams` are built only by the polish and for
-    the result.
+    The node effects have a closed form, the observed node weights: the
+    result's delta/gamma are copies of them, and an ``init``'s delta/gamma
+    are ignored.  L-BFGS-B carries only the coupled block (z_d, z_r, alpha
+    and, unless frozen, b) and gets the negative log-likelihood and its
+    gradient from one pass per evaluation; :class:`LsmParams` are built only
+    by the polish and for the result.
     """
     if init is not None:
         _check_dims(init, net)
         if init.dim != config.dim:
             raise ValueError("init latent dimension does not match config.dim")
-    n_d, n_r, dim = net.n_d, net.n_r, config.dim
-    b_slot = n_d * dim + n_r * dim + 1
+    dim = config.dim
+    n_free = (net.n_d + net.n_r) * dim + (1 if config.freeze_beta else 2)
     b_fixed = math.log(config.fixed_beta) if config.freeze_beta else None
     objective = _Objective(net, dim, b_fixed)
     options = {
@@ -457,31 +463,19 @@ def fit(net, config, init=None):
 
     best = None
     for idx, x0 in _start_points(net, config, init):
-        if config.freeze_beta:
-            x0 = np.delete(x0, b_slot)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
-        total_nit = res.nit
-        # a fresh L-BFGS memory sometimes finishes the last stretch to gtol
-        for _ in range(2):
-            if res.nit >= config.max_iter or np.max(np.abs(res.jac)) <= config.grad_tol:
-                break
-            res = minimize(objective, res.x, jac=True, method="L-BFGS-B", options=options)
-            total_nit += res.nit
+        res = minimize(objective, x0[:n_free], jac=True, method="L-BFGS-B", options=options)
         if not math.isfinite(res.fun) or res.fun >= _BIG / 2:
             continue
-        x_best = res.x if b_fixed is None else np.insert(res.x, b_slot, b_fixed)
+        x = np.concatenate([res.x, x0[n_free:]])  # a frozen b comes back from x0
         if np.max(np.abs(res.jac)) > config.grad_tol:
-            x_best = _polish(x_best, net, dim, config.freeze_beta)
-        params = unpack_params(x_best, n_d, n_r, dim)
+            x = _polish(x, net, dim, config.freeze_beta)
+        params = _full_params(x, net, dim)
         ll = log_likelihood(params, net)
-        g = log_likelihood_gradient(params, net)
-        if config.freeze_beta:
-            g = np.delete(g, b_slot)
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        gnorm = float(np.max(np.abs(log_likelihood_gradient(params, net)[:n_free])))
         cand = FitResult(
             params=params,
             log_likelihood=ll,
-            iterations=int(total_nit),
+            iterations=int(res.nit),
             grad_norm=gnorm,
             restart_index=idx,
             converged=gnorm <= config.grad_tol,

@@ -5,7 +5,7 @@ import pytest
 
 import netlsm.metrics
 from netlsm._util import dump_json
-from netlsm.cli import main
+from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
 from netlsm.model import FitConfig, fit
 from netlsm.network import load_network_dir
 
@@ -198,9 +198,9 @@ class TestManifestRerun:
             main(["table1", "--config", str(first / "manifest.json"),
                   "--out", str(tmp_path / "x")])
 
-    def _rerun_exits_2(self, tmp_path, capsys, manifest_path, message):
+    def _rerun_exits_2(self, tmp_path, capsys, manifest_path, message, command="fit"):
         with pytest.raises(SystemExit) as exc:
-            main(["fit", "--config", str(manifest_path), "--out", str(tmp_path / "x")])
+            main([command, "--config", str(manifest_path), "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and message in err and "Traceback" not in err
@@ -227,3 +227,39 @@ class TestManifestRerun:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         self._rerun_exits_2(tmp_path, capsys, path, "manifest config lacks net")
+
+    @staticmethod
+    def _pipeline_manifest(tmp_path, **changes):
+        cfg = _config_from_args(build_parser().parse_args(["pipeline"]))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "pipeline", "config": {**cfg, **changes}}))
+        return path
+
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys):
+        # unchecked, "2" reaches range() in run_pipeline as a TypeError traceback
+        path = self._pipeline_manifest(tmp_path, seeds="2")
+        self._rerun_exits_2(tmp_path, capsys, path, "seeds='2'", command="pipeline")
+
+    def test_non_numeric_float_exits_2(self, tmp_path, capsys):
+        # unchecked, "x" fails inside each seed and is only recorded as a failure
+        path = self._pipeline_manifest(tmp_path, lam="x")
+        self._rerun_exits_2(tmp_path, capsys, path, "lam='x'", command="pipeline")
+
+    def test_value_types_follow_the_defaults(self, tmp_path):
+        # an int passes for a float and anything for a None default; a bool is
+        # not an int, None is not a float and 0 is not a bool
+        parser = build_parser()
+        path = self._pipeline_manifest(tmp_path, lam=1)
+        assert _read_manifest(parser, path, "pipeline")["config"]["lam"] == 1
+        first = tmp_path / "one"
+        run(["simulate-network", "--n-d", 5, "--n-r", 5, "--out", first / "net"])
+        assert run(["fit", "--net", first / "net", "--method", "raw", "--out", first]) == 0
+        manifest = _read_manifest(parser, first / "manifest.json", "fit")
+        assert manifest["config"]["test_net"] is None and manifest["config"]["dim_grid"] is None
+        for key, value in (("seeds", True), ("lam", None), ("no_structure", 0)):
+            with pytest.raises(SystemExit):
+                _read_manifest(parser, self._pipeline_manifest(tmp_path, **{key: value}),
+                               "pipeline")
+        # list items are checked against the default's items
+        assert _matches([1, 2.5], [0.1]) and _matches([], [1])
+        assert not _matches(["1"], [1]) and not _matches("1,2", [1])

@@ -263,35 +263,34 @@ def ref_log_likelihood_gradient(params, net):
 def ref_closures(net, dim, fixed_b=None):
     """Reference optimizer objective: LsmParams built from the expanded vector per call.
 
-    Returns (neg_ll, neg_grad, template); the optimizer vector omits b when
-    ``fixed_b`` is given, and ``template`` holds it.
+    The optimizer vector is the coupled block (z_d, z_r, alpha, b), without b
+    when ``fixed_b`` is given; the expanded vector puts ``fixed_b`` back and
+    holds the node effects at the node weights.  Returns (neg_ll, neg_grad).
     """
     n_d, n_r = net.n_d, net.n_r
-    b_slot = (n_d + n_r) * dim + 1
-    free = np.ones(b_slot + 1 + n_d + n_r, dtype=bool)
-    template = np.zeros(free.size)
-    if fixed_b is not None:
-        free[b_slot] = False
-        template[b_slot] = fixed_b
+    tail = [] if fixed_b is None else [fixed_b]
 
-    def expand(x, template):
-        full = template.copy()
-        full[free] = x
-        return full
+    def params(x):
+        full = np.concatenate([x, tail, net.donor_weight, net.recipient_weight])
+        return unpack_params(full, n_d, n_r, dim)
 
-    def neg_ll(x, template):
-        p = unpack_params(expand(x, template), n_d, n_r, dim)
-        v = ref_log_likelihood(p, net)
+    def neg_ll(x):
+        v = ref_log_likelihood(params(x), net)
         return _BIG if not math.isfinite(v) else -v
 
-    def neg_grad(x, template):
-        full = expand(x, template)
-        g = ref_log_likelihood_gradient(unpack_params(full, n_d, n_r, dim), net)
+    def neg_grad(x):
+        g = ref_log_likelihood_gradient(params(x), net)
         if not np.all(np.isfinite(g)):
-            return np.zeros(free.sum())
-        return -g[free]
+            return np.zeros(x.size)
+        return -g[: x.size]
 
-    return neg_ll, neg_grad, template
+    return neg_ll, neg_grad
+
+
+def coupled(p, freeze_beta):
+    """The optimizer vector of ``p``: (z_d, z_r, alpha), then b unless frozen."""
+    n_free = (p.z_d.shape[0] + p.z_r.shape[0]) * p.dim + (1 if freeze_beta else 2)
+    return pack_params(p)[:n_free]
 
 
 class TestKernelOracle:
@@ -304,18 +303,16 @@ class TestKernelOracle:
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
         fixed_b = math.log(2.5) if freeze_beta else None
         objective = _Objective(net, dim, fixed_b)
-        neg_ll, neg_grad, template = ref_closures(net, dim, fixed_b)
+        neg_ll, neg_grad = ref_closures(net, dim, fixed_b)
         for _ in range(3):
             p = random_params(rng, n_d, n_r, dim)
             assert log_likelihood(p, net) == ref_log_likelihood(p, net)
             assert np.array_equal(log_likelihood_gradient(p, net),
                                   ref_log_likelihood_gradient(p, net))
-            x = pack_params(p)
-            if freeze_beta:
-                x = np.delete(x, (n_d + n_r) * dim + 1)
+            x = coupled(p, freeze_beta)
             f, g = objective(x)
-            assert f == neg_ll(x, template)
-            assert np.array_equal(g, neg_grad(x, template))
+            assert f == neg_ll(x)
+            assert np.array_equal(g, neg_grad(x))
 
     @pytest.mark.parametrize("freeze_beta", [False, True])
     def test_non_finite_paths(self, freeze_beta):
@@ -323,18 +320,15 @@ class TestKernelOracle:
         rng = substream(6, "kernel-overflow")
         n_d, n_r, dim = 4, 3, 2
         net = random_network(rng, n_d, n_r)
-        p = random_params(rng, n_d, n_r, dim)
-        x = pack_params(p)
+        x = coupled(random_params(rng, n_d, n_r, dim), freeze_beta)
         x[0] = 1e200
         fixed_b = 0.0 if freeze_beta else None
-        if freeze_beta:
-            x = np.delete(x, (n_d + n_r) * dim + 1)
-        neg_ll, neg_grad, template = ref_closures(net, dim, fixed_b)
+        neg_ll, neg_grad = ref_closures(net, dim, fixed_b)
         with np.errstate(over="ignore", invalid="ignore"):
             f, g = _Objective(net, dim, fixed_b)(x)
-            assert f == _BIG == neg_ll(x, template)
+            assert f == _BIG == neg_ll(x)
             assert g.shape == x.shape and np.all(g == 0.0)
-            assert np.array_equal(g, neg_grad(x, template))
+            assert np.array_equal(g, neg_grad(x))
 
 
 class TestFit:
@@ -401,6 +395,66 @@ class TestFit:
                           "dim", "log_likelihood", "converged"}
 
 
+class TestClosedFormNodeEffects:
+    @pytest.mark.parametrize("restarts", [0, 2])
+    @pytest.mark.parametrize("freeze_beta", [False, True])
+    def test_fit_returns_the_node_weights(self, restarts, freeze_beta):
+        net = random_network(substream(15, "node-mle"), 6, 5, mask_frac=0.2)
+        res = fit(net, FitConfig(dim=2, restarts=restarts, seed=4, freeze_beta=freeze_beta,
+                                 fixed_beta=1.5))
+        assert np.array_equal(res.params.delta, net.donor_weight)
+        assert np.array_equal(res.params.gamma, net.recipient_weight)
+        assert not np.shares_memory(res.params.delta, net.donor_weight)
+
+    def test_init_node_effects_are_ignored(self):
+        rng = substream(16, "node-init")
+        net = random_network(rng, 6, 5)
+        p0 = random_params(rng, 6, 5, 2)
+        assert not np.array_equal(p0.delta, net.donor_weight)
+        at_weights = LsmParams(p0.z_d, p0.z_r, p0.alpha, p0.beta,
+                               net.donor_weight, net.recipient_weight)
+        cfg = FitConfig(dim=2, restarts=0)
+        res = fit(net, cfg, init=p0)
+        assert np.array_equal(res.params.delta, net.donor_weight)
+        assert np.array_equal(res.params.gamma, net.recipient_weight)
+        assert np.array_equal(pack_params(res.params),
+                              pack_params(fit(net, cfg, init=at_weights).params))
+
+    def test_one_minimize_per_start(self, monkeypatch):
+        # seed 10 of the 60x60 corpus stops short of grad_tol on both starts
+        import netlsm.model
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(netlsm.model, "minimize", counting)
+        cfg = FitConfig(dim=2, restarts=1, seed=10)
+        res = fit(simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed, cfg)
+        assert len(calls) == 1 + cfg.restarts
+        assert res.iterations < cfg.max_iter
+
+    @pytest.mark.parametrize("freeze_beta", [False, True])
+    def test_random_starts_are_the_coupled_prefix(self, freeze_beta):
+        # each random start is the first nz + 2 entries of the draw that also
+        # covered the node effects, so positions, alpha and b are unchanged
+        n_d, n_r, dim = 7, 5, 2
+        net = random_network(substream(17, "starts"), n_d, n_r)
+        cfg = FitConfig(dim=dim, restarts=3, seed=9, freeze_beta=freeze_beta, fixed_beta=2.0)
+        nz = (n_d + n_r) * dim
+        starts = list(_start_points(net, cfg, None))
+        assert [idx for idx, _ in starts] == [0, 1, 2, 3]
+        assert starts[0][1].size == nz + 2
+        for k, (_, vec) in enumerate(starts[1:]):
+            longer = 0.5 * substream(9, "lsm-restart", str(k)).standard_normal(nz + 2 + n_d + n_r)
+            if freeze_beta:
+                longer[nz + 1] = math.log(2.0)
+            assert vec.size == nz + 2
+            assert np.array_equal(vec, longer[: nz + 2])
+
+
 # reference log-likelihoods of the 60x60 corpus, from the earlier finite-difference polish
 CORPUS_LL = {
     10: 1932.0351538123, 11: 1932.0426878044, 12: 1867.5041871016, 13: 1996.4178857926,
@@ -441,16 +495,13 @@ def test_lbfgs_trajectory_matches_reference(sim_config, config):
     # the one-pass objective takes L-BFGS-B through exactly the reference's
     # iterates, from the MDS start and from one random start
     net = simulate(sim_config).observed
-    dim = config.dim
-    b_slot = (net.n_d + net.n_r) * dim + 1
     fixed_b = math.log(config.fixed_beta) if config.freeze_beta else None
-    neg_ll, neg_grad, template = ref_closures(net, dim, fixed_b)
-    objective = _Objective(net, dim, fixed_b)
+    neg_ll, neg_grad = ref_closures(net, config.dim, fixed_b)
+    objective = _Objective(net, config.dim, fixed_b)
     for _, x0 in _start_points(net, config, None):
         if config.freeze_beta:
-            x0 = np.delete(x0, b_slot)
-        ref = minimize(neg_ll, x0, args=(template,), jac=neg_grad,
-                       method="L-BFGS-B", options=OPTIONS)
+            x0 = x0[:-1]
+        ref = minimize(neg_ll, x0, jac=neg_grad, method="L-BFGS-B", options=OPTIONS)
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS)
         assert res.nit == ref.nit
         assert np.array_equal(res.x, ref.x)
