@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 
 from .network import (
     CompatibilityNetwork,
-    NetworkPair,
     NetworkFormatError,
-    compatibility,
     load_network,
     save_network,
 )

@@ -63,7 +63,7 @@ def run_simulate_network(cfg, out):
     save_network(sim.observed, out)
     truth = sim.truth.to_dict()
     dump_json(truth, os.path.join(out, "truth.json"))
-    return ["edges.csv", "donor_nodes.csv", "recipient_nodes.csv", "truth.json"], True
+    return ["edges.csv", "donor_nodes.csv", "recipient_nodes.csv", "truth.json"], True, False
 
 
 def run_simulate_transplants(cfg, out):
@@ -91,7 +91,7 @@ def run_simulate_transplants(cfg, out):
         },
         os.path.join(out, "truth.json"),
     )
-    return ["train.csv", "test.csv", "truth.json"], True
+    return ["train.csv", "test.csv", "truth.json"], True, False
 
 
 def _fit_config(cfg):
@@ -122,7 +122,7 @@ def run_fit(cfg, out):
         dump_json(result.to_dict(), os.path.join(out, "model.json"))
         artifacts.append("model.json")
     dump_json(payload, os.path.join(out, "metrics.json"))
-    return artifacts, converged
+    return artifacts, converged, False
 
 
 def run_eval(cfg, out):
@@ -136,7 +136,7 @@ def run_eval(cfg, out):
     os.makedirs(out, exist_ok=True)
     dump_json({e.method: e.to_dict() for e in evaluations}, os.path.join(out, "eval.json"))
     write_text_atomic(os.path.join(out, "eval_table.txt"), format_eval_table(evaluations))
-    return ["eval.json", "eval_table.txt"], True
+    return ["eval.json", "eval_table.txt"], True, False
 
 
 def run_table1(cfg, out):
@@ -144,7 +144,7 @@ def run_table1(cfg, out):
     os.makedirs(out, exist_ok=True)
     payload = {}
     tables = []
-    converged = True
+    converged, failed = True, False
     for noise_name, sigma_w in (("low_noise", 0.15), ("high_noise", 1.5)):
         for convention in (PAIR_TERM_ONLY, FULL_COMPATIBILITY):
             sc = SimConfig(sigma_w=sigma_w, edge_mean_convention=convention, seed=cfg["seed"])
@@ -153,9 +153,10 @@ def run_table1(cfg, out):
             payload[key] = report.to_dict()
             tables.append(format_report_table(report, title=key))
             converged = converged and all(r["converged"] for r in report.per_replicate)
+            failed = failed or bool(report.failures)
     dump_json(payload, os.path.join(out, "table1.json"))
     write_text_atomic(os.path.join(out, "table1.txt"), "\n".join(tables))
-    return ["table1.json", "table1.txt"], converged
+    return ["table1.json", "table1.txt"], converged, failed
 
 
 def run_coxph(cfg, out):
@@ -173,7 +174,7 @@ def run_coxph(cfg, out):
         "network/edges.csv",
         "network/donor_nodes.csv",
         "network/recipient_nodes.csv",
-    ], model.converged
+    ], model.converged, False
 
 
 def run_pipeline(cfg, out):
@@ -212,9 +213,12 @@ def run_pipeline(cfg, out):
         {"per_seed": per_seed, "aggregate": aggregate, "failures": failures},
         os.path.join(out, "pipeline.json"),
     )
-    return ["pipeline.json"], converged and not failures
+    return ["pipeline.json"], converged, bool(failures)
 
 
+# Each runner writes its artifacts and returns (artifacts, converged, failed):
+# ``failed`` says that a seed or replicate raised (its error is recorded in the
+# artifacts), which exits 1 whatever --allow-nonconverged says.
 _RUNNERS = {
     "simulate-network": run_simulate_network,
     "simulate-transplants": run_simulate_transplants,
@@ -388,7 +392,7 @@ def main(argv=None):
         parser.error("--out is required (directly or via --config)")
     t0 = _time.perf_counter()
     try:
-        artifacts, converged = _RUNNERS[args.command](cfg, out)
+        artifacts, converged, failed = _RUNNERS[args.command](cfg, out)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -403,6 +407,10 @@ def main(argv=None):
         "duration_s": duration,
     }
     dump_json(manifest, os.path.join(out, "manifest.json"))
+    if failed:
+        print(f"error: some runs raised; their errors are under 'failures' in {out}",
+              file=sys.stderr)
+        return 1
     if not converged and not args.allow_nonconverged:
         print("warning: not all fits converged (use --allow-nonconverged to tolerate)",
               file=sys.stderr)

@@ -7,18 +7,20 @@ complete the compatibility ``mu_ij = eta_ij + delta_i + gamma_j``.  Observed
 node and edge weights are modeled as independent Gaussians around the model
 quantities with known (plug-in) standard deviations.
 
-Each node effect appears only in its own node term, so its maximum likelihood
-estimate is the observed node weight (``delta = donor_weight``, ``gamma =
-recipient_weight``).  The optimizer therefore carries only the coupled block
-``(z_d, z_r, alpha, b)``, with the unconstrained ``b = log(beta)``, and
-maximizes the log-likelihood over it by L-BFGS-B.
+Beta and the position scale are not separately identifiable: ``(z, beta) ->
+(c z, beta / c^2)`` leaves every distance term unchanged.  Fits therefore hold
+beta at 1, the model's gauge, and report positions in it.  Each node effect
+appears only in its own node term, so its maximum likelihood estimate is the
+observed node weight (``delta = donor_weight``, ``gamma = recipient_weight``).
+The optimizer therefore carries only ``(z_d, z_r, alpha)`` and maximizes the
+log-likelihood over it by L-BFGS-B.
 Each optimizer evaluation is one pass that gives the log-likelihood and its
 gradient together, on slices of the optimizer vector; parameters are validated
 (as :class:`LsmParams`) only where they cross the API, not per evaluation.
 A fit that stops short of the gradient tolerance is finished by Newton steps
 on the gradient with the exact Hessian.  Distances do not change under
 translation or rotation of all positions, so the Hessian is singular along
-those (gauge) directions and the Newton step leaves them out.
+those directions and the Newton step leaves them out.
 """
 
 import math
@@ -120,8 +122,6 @@ class FitConfig:
     grad_tol: float = 1e-6
     restarts: int = 4
     seed: int = 0
-    freeze_beta: bool = False
-    fixed_beta: float = 1.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -132,8 +132,6 @@ class FitConfig:
             raise ValueError("grad_tol must be > 0")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if not (self.fixed_beta > 0):
-            raise ValueError("fixed_beta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -199,13 +197,13 @@ class _Objective:
     eta and the residuals once and shares them between the value and the
     gradient.  Called on an optimizer vector it returns ``(-ll, -gradient)``
     for ``minimize(..., jac=True)`` and builds no :class:`LsmParams`: the
-    parameters are slices of the vector.  That vector is the coupled block
-    ``(z_d, z_r, alpha, b)`` of the :func:`pack_params` layout, without b
-    when ``fixed_b`` is given; the node effects are held at their closed
-    form, the observed node weights.
+    parameters are slices of the vector.  That vector is ``(z_d, z_r,
+    alpha)``, the :func:`pack_params` layout up to b; beta is held at the
+    gauge value 1 and the node effects at their closed form, the observed
+    node weights.
     """
 
-    def __init__(self, net, dim, fixed_b=None):
+    def __init__(self, net, dim):
         self.net, self.dim = net, dim
         m = net.edge_mask
         se = _floored(net.edge_se)
@@ -219,7 +217,6 @@ class _Objective:
         self.c_recipient = -0.5 * np.sum(np.log(2.0 * np.pi * sr * sr))
         self.nzd = net.n_d * dim
         self.nz = self.nzd + net.n_r * dim
-        self.fixed_beta = None if fixed_b is None else math.exp(min(fixed_b, 300.0))
 
     def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
         """(ll, gradient in :func:`pack_params` order, b included)."""
@@ -247,12 +244,8 @@ class _Objective:
         net, nzd, nz = self.net, self.nzd, self.nz
         z_d = x[:nzd].reshape(net.n_d, self.dim)
         z_r = x[nzd:nz].reshape(net.n_r, self.dim)
-        if self.fixed_beta is None:
-            beta = math.exp(min(float(x[nz + 1]), 300.0))
-        else:
-            beta = self.fixed_beta
         ll, g = self.evaluate(
-            z_d, z_r, float(x[nz]), beta, net.donor_weight, net.recipient_weight
+            z_d, z_r, float(x[nz]), 1.0, net.donor_weight, net.recipient_weight
         )
         f = -ll if math.isfinite(ll) else _BIG
         if not np.all(np.isfinite(g)):
@@ -331,7 +324,11 @@ def log_likelihood_hessian(params, net):
 
 
 def pack_params(params):
-    """Flatten parameters into the optimizer vector (with b = log beta)."""
+    """Flatten parameters: z_d rows, z_r rows, alpha, b = log(beta), delta, gamma.
+
+    The optimizer vector of :func:`fit` is the first ``(n_d + n_r) * dim + 1``
+    slots, taken in the gauge beta = 1.
+    """
     return np.concatenate(
         [
             params.z_d.ravel(),
@@ -361,52 +358,48 @@ _BIG = 1e25  # stands in for a non-finite objective so line searches back off
 
 
 def _start_points(net, config, init):
-    """Yield (restart_index, initial coupled vector ``(z_d, z_r, alpha, b)``).
+    """Yield (restart_index, initial optimizer vector ``(z_d, z_r, alpha)``).
 
-    A frozen b sits at ``log(config.fixed_beta)``; an ``init``'s node effects
+    An ``init`` enters the gauge as ``(sqrt(beta) z_d, sqrt(beta) z_r,
+    alpha)``, which leaves its distance terms unchanged; its node effects
     are ignored.
     """
     nz = (net.n_d + net.n_r) * config.dim
-    b0 = math.log(config.fixed_beta) if config.freeze_beta else 0.0
     if init is not None:
-        first = pack_params(init)[: nz + 2]
-        if config.freeze_beta:
-            first[nz + 1] = b0
-        yield 0, first
+        scale = math.sqrt(init.beta)
+        yield 0, np.concatenate([scale * init.z_d.ravel(), scale * init.z_r.ravel(), [init.alpha]])
     else:
         z_d0, z_r0 = mds_init(net, config.dim)
-        yield 0, np.concatenate([z_d0.ravel(), z_r0.ravel(), [0.0, b0]])
+        yield 0, np.concatenate([z_d0.ravel(), z_r0.ravel(), [0.0]])
     for k in range(config.restarts):
         rng = substream(config.seed, "lsm-restart", str(k))
-        vec = 0.5 * rng.standard_normal(nz + 2)
-        if config.freeze_beta:
-            vec[nz + 1] = b0
-        yield k + 1, vec
+        yield k + 1, 0.5 * rng.standard_normal(nz + 1)
 
 
 def _full_params(x, net, dim):
-    """:class:`LsmParams` at coupled vector ``x`` with the node effects at their MLE."""
-    vec = np.concatenate([x, net.donor_weight, net.recipient_weight])
+    """:class:`LsmParams` at optimizer vector ``x``: beta 1, node effects at their MLE."""
+    vec = np.concatenate([x, [0.0], net.donor_weight, net.recipient_weight])
     return unpack_params(vec, net.n_d, net.n_r, dim)
 
 
-def _polish(x, net, dim, freeze_beta, max_steps=4):
+def _polish(x, net, dim, max_steps=4):
     """Newton steps on the gradient itself, with the exact Hessian.
 
     Near the optimum the objective changes by less than machine epsilon per
     step, so line-search methods stall with gradient norms around 1e-6; the
     gradient is still computed accurately, so root-finding on it tightens the
-    stationarity a few more orders of magnitude.  ``x`` is the coupled vector
-    ``(z_d, z_r, alpha, b)``; a frozen b is held fixed, and the node effects
-    stay at their closed form, the observed node weights.
+    stationarity a few more orders of magnitude.  ``x`` is the optimizer
+    vector ``(z_d, z_r, alpha)``; beta stays at 1 and the node effects at
+    their closed form, the observed node weights.
 
-    The step comes from :func:`log_likelihood_hessian` through its
-    eigendecomposition.  Eigenvalues with |lambda| <= 1e-10 * max|lambda|
-    belong to the translation and rotation (gauge) directions, along which
-    the likelihood is flat, and are dropped.  Steps are accepted only if they
-    shrink the gradient norm.
+    The step comes from the ``(z_d, z_r, alpha)`` block of
+    :func:`log_likelihood_hessian` through its eigendecomposition.
+    Eigenvalues with |lambda| <= 1e-10 * max|lambda| belong to the
+    translation and rotation directions, along which the likelihood is flat,
+    and are dropped.  Steps are accepted only if they shrink the gradient
+    norm.
     """
-    k = x.size - 1 if freeze_beta else x.size  # b is the last slot
+    k = x.size  # the Hessian's rows and columns before b
 
     def at(x):
         params = _full_params(x, net, dim)
@@ -419,8 +412,7 @@ def _polish(x, net, dim, freeze_beta, max_steps=4):
             break
         lam, vec = np.linalg.eigh(log_likelihood_hessian(params, net)[:k, :k])
         live = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
-        x_new = x.copy()
-        x_new[:k] -= vec[:, live] @ ((vec[:, live].T @ g) / lam[live])
+        x_new = x - vec[:, live] @ ((vec[:, live].T @ g) / lam[live])
         if not np.all(np.isfinite(x_new)):
             break
         params_new, g_new = at(x_new)
@@ -439,21 +431,21 @@ def fit(net, config, init=None):
     Restarts whose objective becomes non-finite are discarded; if all diverge
     a :class:`FitError` is raised.
 
-    The node effects have a closed form, the observed node weights: the
-    result's delta/gamma are copies of them, and an ``init``'s delta/gamma
-    are ignored.  L-BFGS-B carries only the coupled block (z_d, z_r, alpha
-    and, unless frozen, b) and gets the negative log-likelihood and its
-    gradient from one pass per evaluation; :class:`LsmParams` are built only
-    by the polish and for the result.
+    Beta is held at 1, the gauge that fixes the position scale, so the
+    result has ``beta == 1`` and positions in that gauge; an ``init`` is
+    mapped into it.  The node effects have a closed form, the observed node
+    weights: the result's delta/gamma are copies of them, and an ``init``'s
+    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha) and
+    gets the negative log-likelihood and its gradient from one pass per
+    evaluation; :class:`LsmParams` are built only by the polish and for the
+    result.
     """
     if init is not None:
         _check_dims(init, net)
         if init.dim != config.dim:
             raise ValueError("init latent dimension does not match config.dim")
     dim = config.dim
-    n_free = (net.n_d + net.n_r) * dim + (1 if config.freeze_beta else 2)
-    b_fixed = math.log(config.fixed_beta) if config.freeze_beta else None
-    objective = _Objective(net, dim, b_fixed)
+    objective = _Objective(net, dim)
     options = {
         "maxiter": config.max_iter,
         "gtol": config.grad_tol,
@@ -463,15 +455,15 @@ def fit(net, config, init=None):
 
     best = None
     for idx, x0 in _start_points(net, config, init):
-        res = minimize(objective, x0[:n_free], jac=True, method="L-BFGS-B", options=options)
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
         if not math.isfinite(res.fun) or res.fun >= _BIG / 2:
             continue
-        x = np.concatenate([res.x, x0[n_free:]])  # a frozen b comes back from x0
+        x = res.x
         if np.max(np.abs(res.jac)) > config.grad_tol:
-            x = _polish(x, net, dim, config.freeze_beta)
+            x = _polish(x, net, dim)
         params = _full_params(x, net, dim)
         ll = log_likelihood(params, net)
-        gnorm = float(np.max(np.abs(log_likelihood_gradient(params, net)[:n_free])))
+        gnorm = float(np.max(np.abs(log_likelihood_gradient(params, net)[: x.size])))
         cand = FitResult(
             params=params,
             log_likelihood=ll,

@@ -14,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "CompatibilityNetwork",
-    "NetworkPair",
     "NetworkFormatError",
-    "compatibility",
     "load_network",
     "save_network",
 ]
@@ -103,23 +101,6 @@ class CompatibilityNetwork:
     @property
     def n_r(self):
         return len(self.recipient_labels)
-
-
-@dataclass(frozen=True)
-class NetworkPair:
-    """Index of one donor/recipient pair within a network."""
-
-    donor_index: int
-    recipient_index: int
-
-    def check(self, net):
-        if not (0 <= self.donor_index < net.n_d and 0 <= self.recipient_index < net.n_r):
-            raise IndexError("pair index out of bounds for network")
-
-
-def compatibility(delta, gamma, eta):
-    """Total compatibility of a pair: node effect + node effect + pair affinity."""
-    return delta + gamma + eta
 
 
 def _read_rows(path, expected_header):

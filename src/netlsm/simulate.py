@@ -158,7 +158,7 @@ class ReplicateReport:
 def _replicate_metrics(config, fit_config, rep_seed):
     sim = simulate(replace(config, seed=rep_seed))
     net, truth = sim.observed, sim.truth
-    result = fit(net, replace(fit_config, freeze_beta=True, fixed_beta=config.beta, seed=rep_seed))
+    result = fit(net, replace(fit_config, seed=rep_seed))
     refined = refine_network(net, result)
     pred_w = (
         refined.mu if config.edge_mean_convention == FULL_COMPATIBILITY else refined.eta
@@ -189,9 +189,11 @@ def _replicate_metrics(config, fit_config, rep_seed):
 def run_replicates(config, fit_config, n_reps):
     """Simulate/fit/align/score ``n_reps`` replicates seeded from config.seed.
 
-    Beta is frozen at its generating value during fitting (it is not
-    identifiable jointly with the position scale).  Fit failures are recorded
-    per replicate and excluded from the aggregates.
+    Fits hold beta at 1, the model's gauge (beta is not identifiable jointly
+    with the position scale); positions are scored after a Procrustes
+    alignment that fits the scale, so a truth generated with another beta is
+    recovered as well.  Fit failures are recorded per replicate and excluded
+    from the aggregates.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")

@@ -1,12 +1,14 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+import netlsm.cli
 import netlsm.metrics
 from netlsm._util import dump_json
 from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
-from netlsm.model import FitConfig, fit
+from netlsm.model import FitConfig, FitError, fit
 from netlsm.network import load_network_dir
 
 
@@ -160,6 +162,28 @@ class TestPipelineCommand:
                 assert v == 0.0
         assert set(payload["aggregate"]) == {"lsm", "nmtf", "pca"}
 
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_a_seed_that_raises_exits_1(self, tmp_path, monkeypatch, capsys, allow):
+        # the failure is recorded and every artifact written, and
+        # --allow-nonconverged, which tolerates fits that stop short, does not hide it
+        real = netlsm.cli.pipeline_end_to_end
+
+        def seed_1_raises(gen, *args, **kwargs):
+            if gen.seed == 1:
+                raise FitError("all optimizer restarts diverged")
+            return real(gen, *args, **kwargs)
+
+        monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_raises)
+        out = tmp_path / "pipe"
+        argv = ["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
+                "--identity-refinement", "--restarts", 0, "--out", out]
+        assert run(argv + ["--allow-nonconverged"] * allow) == 1
+        assert "error:" in capsys.readouterr().err
+        payload = json.loads((out / "pipeline.json").read_text())
+        assert [row["seed"] for row in payload["per_seed"]] == [0]
+        assert payload["failures"] == [{"seed": 1, "error": "all optimizer restarts diverged"}]
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == ["pipeline.json"]
+
 
 class TestTable1:
     def test_single_rep(self, tmp_path):
@@ -176,6 +200,26 @@ class TestTable1:
             assert all(v == 0.0 for v in report["rmse_se"].values())
         text = (out / "table1.txt").read_text()
         assert "RMSE" in text and "R^2" in text
+
+    def test_a_replicate_that_raises_exits_1(self, tmp_path, monkeypatch, capsys):
+        # ``netlsm.simulate`` is the re-exported function, not the module
+        sim_module = importlib.import_module("netlsm.simulate")
+        real = sim_module.fit
+
+        def rep_1_raises(net, config, init=None):
+            if config.seed == 1:
+                raise FitError("all optimizer restarts diverged")
+            return real(net, config, init)
+
+        monkeypatch.setattr(sim_module, "fit", rep_1_raises)
+        out = tmp_path / "t1"
+        assert run(["table1", "--reps", 2, "--restarts", 0, "--out", out,
+                    "--allow-nonconverged"]) == 1
+        assert "error:" in capsys.readouterr().err
+        for report in json.loads((out / "table1.json").read_text()).values():
+            assert [row["seed"] for row in report["per_replicate"]] == [0]
+            assert report["failures"] == [{"seed": 1, "error": "all optimizer restarts diverged"}]
+        assert (out / "manifest.json").is_file()
 
 
 class TestManifestRerun:

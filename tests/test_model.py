@@ -29,6 +29,13 @@ from netlsm.model import (
 )
 from netlsm.procrustes import procrustes_align
 from netlsm.simulate import FULL_COMPATIBILITY, SimConfig, simulate
+from netlsm.survival import (
+    SurvivalGenConfig,
+    cox_fit,
+    design_matrix,
+    extract_network,
+    simulate_transplants,
+)
 from netlsm._util import substream
 
 from helpers import noiseless_network, random_network, random_params
@@ -200,7 +207,8 @@ class TestHessian:
         assert np.max(np.abs(fd - h)) <= 1e-6 * np.max(np.abs(h))
 
     def test_frozen_beta_sub_block(self):
-        # with b held fixed, the free block is the Hessian without b's row and column
+        # with beta held at the gauge, the polish uses the Hessian without b's
+        # row and column
         rng = substream(4, "hess-frozen")
         n_d, n_r, dim = 5, 6, 2
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.25), rng, 1)
@@ -260,18 +268,17 @@ def ref_log_likelihood_gradient(params, net):
     )
 
 
-def ref_closures(net, dim, fixed_b=None):
+def ref_closures(net, dim):
     """Reference optimizer objective: LsmParams built from the expanded vector per call.
 
-    The optimizer vector is the coupled block (z_d, z_r, alpha, b), without b
-    when ``fixed_b`` is given; the expanded vector puts ``fixed_b`` back and
-    holds the node effects at the node weights.  Returns (neg_ll, neg_grad).
+    The optimizer vector is (z_d, z_r, alpha); the expanded vector puts
+    b = log(beta) = 0 after it and holds the node effects at the node
+    weights.  Returns (neg_ll, neg_grad).
     """
     n_d, n_r = net.n_d, net.n_r
-    tail = [] if fixed_b is None else [fixed_b]
 
     def params(x):
-        full = np.concatenate([x, tail, net.donor_weight, net.recipient_weight])
+        full = np.concatenate([x, [0.0], net.donor_weight, net.recipient_weight])
         return unpack_params(full, n_d, n_r, dim)
 
     def neg_ll(x):
@@ -287,45 +294,50 @@ def ref_closures(net, dim, fixed_b=None):
     return neg_ll, neg_grad
 
 
-def coupled(p, freeze_beta):
-    """The optimizer vector of ``p``: (z_d, z_r, alpha), then b unless frozen."""
-    n_free = (p.z_d.shape[0] + p.z_r.shape[0]) * p.dim + (1 if freeze_beta else 2)
-    return pack_params(p)[:n_free]
+def coupled(p):
+    """The optimizer vector of ``p``: (z_d, z_r, alpha)."""
+    return pack_params(p)[: (p.z_d.shape[0] + p.z_r.shape[0]) * p.dim + 1]
 
 
 class TestKernelOracle:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("tiny", [0, 2])
-    @pytest.mark.parametrize("freeze_beta", [False, True])
-    def test_exactly_equals_reference(self, dim, tiny, freeze_beta):
-        rng = substream(dim, "kernel", str(tiny), str(freeze_beta))
+    @pytest.mark.parametrize("in_gauge", [False, True])
+    def test_exactly_equals_reference(self, dim, tiny, in_gauge):
+        # in_gauge puts each point at beta 1 with the node effects at the node
+        # weights, where the kernel is also the negated public function
+        rng = substream(dim, "kernel", str(tiny), str(in_gauge))
         n_d, n_r = 7, 5
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
-        fixed_b = math.log(2.5) if freeze_beta else None
-        objective = _Objective(net, dim, fixed_b)
-        neg_ll, neg_grad = ref_closures(net, dim, fixed_b)
+        objective = _Objective(net, dim)
+        neg_ll, neg_grad = ref_closures(net, dim)
         for _ in range(3):
             p = random_params(rng, n_d, n_r, dim)
+            if in_gauge:
+                p = LsmParams(p.z_d, p.z_r, p.alpha, 1.0, net.donor_weight, net.recipient_weight)
             assert log_likelihood(p, net) == ref_log_likelihood(p, net)
             assert np.array_equal(log_likelihood_gradient(p, net),
                                   ref_log_likelihood_gradient(p, net))
-            x = coupled(p, freeze_beta)
+            x = coupled(p)
             f, g = objective(x)
             assert f == neg_ll(x)
             assert np.array_equal(g, neg_grad(x))
+            if in_gauge:
+                assert f == -log_likelihood(p, net)
+                assert np.array_equal(g, -log_likelihood_gradient(p, net)[: x.size])
 
-    @pytest.mark.parametrize("freeze_beta", [False, True])
-    def test_non_finite_paths(self, freeze_beta):
-        # an overflowing position makes the distance, ll and gradient non-finite
+    @pytest.mark.parametrize("recipient", [False, True])
+    def test_non_finite_paths(self, recipient):
+        # an overflowing donor or recipient position makes the distance, ll and
+        # gradient non-finite
         rng = substream(6, "kernel-overflow")
         n_d, n_r, dim = 4, 3, 2
         net = random_network(rng, n_d, n_r)
-        x = coupled(random_params(rng, n_d, n_r, dim), freeze_beta)
-        x[0] = 1e200
-        fixed_b = 0.0 if freeze_beta else None
-        neg_ll, neg_grad = ref_closures(net, dim, fixed_b)
+        x = coupled(random_params(rng, n_d, n_r, dim))
+        x[n_d * dim if recipient else 0] = 1e200
+        neg_ll, neg_grad = ref_closures(net, dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            f, g = _Objective(net, dim, fixed_b)(x)
+            f, g = _Objective(net, dim)(x)
             assert f == _BIG == neg_ll(x)
             assert g.shape == x.shape and np.all(g == 0.0)
             assert np.array_equal(g, neg_grad(x))
@@ -333,15 +345,19 @@ class TestKernelOracle:
 
 class TestFit:
     def test_init_at_truth_stays(self):
+        # the fit reports the truth mapped into the gauge beta = 1
         truth = random_params(substream(5, "truth"), 6, 5, 2)
         net = noiseless_network(truth, se=1e-3)
         res = fit(net, FitConfig(dim=2, restarts=0), init=truth)
         assert res.converged
-        assert np.max(np.abs(pack_params(res.params) - pack_params(truth))) <= 1e-8
+        scale = math.sqrt(truth.beta)
+        gauge = LsmParams(scale * truth.z_d, scale * truth.z_r, truth.alpha, 1.0,
+                          truth.delta, truth.gamma)
+        assert np.max(np.abs(pack_params(res.params) - pack_params(gauge))) <= 1e-8
 
     def test_low_noise_recovers_positions(self):
         sim = simulate(SimConfig(seed=11))
-        cfg = FitConfig(dim=2, restarts=1, seed=11, freeze_beta=True, fixed_beta=1.0)
+        cfg = FitConfig(dim=2, restarts=1, seed=11)
         res = fit(sim.observed, cfg)
         src = np.vstack([res.params.z_d, res.params.z_r])
         tgt = np.vstack([sim.truth.z_d, sim.truth.z_r])
@@ -374,12 +390,14 @@ class TestFit:
         assert more.log_likelihood >= base.log_likelihood - 1e-9
 
     def test_beta_positive_and_frozen(self):
-        net = random_network(substream(10, "beta"), 5, 5)
+        # beta is held at the gauge value 1, also from an init with another beta
+        rng = substream(10, "beta")
+        net = random_network(rng, 5, 5)
         res = fit(net, FitConfig(dim=2, restarts=1, seed=0))
-        assert res.params.beta > 0
-        frozen = fit(net, FitConfig(dim=2, restarts=1, seed=0,
-                                    freeze_beta=True, fixed_beta=2.5))
-        assert frozen.params.beta == pytest.approx(2.5, abs=0)
+        assert res.params.beta == 1.0
+        p0 = random_params(rng, 5, 5, 2)
+        assert p0.beta != 1.0
+        assert fit(net, FitConfig(dim=2, restarts=0), init=p0).params.beta == 1.0
 
     def test_init_dim_mismatch(self):
         net = random_network(substream(11, "mm"), 4, 4)
@@ -397,11 +415,10 @@ class TestFit:
 
 class TestClosedFormNodeEffects:
     @pytest.mark.parametrize("restarts", [0, 2])
-    @pytest.mark.parametrize("freeze_beta", [False, True])
-    def test_fit_returns_the_node_weights(self, restarts, freeze_beta):
-        net = random_network(substream(15, "node-mle"), 6, 5, mask_frac=0.2)
-        res = fit(net, FitConfig(dim=2, restarts=restarts, seed=4, freeze_beta=freeze_beta,
-                                 fixed_beta=1.5))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_fit_returns_the_node_weights(self, restarts, masked):
+        net = random_network(substream(15, "node-mle"), 6, 5, mask_frac=0.2 if masked else 0.0)
+        res = fit(net, FitConfig(dim=2, restarts=restarts, seed=4))
         assert np.array_equal(res.params.delta, net.donor_weight)
         assert np.array_equal(res.params.gamma, net.recipient_weight)
         assert not np.shares_memory(res.params.delta, net.donor_weight)
@@ -436,23 +453,23 @@ class TestClosedFormNodeEffects:
         assert len(calls) == 1 + cfg.restarts
         assert res.iterations < cfg.max_iter
 
-    @pytest.mark.parametrize("freeze_beta", [False, True])
-    def test_random_starts_are_the_coupled_prefix(self, freeze_beta):
-        # each random start is the first nz + 2 entries of the draw that also
-        # covered the node effects, so positions, alpha and b are unchanged
+    @pytest.mark.parametrize("node_effects", [False, True])
+    def test_random_starts_are_the_coupled_prefix(self, node_effects):
+        # each random start is the first nz + 1 entries of the longer draws that
+        # also covered b and, before that, the node effects, so positions and
+        # alpha are unchanged
         n_d, n_r, dim = 7, 5, 2
         net = random_network(substream(17, "starts"), n_d, n_r)
-        cfg = FitConfig(dim=dim, restarts=3, seed=9, freeze_beta=freeze_beta, fixed_beta=2.0)
+        cfg = FitConfig(dim=dim, restarts=3, seed=9)
         nz = (n_d + n_r) * dim
         starts = list(_start_points(net, cfg, None))
         assert [idx for idx, _ in starts] == [0, 1, 2, 3]
-        assert starts[0][1].size == nz + 2
+        assert starts[0][1].size == nz + 1
         for k, (_, vec) in enumerate(starts[1:]):
-            longer = 0.5 * substream(9, "lsm-restart", str(k)).standard_normal(nz + 2 + n_d + n_r)
-            if freeze_beta:
-                longer[nz + 1] = math.log(2.0)
-            assert vec.size == nz + 2
-            assert np.array_equal(vec, longer[: nz + 2])
+            size = nz + 2 + (n_d + n_r if node_effects else 0)
+            longer = 0.5 * substream(9, "lsm-restart", str(k)).standard_normal(size)
+            assert vec.size == nz + 1
+            assert np.array_equal(vec, longer[: nz + 1])
 
 
 # reference log-likelihoods of the 60x60 corpus, from the earlier finite-difference polish
@@ -479,13 +496,12 @@ OPTIONS = {"maxiter": 500, "gtol": 1e-6, "ftol": 0.0, "maxcor": 20}  # as in fit
 
 
 def trajectory_cases():
-    # the 60x60 corpus, then two 20x20 frozen-beta networks configured like table1
+    # the 60x60 corpus, then two 20x20 networks configured like table1
     for seed in (10, 11, 12, 13):
         yield SimConfig(n_d=60, n_r=60, seed=seed), FitConfig(dim=2, restarts=1, seed=seed)
     for sc in (SimConfig(sigma_w=0.15, seed=0),
                SimConfig(sigma_w=1.5, edge_mean_convention=FULL_COMPATIBILITY, seed=1)):
-        yield sc, FitConfig(dim=2, restarts=1, seed=sc.seed, freeze_beta=True,
-                            fixed_beta=sc.beta)
+        yield sc, FitConfig(dim=2, restarts=1, seed=sc.seed)
 
 
 @pytest.mark.parametrize("sim_config,config", list(trajectory_cases()),
@@ -495,12 +511,9 @@ def test_lbfgs_trajectory_matches_reference(sim_config, config):
     # the one-pass objective takes L-BFGS-B through exactly the reference's
     # iterates, from the MDS start and from one random start
     net = simulate(sim_config).observed
-    fixed_b = math.log(config.fixed_beta) if config.freeze_beta else None
-    neg_ll, neg_grad = ref_closures(net, config.dim, fixed_b)
-    objective = _Objective(net, config.dim, fixed_b)
+    neg_ll, neg_grad = ref_closures(net, config.dim)
+    objective = _Objective(net, config.dim)
     for _, x0 in _start_points(net, config, None):
-        if config.freeze_beta:
-            x0 = x0[:-1]
         ref = minimize(neg_ll, x0, jac=neg_grad, method="L-BFGS-B", options=OPTIONS)
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS)
         assert res.nit == ref.nit
@@ -508,7 +521,11 @@ def test_lbfgs_trajectory_matches_reference(sim_config, config):
 
 
 def test_fit_validates_params_only_at_the_boundary(monkeypatch):
-    # LsmParams are built by the polish and for the result, never per evaluation
+    # LsmParams are built by the polish and for the result, never per evaluation;
+    # the pipeline-extracted 12x12 network of seed 0 runs both starts to max_iter
+    train, _, _ = simulate_transplants(SurvivalGenConfig(seed=0))
+    x, columns = design_matrix(train, 10)
+    net = extract_network(cox_fit(x, train.time, train.event, 1.0, columns=columns))
     calls = []
     post_init = LsmParams.__post_init__
 
@@ -517,8 +534,8 @@ def test_fit_validates_params_only_at_the_boundary(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(LsmParams, "__post_init__", counting)
-    cfg = FitConfig(dim=2, restarts=1, seed=16)
-    res = fit(simulate(SimConfig(n_d=60, n_r=60, seed=16)).observed, cfg)
+    cfg = FitConfig(dim=2, restarts=1, seed=0)
+    res = fit(net, cfg)
     starts = 1 + cfg.restarts
     assert res.iterations >= 300
     assert len(calls) <= 8 * starts

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netlsm import CompatibilityNetwork, NetworkFormatError, compatibility, load_network, save_network
-from netlsm.network import NetworkPair, load_network_dir
+from netlsm import CompatibilityNetwork, NetworkFormatError, load_network, save_network
+from netlsm.network import load_network_dir
 
 from helpers import random_network, networks_equal
 
@@ -134,16 +134,3 @@ class TestValidation:
         net = random_network(np.random.default_rng(0), 2, 3)
         with pytest.raises(ValueError):
             net.edge_weight[0, 0] = 9.0
-
-    def test_pair_bounds(self):
-        net = random_network(np.random.default_rng(0), 2, 3)
-        NetworkPair(1, 2).check(net)
-        with pytest.raises(IndexError):
-            NetworkPair(2, 0).check(net)
-
-
-class TestCompatibility:
-    def test_examples(self):
-        assert compatibility(0.1, 0.2, -0.05) == pytest.approx(0.25)
-        assert compatibility(0.0, 0.0, 0.0) == 0.0
-        assert compatibility(-0.3, 0.3, 0.0) == pytest.approx(0.0)
