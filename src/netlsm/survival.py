@@ -7,6 +7,12 @@ negate the fitted type/pair coefficients into a compatibility network; refine
 that network with the latent space model (or a baseline); substitute the
 negated refined estimates back into the CoxPH coefficient vector; compare
 test-set concordance before and after.
+
+The survival kernels scale with the number of records and nonzeros.  The
+design is a sparse CSR matrix (basic covariates plus at most three one-hot
+entries per record), and the Cox risk-set sums run over event-time segments
+on it.  The concordance index is sort-based, O(n log^2 n), with exact
+integer counts.
 """
 
 import csv
@@ -15,6 +21,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from ._util import substream
@@ -215,6 +222,18 @@ class CoxModel:
         }
 
 
+def _type_codes(data):
+    """String labels and per-record integer codes of the donor and recipient types.
+
+    Also returns each record's pair code, ``donor code * #recipient labels +
+    recipient code``, so that sorted pair codes follow the (donor, recipient)
+    label strings.
+    """
+    d_labels, d_code = np.unique(data.donor_type.astype(str), return_inverse=True)
+    r_labels, r_code = np.unique(data.recipient_type.astype(str), return_inverse=True)
+    return d_labels, d_code, r_labels, r_code, d_code * r_labels.size + r_code
+
+
 def _column_set(data, min_count):
     p = data.covariates.shape[1]
     cols = [Column("basic", f"x{k + 1}") for k in range(p)]
@@ -226,35 +245,46 @@ def _column_set(data, min_count):
     for t, c in zip(r_types, r_counts):
         if c >= min_count:
             cols.append(Column("recipient", f"rec_{t}", recipient=str(t)))
-    pairs = {}
-    for d, r in zip(data.donor_type, data.recipient_type):
-        pairs[(str(d), str(r))] = pairs.get((str(d), str(r)), 0) + 1
-    for (d, r), c in sorted(pairs.items()):
-        if c >= min_count:
-            cols.append(Column("pair", f"pair_{d}_{r}", donor=d, recipient=r))
+    d_labels, _, r_labels, _, pair_code = _type_codes(data)
+    pairs, p_counts = np.unique(pair_code, return_counts=True)
+    for code in pairs[p_counts >= min_count]:
+        d, r = str(d_labels[code // r_labels.size]), str(r_labels[code % r_labels.size])
+        cols.append(Column("pair", f"pair_{d}_{r}", donor=d, recipient=r))
     return tuple(cols)
 
 
 def build_design(data, columns):
-    """Design matrix for ``data`` using a fixed column set."""
+    """Sparse CSR design matrix for ``data`` using a fixed column set.
+
+    A record has one entry per basic covariate, plus a 1 in its donor-type,
+    recipient-type and pair column where the column set has one.  Type
+    labels are matched as strings.
+    """
+    d_labels, d_code, r_labels, r_code, pair_code = _type_codes(data)
+    pairs, pair_code = np.unique(pair_code, return_inverse=True)
+    d_labels, r_labels = d_labels.tolist(), r_labels.tolist()
+    where = {(c.kind, c.donor, c.recipient): k for k, c in enumerate(columns)}
+
+    def lookup(keys):  # design column per key, -1 where the column set has none
+        return np.array([where.get(key, -1) for key in keys], dtype=int)
+
+    d_col = lookup(("donor", d, None) for d in d_labels)
+    r_col = lookup(("recipient", None, r) for r in r_labels)
+    pair_col = lookup(("pair", d_labels[c // len(r_labels)], r_labels[c % len(r_labels)])
+                      for c in pairs.tolist())
+    basic = np.array([k for k, c in enumerate(columns) if c.kind == "basic"], dtype=int)
     n = data.n
-    x = np.zeros((n, len(columns)))
-    dt = data.donor_type.astype(str)
-    rt = data.recipient_type.astype(str)
-    for k, col in enumerate(columns):
-        if col.kind == "basic":
-            x[:, k] = data.covariates[:, int(col.name[1:]) - 1]
-        elif col.kind == "donor":
-            x[:, k] = dt == col.donor
-        elif col.kind == "recipient":
-            x[:, k] = rt == col.recipient
-        else:
-            x[:, k] = (dt == col.donor) & (rt == col.recipient)
-    return x
+    cols = np.column_stack([np.tile(basic, (n, 1)), d_col[d_code], r_col[r_code],
+                            pair_col[pair_code]])
+    vals = np.column_stack([data.covariates[:, [int(columns[k].name[1:]) - 1 for k in basic]],
+                            np.ones((n, 3))])
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    keep = cols >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, len(columns)))
 
 
 def design_matrix(data, min_count):
-    """Expanded design matrix plus column metadata.
+    """Expanded sparse CSR design matrix plus column metadata.
 
     Appends one-hot donor-type, recipient-type, and pair-indicator columns to
     the basic covariates, dropping type/pair columns supported by fewer than
@@ -266,45 +296,55 @@ def design_matrix(data, min_count):
     return build_design(data, columns), columns
 
 
+def _nonzero_columns(x):
+    """Mask of the columns of a CSR matrix that hold a nonzero entry."""
+    return np.bincount(x.indices[x.data != 0], minlength=x.shape[1]) > 0
+
+
+def _rev_cumsum(a):
+    return np.cumsum(a[::-1], axis=0)[::-1]
+
+
 def _risk_set_stats(x, time, event, w, need_hessian):
     """Breslow partial log-likelihood, score, and (optionally) information.
 
-    Vectorized over event times: risk-set sums come from reverse cumulative
-    sums along the time ordering, and the information's Sum_e S2_e/S0_e term
+    ``x`` is a CSR matrix (anything else is converted to one).  Records are
+    grouped into event-time segments: segment k holds the records with
+    ``T_k <= time < T_{k+1}`` over the sorted distinct event times T, so the
+    risk set of T_k is segments k, k+1, ...  One sparse product sums
+    ``r x`` (r = exp(x w)) per segment, and reverse cumulative sums over the
+    segments give every risk-set sum.  The information's Sum_e S2_e/S0_e term
     collapses to a single weighted Gram matrix via
     Sum_e S2_e/S0_e = Sum_j r_j a_j x_j x_j^T with
     a_j = Sum_{events e with t_e <= t_j} 1/S0_e.
     """
-    n, p = x.shape
+    x = sp.csr_matrix(x, dtype=float)
+    n = x.shape[0]
     lp = x @ w
     shift = lp.max()
-    order = np.argsort(time, kind="stable")
-    t = time[order]
-    ev = event[order]
-    xs = x[order]
-    lps = lp[order]
-    r = np.exp(lps - shift)
-    c0 = np.cumsum(r[::-1])[::-1]
-    c1 = np.cumsum((r[:, None] * xs)[::-1], axis=0)[::-1]
-    first = np.searchsorted(t, t, side="left")  # tie groups share the risk set
-    ev_idx = np.nonzero(ev)[0]
-    s0_e = c0[first[ev_idx]]
-    ll = float(lps[ev_idx].sum() - np.sum(np.log(s0_e)) - ev_idx.size * shift)
-    xbar = c1[first[ev_idx]] / s0_e[:, None]
-    grad = xs[ev_idx].sum(axis=0) - xbar.sum(axis=0)
+    r = np.exp(lp - shift)
+    event_times = np.unique(time[event])
+    m = event_times.size
+    seg = np.searchsorted(event_times, time, side="right") - 1  # -1: before every event
+    at_risk = np.flatnonzero(seg >= 0)
+    d = np.bincount(seg[event], minlength=m)  # tied events share their risk set
+    s0 = _rev_cumsum(np.bincount(seg[at_risk], weights=r[at_risk], minlength=m))
+    segment_sums = sp.csr_matrix((r[at_risk], (seg[at_risk], at_risk)), shape=(m, n))
+    xbar = _rev_cumsum((segment_sums @ x).toarray()) / s0[:, None]
+    ll = float(lp[event].sum() - d @ np.log(s0) - d.sum() * shift)
+    grad = x.T @ event.astype(float) - d @ xbar
     info = None
     if need_hessian:
-        inc = np.zeros(n)
-        np.add.at(inc, ev_idx, 1.0 / s0_e)
-        last = np.searchsorted(t, t, side="right") - 1
-        a = np.cumsum(inc)[last]
-        info = xs.T @ ((r * a)[:, None] * xs) - xbar.T @ xbar
+        a = np.cumsum(d / s0)
+        v = np.zeros(n)
+        v[at_risk] = r[at_risk] * a[seg[at_risk]]
+        xb = xbar * np.sqrt(d)[:, None]  # the d_k events at T_k share xbar_k
+        info = (x.T @ x.multiply(v[:, None])).toarray() - xb.T @ xb
     return ll, grad, info
 
 
 def breslow_loglik(x, time, event, w):
     """Unpenalized Breslow partial log-likelihood at coefficients ``w``."""
-    x = np.asarray(x, dtype=float)
     return _risk_set_stats(x, np.asarray(time, dtype=float), np.asarray(event, dtype=bool),
                            np.asarray(w, dtype=float), need_hessian=False)[0]
 
@@ -312,17 +352,20 @@ def breslow_loglik(x, time, event, w):
 def cox_fit(x, time, event, lam, max_iter=100, grad_tol=1e-8, columns=None):
     """Newton maximization of the ridge-penalized Breslow partial likelihood.
 
-    Standard errors are square roots of the diagonal of the inverse penalized
-    observed information at the optimum.  ``columns`` may carry the design
-    metadata so the fitted model can be turned into a network.
+    ``x`` is converted to CSR, and every iteration runs the sparse
+    :func:`_risk_set_stats`.  A column without a nonzero entry raises
+    ``ValueError``.  Standard errors are square roots of the diagonal of the
+    inverse penalized observed information at the optimum.  ``columns`` may
+    carry the design metadata so the fitted model can be turned into a
+    network.
     """
-    x = np.asarray(x, dtype=float)
+    x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     if lam < 0:
         raise ValueError("penalty must be non-negative")
     n, p = x.shape
-    if np.any(np.all(x == 0.0, axis=0)):
+    if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
     w = np.zeros(p)
     ll, grad, info = _risk_set_stats(x, time, event, w, need_hessian=True)
@@ -372,15 +415,17 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
     """Pick the ridge strength by 2-fold cross-validated partial likelihood.
 
     Each lambda is fit on one fold and scored by the unpenalized partial
-    log-likelihood on the other, summed over both directions.  A split that
-    leaves a fold without events is redrawn (up to 10 attempts).
+    log-likelihood on the other, summed over both directions.  A fold is fit
+    on the columns that are nonzero in it; the other columns get coefficient
+    0, which for lambda > 0 is their ridge optimum (their score is 0).  A
+    split that leaves a fold without events is redrawn (up to 10 attempts).
     """
     if not len(lambda_grid):
         raise ValueError("lambda_grid must be non-empty")
-    x = np.asarray(x, dtype=float)
+    x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
-    n = x.shape[0]
+    n, p = x.shape
     rng = substream(seed, "cv-folds")
     for _ in range(10):
         perm = rng.permutation(n)
@@ -393,8 +438,11 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
     for lam in lambda_grid:
         score = 0.0
         for tr, va in ((fold_a, fold_b), (fold_b, fold_a)):
-            model = cox_fit(x[tr], time[tr], event[tr], lam)
-            score += breslow_loglik(x[va], time[va], event[va], model.coefficients)
+            x_tr = x[tr]
+            present = _nonzero_columns(x_tr)
+            coef = np.zeros(p)
+            coef[present] = cox_fit(x_tr[:, present], time[tr], event[tr], lam).coefficients
+            score += breslow_loglik(x[va], time[va], event[va], coef)
         if score > best_score:
             best_lam, best_score = lam, score
     return best_lam
@@ -467,12 +515,31 @@ def substitute_coefficients(model, refined):
     return replace(model, coefficients=coef)
 
 
-def c_index(risk, time, event, _chunk=512):
+def _later_with_key(pool_key, pool_pos, key, pos, span):
+    """For each query (key, pos), the pool entries with that key and a position > pos.
+
+    Positions lie in ``[0, span)``; keys are non-negative integers.
+    """
+    pool = np.sort(pool_key * span + pool_pos)
+    base = key * span
+    return np.searchsorted(pool, base + span) - np.searchsorted(pool, base + pos, side="right")
+
+
+def c_index(risk, time, event):
     """Harrell's concordance index over comparable subject pairs.
 
     Subject i is usable as the earlier one of a pair iff it has an observed
     event and either time_i < time_j, or time_i == time_j with j censored.
-    Equal risks earn half credit.
+    Equal risks earn half credit; a NaN risk or time compares false, as in
+    a pairwise test.
+
+    Sort-based, O(n log^2 n) time and O(n) memory: each subject gets a
+    position that orders the pairs (the time's dense rank, doubled, plus 1
+    if censored, so that j is later than an event i iff position_j >
+    position_i) and a dense integer risk rank.  Pairs with equal rank are
+    counted per rank; pairs with lower rank are counted bit by bit of the
+    rank, over the pairs whose ranks first differ at that bit.  All counts
+    are integers, so the result is exact.
     """
     risk = np.asarray(risk, dtype=float)
     time = np.asarray(time, dtype=float)
@@ -480,20 +547,26 @@ def c_index(risk, time, event, _chunk=512):
     n = risk.size
     if time.shape != (n,) or event.shape != (n,):
         raise ValueError("length mismatch")
-    credit = 0.0
-    comparable = 0
-    for lo in range(0, n, _chunk):
-        hi = min(lo + _chunk, n)
-        ti = time[lo:hi, None]
-        ei = event[lo:hi, None]
-        ri = risk[lo:hi, None]
-        usable = ei & ((ti < time[None, :]) | ((ti == time[None, :]) & ~event[None, :]))
-        comparable += int(usable.sum())
-        credit += float(((ri > risk[None, :]) & usable).sum())
-        credit += 0.5 * float(((ri == risk[None, :]) & usable).sum())
+    dated = ~np.isnan(time)
+    risk, time, event = risk[dated], time[dated], event[dated]
+    t_rank = np.unique(time, return_inverse=True)[1]
+    pos = 2 * t_rank + ~event
+    span = 2 * time.size
+    zero = np.zeros_like(pos)
+    comparable = int(_later_with_key(zero, pos, zero[event], pos[event], span).sum())
     if comparable == 0:
         raise ValueError("no comparable pairs")
-    return credit / comparable
+    ranked = ~np.isnan(risk)
+    rank = np.zeros_like(pos)
+    rank[ranked] = np.unique(risk[ranked], return_inverse=True)[1]
+    query = ranked & event
+    tied = int(_later_with_key(rank[ranked], pos[ranked], rank[query], pos[query], span).sum())
+    lower = 0
+    for bit in range(int(rank.max()).bit_length()):
+        high, low = rank >> (bit + 1), (rank >> bit) & 1 == 1
+        pool, ask = ranked & ~low, query & low
+        lower += int(_later_with_key(high[pool], pos[pool], high[ask], pos[ask], span).sum())
+    return (lower + 0.5 * tied) / comparable
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,16 @@ class TestTransplantsAndCox:
         assert model["penalty"] == 1.0
         assert (out / "network" / "edges.csv").exists()
 
+    def test_coxph_tune_with_columns_absent_from_a_fold(self, tmp_path):
+        # 400 records over 12x12 types at --min-count 3: some type or pair
+        # column has all of its records in one cross-validation half
+        data = tmp_path / "small"
+        assert run(["simulate-transplants", "--n", 400, "--seed", 0, "--out", data]) == 0
+        out = tmp_path / "cox"
+        assert run(["coxph", "--data", data / "train.csv", "--min-count", 3, "--tune",
+                    "--out", out]) == 0
+        model = json.loads((out / "coxph.json").read_text())
+        assert model["penalty"] in netlsm.cli.DEFAULT_LAMBDA_GRID
 
     def test_coxph_missing_column_exits_2(self, data_dir, tmp_path, capsys):
         lines = (data_dir / "train.csv").read_text().splitlines()

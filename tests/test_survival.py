@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from netlsm import (
     CoxModel,
@@ -17,8 +18,117 @@ from netlsm import (
     tune_lambda,
 )
 from netlsm.model import RefinedEstimates
-from netlsm.survival import Column, breslow_loglik, build_design, _risk_set_stats
+import netlsm.survival
+from netlsm.survival import Column, _column_set, _risk_set_stats, breslow_loglik, build_design
 from netlsm._util import substream
+
+
+# Reference implementations: the dense, string-comparing and O(n^2) forms the
+# sparse design, the segment kernel and the sort-based concordance replaced.
+
+def column_set_reference(data, min_count):
+    p = data.covariates.shape[1]
+    cols = [Column("basic", f"x{k + 1}") for k in range(p)]
+    d_types, d_counts = np.unique(data.donor_type, return_counts=True)
+    r_types, r_counts = np.unique(data.recipient_type, return_counts=True)
+    for t, c in zip(d_types, d_counts):
+        if c >= min_count:
+            cols.append(Column("donor", f"don_{t}", donor=str(t)))
+    for t, c in zip(r_types, r_counts):
+        if c >= min_count:
+            cols.append(Column("recipient", f"rec_{t}", recipient=str(t)))
+    pairs = {}
+    for d, r in zip(data.donor_type, data.recipient_type):
+        pairs[(str(d), str(r))] = pairs.get((str(d), str(r)), 0) + 1
+    for (d, r), c in sorted(pairs.items()):
+        if c >= min_count:
+            cols.append(Column("pair", f"pair_{d}_{r}", donor=d, recipient=r))
+    return tuple(cols)
+
+
+def build_design_reference(data, columns):
+    n = data.n
+    x = np.zeros((n, len(columns)))
+    dt = data.donor_type.astype(str)
+    rt = data.recipient_type.astype(str)
+    for k, col in enumerate(columns):
+        if col.kind == "basic":
+            x[:, k] = data.covariates[:, int(col.name[1:]) - 1]
+        elif col.kind == "donor":
+            x[:, k] = dt == col.donor
+        elif col.kind == "recipient":
+            x[:, k] = rt == col.recipient
+        else:
+            x[:, k] = (dt == col.donor) & (rt == col.recipient)
+    return x
+
+
+def risk_set_stats_reference(x, time, event, w, need_hessian):
+    n, p = x.shape
+    lp = x @ w
+    shift = lp.max()
+    order = np.argsort(time, kind="stable")
+    t = time[order]
+    ev = event[order]
+    xs = x[order]
+    lps = lp[order]
+    r = np.exp(lps - shift)
+    c0 = np.cumsum(r[::-1])[::-1]
+    c1 = np.cumsum((r[:, None] * xs)[::-1], axis=0)[::-1]
+    first = np.searchsorted(t, t, side="left")
+    ev_idx = np.nonzero(ev)[0]
+    s0_e = c0[first[ev_idx]]
+    ll = float(lps[ev_idx].sum() - np.sum(np.log(s0_e)) - ev_idx.size * shift)
+    xbar = c1[first[ev_idx]] / s0_e[:, None]
+    grad = xs[ev_idx].sum(axis=0) - xbar.sum(axis=0)
+    info = None
+    if need_hessian:
+        inc = np.zeros(n)
+        np.add.at(inc, ev_idx, 1.0 / s0_e)
+        last = np.searchsorted(t, t, side="right") - 1
+        a = np.cumsum(inc)[last]
+        info = xs.T @ ((r * a)[:, None] * xs) - xbar.T @ xbar
+    return ll, grad, info
+
+
+def c_index_reference(risk, time, event, chunk=512):
+    risk = np.asarray(risk, dtype=float)
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=bool)
+    n = risk.size
+    credit = 0.0
+    comparable = 0
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        ti = time[lo:hi, None]
+        ei = event[lo:hi, None]
+        ri = risk[lo:hi, None]
+        usable = ei & ((ti < time[None, :]) | ((ti == time[None, :]) & ~event[None, :]))
+        comparable += int(usable.sum())
+        credit += float(((ri > risk[None, :]) & usable).sum())
+        credit += 0.5 * float(((ri == risk[None, :]) & usable).sum())
+    if comparable == 0:
+        raise ValueError("no comparable pairs")
+    return credit / comparable
+
+
+def random_labelled(rng, n, labels, p=2):
+    """Records with donor/recipient types drawn from ``labels`` (ints or strings)."""
+    event = rng.random(n) < 0.5
+    event[0] = True
+    return TransplantDataset(
+        covariates=rng.standard_normal((n, p)),
+        donor_type=rng.choice(labels, n),
+        recipient_type=rng.choice(labels, n),
+        time=rng.exponential(1.0, n),
+        event=event,
+    )
+
+
+LABEL_SETS = {
+    "int": np.array([3, 9, 10, 11, 100, 2]),
+    "str": np.array(["B", "a", "A10", "A9", "A1", "b_x"]),
+}
 
 
 def toy_dataset(n_per_cell=3, p=1, seed=0):
@@ -77,7 +187,43 @@ class TestDesignMatrix:
     def test_build_design_matches(self):
         data = toy_dataset()
         x, cols = design_matrix(data, min_count=1)
-        np.testing.assert_array_equal(build_design(data, cols), x)
+        np.testing.assert_array_equal(build_design(data, cols).toarray(), x.toarray())
+
+    def test_sparse_one_hot_at_defaults(self):
+        train, _, _ = simulate_transplants(SurvivalGenConfig(seed=0))
+        x, cols = design_matrix(train, 10)
+        assert sp.issparse(x) and x.format == "csr"
+        # 4 covariates, one donor, one recipient and (here always) one pair
+        assert np.all(np.diff(x.indptr) == 7)
+
+    @pytest.mark.parametrize("labels", sorted(LABEL_SETS))
+    def test_column_set_matches_loop(self, labels):
+        for seed in range(6):
+            rng = substream(seed, "columns", labels)
+            data = random_labelled(rng, int(rng.integers(1, 300)), LABEL_SETS[labels])
+            for min_count in (1, 3, 8):
+                assert _column_set(data, min_count) == column_set_reference(data, min_count)
+
+    @pytest.mark.parametrize("labels", sorted(LABEL_SETS))
+    def test_design_matches_string_reference(self, labels):
+        for seed in range(6):
+            rng = substream(seed, "design", labels)
+            data = random_labelled(rng, int(rng.integers(1, 300)), LABEL_SETS[labels])
+            # the other split may lack types and pairs the columns name
+            other = random_labelled(rng, 40, LABEL_SETS[labels][:3])
+            for min_count in (1, 4):
+                x, cols = design_matrix(data, min_count)
+                np.testing.assert_array_equal(x.toarray(), build_design_reference(data, cols))
+                np.testing.assert_array_equal(build_design(other, cols).toarray(),
+                                              build_design_reference(other, cols))
+
+    def test_pipeline_design_matches_string_reference(self):
+        train, test, _ = simulate_transplants(SurvivalGenConfig(seed=1))
+        x, cols = design_matrix(train, 10)
+        assert cols == column_set_reference(train, 10)
+        np.testing.assert_array_equal(x.toarray(), build_design_reference(train, cols))
+        np.testing.assert_array_equal(build_design(test, cols).toarray(),
+                                      build_design_reference(test, cols))
 
 
 class TestCoxFit:
@@ -170,8 +316,99 @@ class TestCoxFit:
         with pytest.raises(ValueError):
             cox_fit(x, np.arange(1.0, 5.0), np.ones(4, bool), 1.0)
 
+    def test_rejects_explicitly_stored_zero_column(self):
+        x = sp.csr_matrix((np.array([1.0, 0.0]), (np.array([0, 1]), np.array([0, 1]))),
+                          shape=(4, 2))
+        with pytest.raises(ValueError, match="all-zero column"):
+            cox_fit(x, np.arange(1.0, 5.0), np.ones(4, bool), 1.0)
+
+
+def tied_design(seed):
+    """A random design with one-hot blocks, tied times and censoring."""
+    rng = substream(seed, "risk-set")
+    n = int(rng.integers(2, 300))
+    dense = rng.standard_normal((n, 3))
+    onehot = np.eye(5)[rng.integers(0, 5, n)]
+    x = np.concatenate([dense, onehot], axis=1)
+    t = rng.integers(1, max(2, n // 4), n).astype(float)
+    e = rng.random(n) < 0.6
+    e[0] = True
+    w = 0.5 * rng.standard_normal(x.shape[1])
+    return x, t, e, w
+
+
+def rel_err(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+class TestKernelReferences:
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_risk_set_stats_match_dense_reference(self, as_csr):
+        for seed in range(25):
+            x, t, e, w = tied_design(seed)
+            ll0, g0, h0 = risk_set_stats_reference(x, t, e, w, True)
+            ll, g, h = _risk_set_stats(sp.csr_matrix(x) if as_csr else x, t, e, w, True)
+            assert abs(ll - ll0) <= 1e-12 * abs(ll0)
+            assert rel_err(g, g0) <= 1e-12
+            assert rel_err(h, h0) <= 1e-12
+            assert _risk_set_stats(x, t, e, w, False)[2] is None
+
+    def test_cox_fit_matches_reference_kernel(self, monkeypatch):
+        def dense_kernel(x, time, event, w, need_hessian):
+            return risk_set_stats_reference(x.toarray(), time, event, w, need_hessian)
+
+        for seed in range(6):
+            train, _, _ = simulate_transplants(SurvivalGenConfig(seed=seed))
+            x, cols = design_matrix(train, 10)
+            sparse = cox_fit(x, train.time, train.event, 1.0, columns=cols)
+            with monkeypatch.context() as m:
+                m.setattr(netlsm.survival, "_risk_set_stats", dense_kernel)
+                dense = cox_fit(x, train.time, train.event, 1.0, columns=cols)
+            assert sparse.converged and dense.converged
+            np.testing.assert_allclose(sparse.coefficients, dense.coefficients, rtol=0, atol=1e-10)
+
+    def test_c_index_matches_pairwise_reference(self):
+        for case in range(300):
+            rng = substream(case, "cidx-ref")
+            n = int(rng.integers(1, 601))
+            if case % 2:
+                risk = rng.integers(0, rng.integers(1, 40), n).astype(float)  # tied risks
+            else:
+                risk = rng.standard_normal(n)
+            t = rng.integers(1, rng.integers(2, 80), n).astype(float)  # tie groups
+            e = rng.random(n) < rng.random()
+            try:
+                expected = c_index_reference(risk, t, e)
+            except ValueError as exc:
+                assert "comparable" in str(exc)
+                with pytest.raises(ValueError, match="comparable"):
+                    c_index(risk, t, e)
+                continue
+            assert c_index(risk, t, e) == expected
+
+    def test_c_index_nan_compares_false(self):
+        rng = substream(0, "cidx-nan")
+        risk = rng.standard_normal(50)
+        t = rng.integers(1, 10, 50).astype(float)
+        e = rng.random(50) < 0.5
+        risk[[3, 17]] = np.nan
+        t[[5, 9]] = np.nan
+        e[[5, 17]] = True
+        assert c_index(risk, t, e) == c_index_reference(risk, t, e)
+
 
 class TestTuneLambda:
+    def test_column_absent_from_a_fold(self):
+        rng = substream(7, "tune")
+        n = 40
+        x = np.concatenate([rng.standard_normal((n, 2)), np.zeros((n, 1))], axis=1)
+        x[0, 2] = 1.0  # only one fold holds this indicator
+        t = rng.exponential(1.0, n)
+        e = np.ones(n, dtype=bool)
+        assert tune_lambda(x, t, e, [0.1, 10.0], seed=3) in (0.1, 10.0)
+        assert tune_lambda(sp.csr_matrix(x), t, e, [0.1, 10.0], seed=3) == \
+            tune_lambda(x, t, e, [0.1, 10.0], seed=3)
+
     def test_degenerate_grid(self):
         rng = substream(4, "tune")
         x = rng.standard_normal((30, 2))
