@@ -19,7 +19,6 @@ from .model import (
     predict_compatibility,
     log_likelihood,
     log_likelihood_gradient,
-    log_likelihood_hessian,
     fit,
     refine_network,
 )

@@ -8,7 +8,6 @@ bit-for-bit.  All randomness flows from ``--seed`` through named sub-streams.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time as _time
@@ -20,7 +19,8 @@ from ._util import dump_json, write_text_atomic
 from .metrics import METHODS, evaluate_refinement, format_eval_table
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``cli.fit``.
-from .model import FitConfig, fit  # noqa: F401
+from .model import fit  # noqa: F401
+from .model import FitConfig
 from .network import load_network_dir, save_network
 from .simulate import (
     FULL_COMPATIBILITY,
@@ -243,6 +243,20 @@ def _add_fit_opts(p):
     p.add_argument("--restarts", type=int, default=4)
 
 
+def _list_of(item):
+    """argparse ``type`` for a comma-separated list of ``item`` values (empty items skipped)."""
+
+    def parse(text):
+        try:
+            return [item(s) for s in text.split(",") if s]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {item.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="netlsm", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -276,15 +290,16 @@ def build_parser():
     p.add_argument("--test-net", default=None)
     p.add_argument("--method", choices=METHODS, default="lsm")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--dim-grid", default=None, help="comma-separated, e.g. 1,2,3")
+    p.add_argument("--dim-grid", type=_list_of(int), default=None,
+                   help="comma-separated, e.g. 1,2,3")
 
     p = sub.add_parser("eval", help="train/test refinement evaluation table")
     _add_common(p)
     _add_fit_opts(p)
     p.add_argument("--train-net")
     p.add_argument("--test-net")
-    p.add_argument("--methods", default="raw,lsm,nmtf,pca")
-    p.add_argument("--dim-grid", default="1,2,3,4")
+    p.add_argument("--methods", type=_list_of(str), default="raw,lsm,nmtf,pca")
+    p.add_argument("--dim-grid", type=_list_of(int), default="1,2,3,4")
 
     p = sub.add_parser("table1", help="replicate recovery study, both noise regimes")
     _add_common(p)
@@ -297,7 +312,8 @@ def build_parser():
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--tune", action="store_true", help="2-fold CV over the lambda grid")
-    p.add_argument("--lambda-grid", default=None, help="comma-separated")
+    p.add_argument("--lambda-grid", type=_list_of(float), default=None,
+                   help="comma-separated")
 
     p = sub.add_parser("pipeline", help="end-to-end coefficient-substitution study")
     _add_common(p)
@@ -316,15 +332,6 @@ def _config_from_args(args):
     """Materialize the full per-command configuration dict."""
     skip = {"command", "out", "config", "allow_nonconverged"}
     cfg = {k: v for k, v in vars(args).items() if k not in skip}
-    for key in ("dim_grid", "lambda_grid", "methods"):
-        if key in cfg and isinstance(cfg[key], str):
-            parts = [s for s in cfg[key].split(",") if s]
-            if key == "methods":
-                cfg[key] = parts
-            elif key == "dim_grid":
-                cfg[key] = [int(s) for s in parts]
-            else:
-                cfg[key] = [float(s) for s in parts]
     if args.command == "coxph" and cfg.get("lambda_grid") is None:
         cfg["lambda_grid"] = DEFAULT_LAMBDA_GRID
     return cfg

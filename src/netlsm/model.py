@@ -14,17 +14,18 @@ appears only in its own node term, so its maximum likelihood estimate is the
 observed node weight (``delta = donor_weight``, ``gamma = recipient_weight``).
 The optimizer therefore carries only ``(z_d, z_r, alpha)`` and maximizes the
 log-likelihood over it by L-BFGS-B.
-Each optimizer evaluation is one pass that gives the log-likelihood and its
-gradient together, on slices of the optimizer vector; parameters are validated
-(as :class:`LsmParams`) only where they cross the API, not per evaluation.
-A fit that stops short of the gradient tolerance is finished by Newton steps
-on the gradient with the exact Hessian.  Distances do not change under
-translation or rotation of all positions, so the Hessian is singular along
-those directions and the Newton step leaves them out.
+One kernel, :class:`_Objective`, serves the whole fit on slices of that
+optimizer vector: the L-BFGS-B evaluations (log-likelihood and gradient in one
+pass), the Newton polish and the reported log-likelihood and gradient norm.
+Parameters are validated (as :class:`LsmParams`) only for the result, not per
+evaluation.  A fit that stops short of the gradient tolerance is finished by
+Newton steps on the gradient with the kernel's exact Hessian.  Distances do
+not change under translation or rotation of all positions, so the Hessian is
+singular along those directions and the Newton step leaves them out.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,7 +43,6 @@ __all__ = [
     "predict_compatibility",
     "log_likelihood",
     "log_likelihood_gradient",
-    "log_likelihood_hessian",
     "fit",
     "refine_network",
 ]
@@ -91,6 +91,10 @@ class LsmParams:
     @property
     def dim(self):
         return self.z_d.shape[1]
+
+    def affinity(self):
+        """Pair affinities ``eta_ij = alpha - beta * ||z_d_i - z_r_j||^2``, all pairs."""
+        return self.alpha - self.beta * _sqdist(self.z_d, self.z_r)
 
     def to_dict(self):
         return {
@@ -189,18 +193,18 @@ def _floored(se):
 
 
 class _Objective:
-    """Log-likelihood and its gradient on one network, in one pass.
+    """The fit's one kernel: log-likelihood, gradient and Hessian on one network.
 
-    Everything that does not depend on the parameters (the floored standard
-    errors, their squares and the ``log(2 pi se^2)`` sums) is computed once
-    when the object is built; each evaluation computes the squared distances,
-    eta and the residuals once and shares them between the value and the
-    gradient.  Called on an optimizer vector it returns ``(-ll, -gradient)``
-    for ``minimize(..., jac=True)`` and builds no :class:`LsmParams`: the
-    parameters are slices of the vector.  That vector is ``(z_d, z_r,
-    alpha)``, the :func:`pack_params` layout up to b; beta is held at the
-    gauge value 1 and the node effects at their closed form, the observed
-    node weights.
+    What does not depend on the parameters (the floored standard errors,
+    their squares and the ``log(2 pi se^2)`` sums) is computed once, when the
+    object is built; each evaluation shares the squared distances, eta and the
+    residuals between the value and the gradient.  The optimizer vector is
+    ``(z_d, z_r, alpha)``, the :func:`pack_params` layout up to b, with beta at
+    the gauge value 1 and the node effects at the node weights; its slices are
+    the parameters, and no :class:`LsmParams` is built.  Called, it returns
+    ``(-ll, -gradient)`` for ``minimize(..., jac=True)``, with ``_BIG`` or
+    zeros in place of non-finite values; :meth:`at` gives the raw ``(ll,
+    gradient)`` for the polish and the result.
     """
 
     def __init__(self, net, dim):
@@ -240,17 +244,58 @@ class _Objective:
         )
         return float(ll), g
 
-    def __call__(self, x):
+    def _split(self, x):
         net, nzd, nz = self.net, self.nzd, self.nz
         z_d = x[:nzd].reshape(net.n_d, self.dim)
         z_r = x[nzd:nz].reshape(net.n_r, self.dim)
-        ll, g = self.evaluate(
-            z_d, z_r, float(x[nz]), 1.0, net.donor_weight, net.recipient_weight
+        return z_d, z_r, float(x[nz])
+
+    def at(self, x):
+        """(ll, gradient over ``x``) at optimizer vector ``x``, non-finite values kept."""
+        net = self.net
+        ll, g = self.evaluate(*self._split(x), 1.0, net.donor_weight, net.recipient_weight)
+        return ll, g[: x.size]
+
+    def hessian(self, x):
+        """Exact Hessian of the log-likelihood over ``x = (z_d, z_r, alpha)``.
+
+        The node effects couple to nothing (their Hessian is the diagonal
+        -1/se^2) and beta is held at 1, so neither has a row.  The matrix is
+        exactly symmetric.
+        """
+        z_d, z_r, alpha = self._split(x)
+        n_d, n_r, dim, nzd, nz = self.net.n_d, self.net.n_r, self.dim, self.nzd, self.nz
+        u = z_d[:, None, :] - z_r[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", u, u)
+        c = np.where(self.mask, 1.0 / self.se2, 0.0)
+        e = np.where(self.mask, (self.net.edge_weight - (alpha - d2)) / self.se2, 0.0)
+        v = np.sqrt(c)[:, :, None] * u
+        cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
+        eye = np.eye(dim)
+        h = np.zeros((nz + 1, nz + 1))
+
+        cross = 4.0 * cuu + 2.0 * e[:, :, None, None] * eye
+        h[:nzd, nzd:nz] = cross.transpose(0, 2, 1, 3).reshape(nzd, nz - nzd)
+        h[nzd:nz, :nzd] = h[:nzd, nzd:nz].T
+        for axis, start, n in ((1, 0, n_d), (0, nzd, n_r)):
+            blocks = -4.0 * cuu.sum(axis=axis)
+            blocks -= 2.0 * e.sum(axis=axis)[:, None, None] * eye
+            rows = start + np.arange(n * dim).reshape(n, dim)
+            h[rows[:, :, None], rows[:, None, :]] = blocks
+
+        cu = c[:, :, None] * u
+        h[nz, :nz] = h[:nz, nz] = 2.0 * np.concatenate(
+            [cu.sum(axis=1).ravel(), -cu.sum(axis=0).ravel()]
         )
+        h[nz, nz] = -c.sum()
+        return h
+
+    def __call__(self, x):
+        ll, g = self.at(x)
         f = -ll if math.isfinite(ll) else _BIG
         if not np.all(np.isfinite(g)):
             return f, np.zeros(x.size)
-        return f, -g[: x.size]
+        return f, -g
 
 
 def _evaluate(params, net):
@@ -277,50 +322,6 @@ def log_likelihood_gradient(params, net):
     to the unconstrained b, i.e. chained through beta = exp(b).
     """
     return _evaluate(params, net)[1]
-
-
-def log_likelihood_hessian(params, net):
-    """Analytic Hessian of :func:`log_likelihood` over the coupled block.
-
-    Rows and columns follow :func:`pack_params` up to and including b:
-    z_d rows, z_r rows, alpha, b = log(beta).  The node effects delta and
-    gamma couple to nothing; their Hessian is the diagonal -1/se^2 and is left
-    out.  The matrix is exactly symmetric.
-    """
-    _check_dims(params, net)
-    z_d, z_r, beta, dim = params.z_d, params.z_r, params.beta, params.dim
-    n_d, n_r = z_d.shape[0], z_r.shape[0]
-    u = z_d[:, None, :] - z_r[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", u, u)
-    eta = params.alpha - beta * d2
-    se = _floored(net.edge_se)
-    c = np.where(net.edge_mask, 1.0 / (se * se), 0.0)
-    e = np.where(net.edge_mask, (net.edge_weight - eta) / (se * se), 0.0)
-    v = np.sqrt(c)[:, :, None] * u
-    cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
-    eye = np.eye(dim)
-    nzd, nz = n_d * dim, (n_d + n_r) * dim
-    h = np.zeros((nz + 2, nz + 2))
-
-    cross = 4.0 * beta**2 * cuu + 2.0 * beta * e[:, :, None, None] * eye
-    h[:nzd, nzd:nz] = cross.transpose(0, 2, 1, 3).reshape(nzd, nz - nzd)
-    h[nzd:nz, :nzd] = h[:nzd, nzd:nz].T
-    for axis, start, n in ((1, 0, n_d), (0, nzd, n_r)):
-        blocks = -4.0 * beta**2 * cuu.sum(axis=axis)
-        blocks -= 2.0 * beta * e.sum(axis=axis)[:, None, None] * eye
-        rows = start + np.arange(n * dim).reshape(n, dim)
-        h[rows[:, :, None], rows[:, None, :]] = blocks
-
-    cu = c[:, :, None] * u
-    wu = (beta * c * d2 + e)[:, :, None] * u
-    h_alpha = 2.0 * beta * np.concatenate([cu.sum(axis=1).ravel(), -cu.sum(axis=0).ravel()])
-    h_b = -2.0 * beta * np.concatenate([wu.sum(axis=1).ravel(), -wu.sum(axis=0).ravel()])
-    h[nz, :nz] = h[:nz, nz] = h_alpha
-    h[nz + 1, :nz] = h[:nz, nz + 1] = h_b
-    h[nz, nz] = -c.sum()
-    h[nz, nz + 1] = h[nz + 1, nz] = beta * (c * d2).sum()
-    h[nz + 1, nz + 1] = -(beta**2) * (c * d2 * d2).sum() - beta * (e * d2).sum()
-    return h
 
 
 def pack_params(params):
@@ -382,44 +383,37 @@ def _full_params(x, net, dim):
     return unpack_params(vec, net.n_d, net.n_r, dim)
 
 
-def _polish(x, net, dim, max_steps=4):
+def _polish(objective, x, max_steps=4):
     """Newton steps on the gradient itself, with the exact Hessian.
 
     Near the optimum the objective changes by less than machine epsilon per
     step, so line-search methods stall with gradient norms around 1e-6; the
     gradient is still computed accurately, so root-finding on it tightens the
     stationarity a few more orders of magnitude.  ``x`` is the optimizer
-    vector ``(z_d, z_r, alpha)``; beta stays at 1 and the node effects at
-    their closed form, the observed node weights.
+    vector ``(z_d, z_r, alpha)`` of ``objective``, the :class:`_Objective`
+    that also served L-BFGS-B; the gradient and Hessian come from it alone.
 
-    The step comes from the ``(z_d, z_r, alpha)`` block of
-    :func:`log_likelihood_hessian` through its eigendecomposition.
-    Eigenvalues with |lambda| <= 1e-10 * max|lambda| belong to the
-    translation and rotation directions, along which the likelihood is flat,
-    and are dropped.  Steps are accepted only if they shrink the gradient
-    norm.
+    The step comes from :meth:`_Objective.hessian` through its
+    eigendecomposition.  Eigenvalues with |lambda| <= 1e-10 * max|lambda|
+    belong to the translation and rotation directions, along which the
+    likelihood is flat, and are dropped.  Steps are accepted only if they
+    shrink the gradient norm.
     """
-    k = x.size  # the Hessian's rows and columns before b
-
-    def at(x):
-        params = _full_params(x, net, dim)
-        return params, log_likelihood_gradient(params, net)[:k]
-
-    params, g = at(x)
+    g = objective.at(x)[1]
     gnorm = np.max(np.abs(g))
     for _ in range(max_steps):
         if gnorm == 0.0:
             break
-        lam, vec = np.linalg.eigh(log_likelihood_hessian(params, net)[:k, :k])
+        lam, vec = np.linalg.eigh(objective.hessian(x))
         live = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
         x_new = x - vec[:, live] @ ((vec[:, live].T @ g) / lam[live])
         if not np.all(np.isfinite(x_new)):
             break
-        params_new, g_new = at(x_new)
+        g_new = objective.at(x_new)[1]
         gnorm_new = np.max(np.abs(g_new))
         if not np.all(np.isfinite(g_new)) or gnorm_new >= gnorm:
             break
-        x, params, g, gnorm = x_new, params_new, g_new, gnorm_new
+        x, g, gnorm = x_new, g_new, gnorm_new
     return x
 
 
@@ -435,10 +429,10 @@ def fit(net, config, init=None):
     result has ``beta == 1`` and positions in that gauge; an ``init`` is
     mapped into it.  The node effects have a closed form, the observed node
     weights: the result's delta/gamma are copies of them, and an ``init``'s
-    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha) and
-    gets the negative log-likelihood and its gradient from one pass per
-    evaluation; :class:`LsmParams` are built only by the polish and for the
-    result.
+    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha).  One
+    :class:`_Objective` serves every start: the L-BFGS-B evaluations, the
+    polish and the reported log-likelihood and gradient norm.
+    :class:`LsmParams` are built only for the result.
     """
     if init is not None:
         _check_dims(init, net)
@@ -460,20 +454,18 @@ def fit(net, config, init=None):
             continue
         x = res.x
         if np.max(np.abs(res.jac)) > config.grad_tol:
-            x = _polish(x, net, dim)
-        params = _full_params(x, net, dim)
-        ll = log_likelihood(params, net)
-        gnorm = float(np.max(np.abs(log_likelihood_gradient(params, net)[: x.size])))
-        cand = FitResult(
-            params=params,
-            log_likelihood=ll,
-            iterations=int(res.nit),
-            grad_norm=gnorm,
-            restart_index=idx,
-            converged=gnorm <= config.grad_tol,
-        )
-        if best is None or cand.log_likelihood > best.log_likelihood + 1e-12:
-            best = cand
+            x = _polish(objective, x)
+        ll, g = objective.at(x)
+        if best is None or ll > best.log_likelihood + 1e-12:
+            gnorm = float(np.max(np.abs(g)))
+            best = FitResult(
+                params=_full_params(x, net, dim),
+                log_likelihood=ll,
+                iterations=int(res.nit),
+                grad_norm=gnorm,
+                restart_index=idx,
+                converged=gnorm <= config.grad_tol,
+            )
     if best is None:
         raise FitError("all optimizer restarts diverged")
     return best
@@ -483,7 +475,7 @@ def refine_network(net, result):
     """Model-based estimates for every pair of ``net``, masked pairs included."""
     params = result.params
     _check_dims(params, net)
-    eta = params.alpha - params.beta * _sqdist(params.z_d, params.z_r)
+    eta = params.affinity()
     mu = eta + params.delta[:, None] + params.gamma[None, :]
     return RefinedEstimates(
         donor_labels=net.donor_labels,

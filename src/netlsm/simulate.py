@@ -12,7 +12,7 @@ import numpy as np
 
 from ._util import substream
 from .metrics import rmse
-from .model import FitConfig, fit, refine_network, LsmParams, _sqdist
+from .model import fit, refine_network, LsmParams
 from .network import CompatibilityNetwork
 from .procrustes import procrustes_align
 
@@ -73,7 +73,7 @@ def _sample_truth(config, rng):
 
 
 def _observe(truth, config, rng):
-    eta = config.alpha - config.beta * _sqdist(truth.z_d, truth.z_r)
+    eta = truth.affinity()
     if config.edge_mean_convention == FULL_COMPATIBILITY:
         mean = eta + truth.delta[:, None] + truth.gamma[None, :]
     else:
@@ -229,9 +229,6 @@ def run_replicates(config, fit_config, n_reps):
     )
 
 
-_PRETTY = {"w": "w", "z_d": "z_d", "z_r": "z_r", "delta": "delta", "gamma": "gamma", "alpha": "alpha"}
-
-
 def format_report_table(report, title=""):
     """Plain-text table with RMSE and R^2 blocks, one row per quantity."""
     lines = []
@@ -240,12 +237,12 @@ def format_report_table(report, title=""):
     lines.append(f"{'':6s} {'quantity':9s} {'mean':>10s} {'std err':>10s}")
     for q in QUANTITIES:
         lines.append(
-            f"{'RMSE' if q == QUANTITIES[0] else '':6s} {_PRETTY[q]:9s} "
+            f"{'RMSE' if q == QUANTITIES[0] else '':6s} {q:9s} "
             f"{report.rmse_mean[q]:10.4f} {report.rmse_se[q]:10.4f}"
         )
     for i, q in enumerate(QUANTITIES[:-1]):
         lines.append(
-            f"{'R^2' if i == 0 else '':6s} {_PRETTY[q]:9s} "
+            f"{'R^2' if i == 0 else '':6s} {q:9s} "
             f"{report.r2_mean[q]:10.4f} {report.r2_se[q]:10.4f}"
         )
     return "\n".join(lines) + "\n"

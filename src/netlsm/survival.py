@@ -17,8 +17,7 @@ integer counts.
 
 import csv
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +28,8 @@ from .baselines import NmtfConfig
 from .metrics import refine
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``survival.fit``.
-from .model import FitConfig, fit, _sqdist, LsmParams  # noqa: F401
+from .model import fit  # noqa: F401
+from .model import FitConfig, LsmParams
 from .network import CompatibilityNetwork
 
 __all__ = [
@@ -657,13 +657,14 @@ def simulate_transplants(cfg):
     z_r = cfg.pos_std * rng.standard_normal((cfg.n_recipient_types, cfg.dim))
     delta = cfg.effect_std * rng.standard_normal(cfg.n_donor_types)
     gamma = cfg.effect_std * rng.standard_normal(cfg.n_recipient_types)
-    eta = cfg.alpha - cfg.beta * _sqdist(z_d, z_r)
+    params = LsmParams(z_d, z_r, cfg.alpha, cfg.beta, delta, gamma)
+    eta = params.affinity()
     if cfg.no_structure:
         flat = eta.ravel()
         eta = flat[rng.permutation(flat.size)].reshape(eta.shape)
     basic = cfg.covariate_coef_std * rng.standard_normal(cfg.n_covariates)
     truth = PlantedTruth(
-        params=LsmParams(z_d, z_r, cfg.alpha, cfg.beta, delta, gamma),
+        params=params,
         eta=eta,
         mu=eta + delta[:, None] + gamma[None, :],
         donor_labels=tuple(f"D{i:02d}" for i in range(cfg.n_donor_types)),

@@ -108,6 +108,14 @@ class TestFit:
     def test_missing_dir_exits_2(self, tmp_path):
         assert run(["fit", "--net", tmp_path / "nope", "--out", tmp_path / "x"]) == 2
 
+    def test_malformed_dim_grid_exits_2(self, net_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--net", net_dir, "--dim-grid", "1,x", "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --dim-grid" in err and "'1,x'" in err
+        assert "Traceback" not in err
+
 
 class TestTransplantsAndCox:
     def test_artifacts(self, data_dir):
@@ -134,6 +142,15 @@ class TestTransplantsAndCox:
                     "--out", out]) == 0
         model = json.loads((out / "coxph.json").read_text())
         assert model["penalty"] in netlsm.cli.DEFAULT_LAMBDA_GRID
+
+    def test_malformed_lambda_grid_exits_2(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["coxph", "--data", data_dir / "train.csv", "--tune",
+                 "--lambda-grid", "0.1,abc", "--out", tmp_path / "cox"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --lambda-grid" in err and "'0.1,abc'" in err
+        assert "Traceback" not in err
 
     def test_coxph_missing_column_exits_2(self, data_dir, tmp_path, capsys):
         lines = (data_dir / "train.csv").read_text().splitlines()

@@ -1,0 +1,65 @@
+"""Every name a ``netlsm`` module imports is used in that module.
+
+The check parses each module with :mod:`ast`: an imported name is used when a
+``Name`` node (the head of any attribute chain) refers to it.  Exempt are the
+package re-exports in ``__init__.py`` and import statements marked
+``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "netlsm"
+
+
+def unused_imports(source, reexports=False):
+    """Sorted ``(line, name)`` of imported names that ``source`` never uses.
+
+    With ``reexports``, relative ``from . import`` names are exempt, as in a
+    package ``__init__``.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "__future__" or (reexports and node.level > 0)
+        ):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    assert unused_imports(source, reexports=path.name == "__init__.py") == []
+
+
+def test_checker_flags_unused_and_honours_exemptions():
+    source = (
+        "import os\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from math import pi, tau\n"
+        "from json import dumps  # noqa: F401\n"
+        "from .model import (\n"
+        "    fit,\n"
+        ")\n"
+        "x = np.zeros(1) + tau\n"
+        "y = xml.dom\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (4, "pi"), (6, "fit")]
+    assert unused_imports(source, reexports=True) == [(1, "os"), (4, "pi")]
+    assert len(MODULES) >= 10

@@ -12,7 +12,6 @@ from netlsm import (
     fit,
     log_likelihood,
     log_likelihood_gradient,
-    log_likelihood_hessian,
     pair_affinity,
     predict_compatibility,
     refine_network,
@@ -21,7 +20,9 @@ from netlsm.model import (
     _BIG,
     SE_FLOOR,
     _floored,
+    _full_params,
     _Objective,
+    _polish,
     _sqdist,
     _start_points,
     pack_params,
@@ -164,19 +165,15 @@ class TestGradient:
         np.testing.assert_allclose(g_delta, expect, rtol=0, atol=1e-14)
 
 
-def fd_hessian(params, net, n_free):
-    """Central differences of the gradient over the first n_free packed slots."""
-    n_d, n_r, dim = net.n_d, net.n_r, params.dim
-    x0 = pack_params(params)
-    h = np.empty((n_free, n_free))
-    for k in range(n_free):
-        eps = 1e-6 * max(1.0, abs(x0[k]))
-        xp, xm = x0.copy(), x0.copy()
+def fd_hessian(objective, x):
+    """Central differences of the kernel gradient at optimizer vector ``x``."""
+    h = np.empty((x.size, x.size))
+    for k in range(x.size):
+        eps = 1e-6 * max(1.0, abs(x[k]))
+        xp, xm = x.copy(), x.copy()
         xp[k] += eps
         xm[k] -= eps
-        gp = log_likelihood_gradient(unpack_params(xp, n_d, n_r, dim), net)
-        gm = log_likelihood_gradient(unpack_params(xm, n_d, n_r, dim), net)
-        h[:, k] = (gp[:n_free] - gm[:n_free]) / (2.0 * eps)
+        h[:, k] = (objective.at(xp)[1] - objective.at(xm)[1]) / (2.0 * eps)
     return h
 
 
@@ -191,6 +188,48 @@ def with_tiny_se(net, rng, count):
                      net.edge_mask)
 
 
+def ref_log_likelihood_hessian(params, net):
+    """Reference: the former public Hessian over (z_d, z_r, alpha, b = log(beta))."""
+    z_d, z_r, beta, dim = params.z_d, params.z_r, params.beta, params.dim
+    n_d, n_r = z_d.shape[0], z_r.shape[0]
+    u = z_d[:, None, :] - z_r[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", u, u)
+    eta = params.alpha - beta * d2
+    se = _floored(net.edge_se)
+    c = np.where(net.edge_mask, 1.0 / (se * se), 0.0)
+    e = np.where(net.edge_mask, (net.edge_weight - eta) / (se * se), 0.0)
+    v = np.sqrt(c)[:, :, None] * u
+    cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
+    eye = np.eye(dim)
+    nzd, nz = n_d * dim, (n_d + n_r) * dim
+    h = np.zeros((nz + 2, nz + 2))
+
+    cross = 4.0 * beta**2 * cuu + 2.0 * beta * e[:, :, None, None] * eye
+    h[:nzd, nzd:nz] = cross.transpose(0, 2, 1, 3).reshape(nzd, nz - nzd)
+    h[nzd:nz, :nzd] = h[:nzd, nzd:nz].T
+    for axis, start, n in ((1, 0, n_d), (0, nzd, n_r)):
+        blocks = -4.0 * beta**2 * cuu.sum(axis=axis)
+        blocks -= 2.0 * beta * e.sum(axis=axis)[:, None, None] * eye
+        rows = start + np.arange(n * dim).reshape(n, dim)
+        h[rows[:, :, None], rows[:, None, :]] = blocks
+
+    cu = c[:, :, None] * u
+    wu = (beta * c * d2 + e)[:, :, None] * u
+    h_alpha = 2.0 * beta * np.concatenate([cu.sum(axis=1).ravel(), -cu.sum(axis=0).ravel()])
+    h_b = -2.0 * beta * np.concatenate([wu.sum(axis=1).ravel(), -wu.sum(axis=0).ravel()])
+    h[nz, :nz] = h[:nz, nz] = h_alpha
+    h[nz + 1, :nz] = h[:nz, nz + 1] = h_b
+    h[nz, nz] = -c.sum()
+    h[nz, nz + 1] = h[nz + 1, nz] = beta * (c * d2).sum()
+    h[nz + 1, nz + 1] = -(beta**2) * (c * d2 * d2).sum() - beta * (e * d2).sum()
+    return h
+
+
+def gauged(p, net):
+    """``p`` at beta 1 with the node effects at the node weights, as the kernel sees it."""
+    return LsmParams(p.z_d, p.z_r, p.alpha, 1.0, net.donor_weight, net.recipient_weight)
+
+
 class TestHessian:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("tiny", [0, 2])
@@ -198,33 +237,50 @@ class TestHessian:
         rng = substream(dim, "hess", str(tiny))
         n_d, n_r = 6, 5
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
-        p = random_params(rng, n_d, n_r, dim)
-        h = log_likelihood_hessian(p, net)
-        n_coupled = (n_d + n_r) * dim + 2
-        assert h.shape == (n_coupled, n_coupled)
+        objective = _Objective(net, dim)
+        x = coupled(random_params(rng, n_d, n_r, dim))
+        h = objective.hessian(x)
+        assert h.shape == (x.size, x.size) and x.size == (n_d + n_r) * dim + 1
         assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
-        fd = fd_hessian(p, net, n_coupled)
+        fd = fd_hessian(objective, x)
         assert np.max(np.abs(fd - h)) <= 1e-6 * np.max(np.abs(h))
 
     def test_frozen_beta_sub_block(self):
-        # with beta held at the gauge, the polish uses the Hessian without b's
-        # row and column
+        # with beta held at the gauge, the kernel Hessian is the former public
+        # Hessian without b's row and column
         rng = substream(4, "hess-frozen")
         n_d, n_r, dim = 5, 6, 2
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.25), rng, 1)
-        p = random_params(rng, n_d, n_r, dim)
-        n_free = (n_d + n_r) * dim + 1
-        h = log_likelihood_hessian(p, net)[:n_free, :n_free]
+        p = gauged(random_params(rng, n_d, n_r, dim), net)
+        objective = _Objective(net, dim)
+        x = coupled(p)
+        h = objective.hessian(x)
+        assert np.array_equal(h, ref_log_likelihood_hessian(p, net)[: x.size, : x.size])
         assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
-        fd = fd_hessian(p, net, n_free)
+        fd = fd_hessian(objective, x)
         assert np.max(np.abs(fd - h)) <= 1e-6 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("tiny", [0, 2])
+    def test_exactly_equals_reference_block(self, dim, tiny):
+        # 4.0 * beta**2 at beta 1.0 is exactly 4.0, so the kernel reproduces the
+        # reference's (z_d, z_r, alpha) block bit for bit
+        rng = substream(dim, "hess-ref", str(tiny))
+        n_d, n_r = 7, 5
+        net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
+        objective = _Objective(net, dim)
+        for _ in range(3):
+            p = gauged(random_params(rng, n_d, n_r, dim), net)
+            x = coupled(p)
+            ref = ref_log_likelihood_hessian(p, net)
+            assert np.array_equal(objective.hessian(x), ref[: x.size, : x.size])
 
     def test_gauge_directions_are_null(self):
         # a common translation of all positions leaves the likelihood unchanged
         rng = substream(5, "hess-gauge")
         n_d, n_r, dim = 6, 4, 2
         net = random_network(rng, n_d, n_r, mask_frac=0.2)
-        h = log_likelihood_hessian(random_params(rng, n_d, n_r, dim), net)
+        h = _Objective(net, dim).hessian(coupled(random_params(rng, n_d, n_r, dim)))
         for axis in range(dim):
             t = np.zeros(h.shape[0])
             t[axis : (n_d + n_r) * dim : dim] = 1.0
@@ -314,7 +370,7 @@ class TestKernelOracle:
         for _ in range(3):
             p = random_params(rng, n_d, n_r, dim)
             if in_gauge:
-                p = LsmParams(p.z_d, p.z_r, p.alpha, 1.0, net.donor_weight, net.recipient_weight)
+                p = gauged(p, net)
             assert log_likelihood(p, net) == ref_log_likelihood(p, net)
             assert np.array_equal(log_likelihood_gradient(p, net),
                                   ref_log_likelihood_gradient(p, net))
@@ -341,6 +397,9 @@ class TestKernelOracle:
             assert f == _BIG == neg_ll(x)
             assert g.shape == x.shape and np.all(g == 0.0)
             assert np.array_equal(g, neg_grad(x))
+            # the polish and the result read the raw values, not the stand-ins
+            ll, g_raw = _Objective(net, dim).at(x)
+            assert not math.isfinite(ll) and not np.all(np.isfinite(g_raw))
 
 
 class TestFit:
@@ -520,25 +579,75 @@ def test_lbfgs_trajectory_matches_reference(sim_config, config):
         assert np.array_equal(res.x, ref.x)
 
 
+def ref_polish(x, net, dim, max_steps=4):
+    """Reference: the former polish, on LsmParams, the public gradient and the
+    former public Hessian's (z_d, z_r, alpha) block."""
+    k = x.size
+
+    def at(x):
+        params = _full_params(x, net, dim)
+        return params, log_likelihood_gradient(params, net)[:k]
+
+    params, g = at(x)
+    gnorm = np.max(np.abs(g))
+    for _ in range(max_steps):
+        if gnorm == 0.0:
+            break
+        lam, vec = np.linalg.eigh(ref_log_likelihood_hessian(params, net)[:k, :k])
+        live = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
+        x_new = x - vec[:, live] @ ((vec[:, live].T @ g) / lam[live])
+        if not np.all(np.isfinite(x_new)):
+            break
+        params_new, g_new = at(x_new)
+        gnorm_new = np.max(np.abs(g_new))
+        if not np.all(np.isfinite(g_new)) or gnorm_new >= gnorm:
+            break
+        x, params, g, gnorm = x_new, params_new, g_new, gnorm_new
+    return x
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_LL))
+def test_polish_matches_reference(seed):
+    # from where L-BFGS-B stops on each start of the 60x60 corpus, the polish on
+    # the kernel takes exactly the reference's Newton steps
+    net = simulate(SimConfig(n_d=60, n_r=60, seed=seed)).observed
+    cfg = FitConfig(dim=2, restarts=1, seed=seed)
+    objective = _Objective(net, cfg.dim)
+    moved = []
+    for _, x0 in _start_points(net, cfg, None):
+        x = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS).x
+        polished = _polish(objective, x)
+        assert np.array_equal(polished, ref_polish(x, net, cfg.dim))
+        moved.append(not np.array_equal(polished, x))
+    assert any(moved)
+
+
 def test_fit_validates_params_only_at_the_boundary(monkeypatch):
-    # LsmParams are built by the polish and for the result, never per evaluation;
-    # the pipeline-extracted 12x12 network of seed 0 runs both starts to max_iter
+    # one _Objective serves the whole fit, and LsmParams are built only for the
+    # result, never per evaluation or per polish step; the pipeline-extracted
+    # 12x12 network of seed 0 runs both starts to max_iter
     train, _, _ = simulate_transplants(SurvivalGenConfig(seed=0))
     x, columns = design_matrix(train, 10)
     net = extract_network(cox_fit(x, train.time, train.event, 1.0, columns=columns))
-    calls = []
-    post_init = LsmParams.__post_init__
+    params_built, objectives_built = [], []
+    post_init, objective_init = LsmParams.__post_init__, _Objective.__init__
 
-    def counting(self):
-        calls.append(1)
+    def counting_params(self):
+        params_built.append(1)
         post_init(self)
 
-    monkeypatch.setattr(LsmParams, "__post_init__", counting)
+    def counting_objective(self, *args):
+        objectives_built.append(1)
+        objective_init(self, *args)
+
+    monkeypatch.setattr(LsmParams, "__post_init__", counting_params)
+    monkeypatch.setattr(_Objective, "__init__", counting_objective)
     cfg = FitConfig(dim=2, restarts=1, seed=0)
     res = fit(net, cfg)
     starts = 1 + cfg.restarts
     assert res.iterations >= 300
-    assert len(calls) <= 8 * starts
+    assert 1 <= len(params_built) <= starts
+    assert len(objectives_built) == 1
 
 
 class TestRefine:
