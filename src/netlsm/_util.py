@@ -1,6 +1,9 @@
-"""Small shared helpers: seeded sub-streams, atomic file writes, JSON encoding."""
+"""Small shared helpers: seeded sub-streams, atomic file writes, CSV and JSON encoding."""
 
+import csv
+import io
 import json
+import math
 import os
 import tempfile
 import zlib
@@ -32,6 +35,62 @@ def write_text_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+FLOAT_FMT = "%.17g"  # round-trip exact for IEEE doubles
+
+
+def read_csv(path, error):
+    """The header of the CSV file at ``path``, and an iterator of ``(line, row)`` per data row.
+
+    ``line`` is the file line that ends the row.  Blank lines (whitespace and
+    commas only) are skipped.  An empty file, or a row whose field count
+    differs from the header's, raises ``error`` naming ``path`` and the line.
+    The file is read and closed before this returns.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(io.StringIO(f.read(), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise error(f"{path}: empty file")
+
+    def rows():
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise error(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
+
+    return header, rows()
+
+
+def parse_float(text, what, error, path, line):
+    """``float(text)``, or ``error`` naming ``path:line`` if it is malformed or not finite."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise error(f"{path}:{line}: malformed {what} {text!r}") from None
+    if not math.isfinite(v):
+        raise error(f"{path}:{line}: non-finite {what}")
+    return v
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` to ``path`` as CSV, atomically.
+
+    Lines end in a line feed.  A field is quoted, as in RFC 4180, only when it
+    holds a comma, a double quote or a line feed, so plain fields are written
+    as they are.  A carriage return is not quoted, and does not survive
+    :func:`read_csv`.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buf.getvalue())
 
 
 def _jsonable(obj):

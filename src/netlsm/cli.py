@@ -337,18 +337,21 @@ def _config_from_args(args):
     return cfg
 
 
+# The config values that default to None: an example of the type a value
+# must have when it is set.
+_UNSET_TYPES = {"net": "", "train_net": "", "test_net": "", "data": "", "dim_grid": [0]}
+# The config values each command needs, given directly or via --config.
+_REQUIRED = {"fit": ("net",), "eval": ("train_net", "test_net"), "coxph": ("data",)}
+
+
 def _matches(value, default):
     """Whether a manifest value has the type of the command's default.
 
-    An int is accepted where the default is a float, list items are checked
-    against the default's first item, and anything is accepted where the
-    default is ``None``.
+    An int is accepted where the default is a float, and list items are
+    checked against the default's first item.
     """
-    if default is None:
-        return True
     if isinstance(default, list):
-        item = default[0] if default else None
-        return isinstance(value, list) and all(_matches(v, item) for v in value)
+        return isinstance(value, list) and all(_matches(v, default[0]) for v in value)
     if isinstance(default, float):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     return type(value) is type(default)
@@ -358,6 +361,8 @@ def _read_manifest(parser, path, command):
     """The manifest at ``path``; ``parser.error`` unless it holds a full config for ``command``.
 
     Every config value must have the type of the command's default (see :func:`_matches`).
+    A value whose default is ``None`` may be ``None``, or else must have its
+    type in ``_UNSET_TYPES``.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -375,11 +380,11 @@ def _read_manifest(parser, path, command):
     missing = set(defaults) - set(cfg)
     if missing:
         parser.error(f"manifest config lacks {', '.join(sorted(missing))}")
-    wrong = [
-        f"{k}={cfg[k]!r} (expected {type(v).__name__})"
-        for k, v in sorted(defaults.items())
-        if not _matches(cfg[k], v)
-    ]
+    wrong = []
+    for k, v in sorted(defaults.items()):
+        expected = _UNSET_TYPES[k] if v is None else v
+        if not (v is None and cfg[k] is None or _matches(cfg[k], expected)):
+            wrong.append(f"{k}={cfg[k]!r} (expected {type(expected).__name__})")
     if wrong:
         parser.error(f"manifest config has the wrong type: {', '.join(wrong)}")
     return manifest
@@ -395,6 +400,9 @@ def main(argv=None):
     else:
         cfg = _config_from_args(args)
         out = args.out
+    for key in _REQUIRED.get(args.command, ()):
+        if cfg[key] is None:
+            parser.error(f"--{key.replace('_', '-')} is required (directly or via --config)")
     if out is None:
         parser.error("--out is required (directly or via --config)")
     t0 = _time.perf_counter()

@@ -107,17 +107,6 @@ class LsmParams:
             "dim": self.dim,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            z_d=np.array(d["z_d"], dtype=float),
-            z_r=np.array(d["z_r"], dtype=float),
-            alpha=d["alpha"],
-            beta=d["beta"],
-            delta=np.array(d["delta"], dtype=float),
-            gamma=np.array(d["gamma"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class FitConfig:

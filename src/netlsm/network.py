@@ -6,11 +6,12 @@ errors.  Unobserved donor/recipient pairs are tracked with an explicit mask
 rather than sentinel values, because zero is a meaningful weight.
 """
 
-import csv
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._util import FLOAT_FMT, parse_float, read_csv, write_csv
 
 __all__ = [
     "CompatibilityNetwork",
@@ -18,9 +19,6 @@ __all__ = [
     "load_network",
     "save_network",
 ]
-
-_FMT = "%.17g"  # round-trip exact for IEEE doubles
-
 
 class NetworkFormatError(ValueError):
     """Malformed or inconsistent network file content, with row context."""
@@ -104,34 +102,13 @@ class CompatibilityNetwork:
 
 
 def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise NetworkFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise NetworkFormatError(
-                f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise NetworkFormatError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-            rows.append((lineno, [c.strip() for c in row]))
-    return rows
-
-
-def _parse_float(path, lineno, text, what):
-    try:
-        v = float(text)
-    except ValueError:
-        raise NetworkFormatError(f"{path}:{lineno}: malformed {what} {text!r}") from None
-    if not np.isfinite(v):
-        raise NetworkFormatError(f"{path}:{lineno}: non-finite {what}")
-    return v
+    """``(line, stripped cells)`` per data row; the stripped header must be ``expected_header``."""
+    header, rows = read_csv(path, NetworkFormatError)
+    if [h.strip() for h in header] != expected_header:
+        raise NetworkFormatError(
+            f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}"
+        )
+    return [(line, [c.strip() for c in row]) for line, row in rows]
 
 
 def _load_nodes(path):
@@ -141,11 +118,11 @@ def _load_nodes(path):
         if label in seen:
             raise NetworkFormatError(f"{path}:{lineno}: duplicate node {label!r}")
         seen.add(label)
-        se = _parse_float(path, lineno, s, "stderr")
+        se = parse_float(s, "stderr", NetworkFormatError, path, lineno)
         if se <= 0:
             raise NetworkFormatError(f"{path}:{lineno}: non-positive stderr for node {label!r}")
         labels.append(label)
-        weights.append(_parse_float(path, lineno, w, "weight"))
+        weights.append(parse_float(w, "weight", NetworkFormatError, path, lineno))
         ses.append(se)
     if not labels:
         raise NetworkFormatError(f"{path}: no node rows")
@@ -175,23 +152,17 @@ def load_network(edges_path, donor_nodes_path, recipient_nodes_path):
         i, j = d_index[don], r_index[rec]
         if mask[i, j]:
             raise NetworkFormatError(f"{edges_path}:{lineno}: duplicate pair ({don}, {rec})")
-        se = _parse_float(edges_path, lineno, s, "stderr")
+        se = parse_float(s, "stderr", NetworkFormatError, edges_path, lineno)
         if se <= 0:
             raise NetworkFormatError(
                 f"{edges_path}:{lineno}: non-positive stderr for pair ({don}, {rec})"
             )
-        ew[i, j] = _parse_float(edges_path, lineno, w, "weight")
+        ew[i, j] = parse_float(w, "weight", NetworkFormatError, edges_path, lineno)
         es[i, j] = se
         mask[i, j] = True
     if not mask.any():
         raise NetworkFormatError(f"{edges_path}: no edge rows")
     return CompatibilityNetwork(dl, rl, dw, ds, rw, rs, ew, es, mask)
-
-
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(r) for r in rows)
-    return "\n".join(lines) + "\n"
 
 
 def save_network(net, dir_path):
@@ -200,24 +171,22 @@ def save_network(net, dir_path):
     Weights are printed with 17 significant digits, so a load/save round trip
     is bit-exact.  The directory is created if absent.
     """
-    from ._util import write_text_atomic
-
     os.makedirs(dir_path, exist_ok=True)
     for fname, labels, w, s in (
         ("donor_nodes.csv", net.donor_labels, net.donor_weight, net.donor_se),
         ("recipient_nodes.csv", net.recipient_labels, net.recipient_weight, net.recipient_se),
     ):
-        rows = [(lab, _FMT % wv, _FMT % sv) for lab, wv, sv in zip(labels, w, s)]
-        write_text_atomic(os.path.join(dir_path, fname), _csv_text(["node", "weight", "stderr"], rows))
-    rows = []
-    for i, dlab in enumerate(net.donor_labels):
-        for j, rlab in enumerate(net.recipient_labels):
-            if net.edge_mask[i, j]:
-                rows.append((dlab, rlab, _FMT % net.edge_weight[i, j], _FMT % net.edge_se[i, j]))
-    write_text_atomic(
-        os.path.join(dir_path, "edges.csv"),
-        _csv_text(["donor", "recipient", "weight", "stderr"], rows),
-    )
+        rows = [(lab, FLOAT_FMT % wv, FLOAT_FMT % sv)
+                for lab, wv, sv in zip(labels, w.tolist(), s.tolist())]
+        write_csv(os.path.join(dir_path, fname), ["node", "weight", "stderr"], rows)
+    i, j = np.nonzero(net.edge_mask)  # row-major: donor by donor, recipients in order
+    rows = [
+        (net.donor_labels[a], net.recipient_labels[b], FLOAT_FMT % wv, FLOAT_FMT % sv)
+        for a, b, wv, sv in zip(i.tolist(), j.tolist(), net.edge_weight[i, j].tolist(),
+                                net.edge_se[i, j].tolist())
+    ]
+    write_csv(os.path.join(dir_path, "edges.csv"),
+              ["donor", "recipient", "weight", "stderr"], rows)
 
 
 def load_network_dir(dir_path):

@@ -15,7 +15,6 @@ on it.  The concordance index is sort-based, O(n log^2 n), with exact
 integer counts.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from ._util import substream
+from ._util import FLOAT_FMT, parse_float, read_csv, substream, write_csv
 from .baselines import NmtfConfig
 from .metrics import refine
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
@@ -98,23 +97,17 @@ class TransplantDataset:
         )
 
     def to_csv(self, path):
-        from ._util import write_text_atomic
-
         p = self.covariates.shape[1]
         header = ["id", "time", "event", "donor_type", "recipient_type"] + [
             f"x{k + 1}" for k in range(p)
         ]
-        lines = [",".join(header)]
-        for i in range(self.n):
-            row = [
-                str(i),
-                "%.17g" % self.time[i],
-                "1" if self.event[i] else "0",
-                str(self.donor_type[i]),
-                str(self.recipient_type[i]),
-            ] + ["%.17g" % v for v in self.covariates[i]]
-            lines.append(",".join(row))
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        columns = (self.time.tolist(), self.event.tolist(), self.donor_type.tolist(),
+                   self.recipient_type.tolist(), self.covariates.tolist())
+        rows = (
+            [i, FLOAT_FMT % t, "1" if e else "0", d, r] + [FLOAT_FMT % v for v in x]
+            for i, (t, e, d, r, x) in enumerate(zip(*columns))
+        )
+        write_csv(path, header, rows)
 
     @classmethod
     def from_csv(cls, path):
@@ -126,34 +119,23 @@ class TransplantDataset:
         finite, an ``event`` other than 0 or 1, and a file without data rows.
         Blank lines are skipped.
         """
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file") from None
-            missing = [c for c in _CSV_COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-            col = {h: k for k, h in enumerate(header)}
-            xcols = [k for k, h in enumerate(header) if h.startswith("x")]
-            covariates, donor_type, recipient_type, time, event = [], [], [], [], []
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{where}: expected {len(header)} fields, got {len(row)}"
-                    )
-                covariates.extend(_csv_float(where, row[k], header[k]) for k in xcols)
-                time.append(_csv_float(where, row[col["time"]], "time"))
-                flag = row[col["event"]]
-                if flag not in ("0", "1"):
-                    raise ValueError(f"{where}: event must be 0 or 1, got {flag!r}")
-                event.append(flag == "1")
-                donor_type.append(row[col["donor_type"]])
-                recipient_type.append(row[col["recipient_type"]])
+        header, rows = read_csv(path, ValueError)
+        missing = [c for c in _CSV_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        col = {h: k for k, h in enumerate(header)}
+        xcols = [k for k, h in enumerate(header) if h.startswith("x")]
+        covariates, donor_type, recipient_type, time, event = [], [], [], [], []
+        for line, row in rows:
+            covariates.extend(parse_float(row[k], header[k], ValueError, path, line)
+                              for k in xcols)
+            time.append(parse_float(row[col["time"]], "time", ValueError, path, line))
+            flag = row[col["event"]]
+            if flag not in ("0", "1"):
+                raise ValueError(f"{path}:{line}: event must be 0 or 1, got {flag!r}")
+            event.append(flag == "1")
+            donor_type.append(row[col["donor_type"]])
+            recipient_type.append(row[col["recipient_type"]])
         if not time:
             raise ValueError(f"{path}: no data rows")
         return cls(
@@ -166,16 +148,6 @@ class TransplantDataset:
 
 
 _CSV_COLUMNS = ("time", "event", "donor_type", "recipient_type")
-
-
-def _csv_float(where, text, what):
-    try:
-        v = float(text)
-    except ValueError:
-        raise ValueError(f"{where}: malformed {what} {text!r}") from None
-    if not math.isfinite(v):
-        raise ValueError(f"{where}: non-finite {what}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -362,8 +334,8 @@ def cox_fit(x, time, event, lam, max_iter=100, grad_tol=1e-8, columns=None):
     x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
-    if lam < 0:
-        raise ValueError("penalty must be non-negative")
+    if not lam >= 0:
+        raise ValueError(f"penalty must be non-negative, got {lam}")
     n, p = x.shape
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
@@ -700,15 +672,14 @@ def pipeline_end_to_end(
     lam=1.0,
     min_count=10,
     methods=("lsm", "nmtf", "pca"),
-    lambda_grid=None,
     identity_refinement=False,
 ):
     """Run the full coefficient-substitution pipeline on synthetic data.
 
     Fits CoxPH on the train split, extracts the compatibility network, refines
     it with each requested method, substitutes the negated refined estimates
-    back, and reports test-set C-indices.  ``lambda_grid`` switches on 2-fold
-    CV tuning of the ridge strength (slower); otherwise ``lam`` is used as-is.
+    back, and reports test-set C-indices.  The ridge strength is ``lam``;
+    ``netlsm coxph --tune`` picks one by cross-validation (:func:`tune_lambda`).
     Every method goes through :func:`netlsm.metrics.refine`.
     ``identity_refinement`` refines with ``raw`` in place of each method, so
     the observed network values are substituted back, which must reproduce
@@ -718,8 +689,6 @@ def pipeline_end_to_end(
     train, test, truth = simulate_transplants(gen_config)
     x_train, columns = design_matrix(train, min_count)
     x_test = build_design(test, columns)
-    if lambda_grid is not None:
-        lam = tune_lambda(x_train, train.time, train.event, lambda_grid, seed=gen_config.seed)
     model = cox_fit(x_train, train.time, train.event, lam, columns=columns)
     c_raw = c_index(x_test @ model.coefficients, test.time, test.event)
     net = extract_network(model)

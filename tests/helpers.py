@@ -1,9 +1,21 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from netlsm import CompatibilityNetwork, LsmParams
 from netlsm._util import substream
+
+# Node and type labels: commas, double quotes and line feeds, which a CSV file
+# must quote, mixed with any other text.  Network cells are stripped, so no
+# label starts or ends with whitespace.  Left out are "\r", which the writer
+# does not quote (see _util.write_csv), and NUL, which Python 3.10's csv
+# reader rejects.
+LABELS = st.text(
+    st.sampled_from(',"\n') | st.characters(exclude_categories=("Cs",),
+                                             exclude_characters="\r\x00"),
+    min_size=1, max_size=6,
+).filter(lambda s: s == s.strip())
 
 
 def random_network(rng, n_d, n_r, mask_frac=0.0, se_lo=0.2, se_hi=1.0):

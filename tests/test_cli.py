@@ -152,6 +152,29 @@ class TestTransplantsAndCox:
         assert "error: argument --lambda-grid" in err and "'0.1,abc'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [["--lam", "nan"], ["--tune", "--lambda-grid", "nan"]])
+    def test_nan_penalty_exits_2(self, data_dir, tmp_path, capsys, args):
+        # unchecked, coxph.json held "penalty": NaN, which is not JSON, and the run exited 1
+        out = tmp_path / "cox"
+        assert run(["coxph", "--data", data_dir / "train.csv", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: penalty must be non-negative") and "Traceback" not in err
+        assert not (out / "coxph.json").exists()
+
+    def test_quoted_type_label_reaches_fit(self, data_dir, tmp_path):
+        # a type label holding a comma is quoted in the transplant CSV, and
+        # must be quoted again in the network files coxph writes
+        text = (data_dir / "train.csv").read_text()
+        assert ",D00," in text
+        data = tmp_path / "quoted.csv"
+        data.write_text(text.replace(",D00,", ',"D,0",'))
+        cox = tmp_path / "cox"
+        assert run(["coxph", "--data", data, "--min-count", 5, "--out", cox]) == 0
+        assert '"D,0"' in (cox / "network" / "donor_nodes.csv").read_text()
+        assert run(["fit", "--net", cox / "network", "--method", "raw",
+                    "--out", tmp_path / "fit"]) == 0
+        assert "D,0" in load_network_dir(cox / "network").donor_labels
+
     def test_coxph_missing_column_exits_2(self, data_dir, tmp_path, capsys):
         lines = (data_dir / "train.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -162,6 +185,21 @@ class TestTransplantsAndCox:
         assert run(["coxph", "--data", bad, "--out", tmp_path / "cox"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "event" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["fit"], "--net"),
+    (["eval", "--test-net", "NET"], "--train-net"),
+    (["eval", "--train-net", "NET"], "--test-net"),
+    (["coxph"], "--data"),
+])
+def test_missing_input_exits_2(net_dir, tmp_path, capsys, argv, option):
+    # unchecked, each ended in a TypeError traceback
+    with pytest.raises(SystemExit) as exc:
+        run([net_dir if a == "NET" else a for a in argv] + ["--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {option} is required" in err and "Traceback" not in err
 
 
 class TestEval:
@@ -316,8 +354,20 @@ class TestManifestRerun:
         path = self._pipeline_manifest(tmp_path, lam="x")
         self._rerun_exits_2(tmp_path, capsys, path, "lam='x'", command="pipeline")
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"test_net": 5}, "test_net=5 (expected str)"),
+        ({"net": None}, "--net is required"),
+        ({"dim_grid": ["x"]}, "dim_grid=['x'] (expected list)"),
+    ])
+    def test_bad_value_with_a_none_default_exits_2(self, tmp_path, capsys, changes, message):
+        # unchecked, each ended in a TypeError traceback
+        cfg = _config_from_args(build_parser().parse_args(["fit", "--net", "net"]))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "fit", "config": {**cfg, **changes}}))
+        self._rerun_exits_2(tmp_path, capsys, path, message)
+
     def test_value_types_follow_the_defaults(self, tmp_path):
-        # an int passes for a float and anything for a None default; a bool is
+        # an int passes for a float and None for a None default; a bool is
         # not an int, None is not a float and 0 is not a bool
         parser = build_parser()
         path = self._pipeline_manifest(tmp_path, lam=1)

@@ -1,9 +1,11 @@
-"""Every name a ``netlsm`` module imports is used in that module.
+"""Every name a ``netlsm`` module imports is used in that module, and only
+``_util`` imports :mod:`csv`.
 
 The check parses each module with :mod:`ast`: an imported name is used when a
 ``Name`` node (the head of any attribute chain) refers to it.  Exempt are the
 package re-exports in ``__init__.py`` and import statements marked
-``# noqa: F401``.
+``# noqa: F401``.  One module reads and writes CSV, so that the network and
+transplant files share one reader, one float parser and one writer.
 """
 
 import ast
@@ -63,3 +65,21 @@ def test_checker_flags_unused_and_honours_exemptions():
     assert unused_imports(source) == [(1, "os"), (4, "pi"), (6, "fit")]
     assert unused_imports(source, reexports=True) == [(1, "os"), (4, "pi")]
     assert len(MODULES) >= 10
+
+
+def imported_modules(source):
+    """Top-level names of the absolute imports in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_util_imports_csv():
+    users = [p.name for p in MODULES if "csv" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == ["_util.py"]
+    source = "import csv as c\nfrom os import path\nfrom . import csv\n"
+    assert imported_modules(source) == {"csv", "os"}

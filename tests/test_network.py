@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from netlsm import CompatibilityNetwork, NetworkFormatError, load_network, save_network
 from netlsm.network import load_network_dir
 
-from helpers import random_network, networks_equal
+from helpers import LABELS, random_network, networks_equal
 
 
 def write(path, text):
@@ -98,6 +100,16 @@ class TestRoundTrip:
            st.floats(0.0, 0.9))
     def test_round_trip_property(self, tmp_path_factory, seed, n_d, n_r, mask_frac):
         net = random_network(np.random.default_rng(seed), n_d, n_r, mask_frac=mask_frac)
+        d = tmp_path_factory.mktemp("rt")
+        save_network(net, d)
+        assert networks_equal(net, load_network_dir(d))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.lists(LABELS, min_size=1, max_size=4, unique=True),
+           st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    def test_quoted_labels_round_trip(self, tmp_path_factory, seed, donors, recipients):
+        net = random_network(np.random.default_rng(seed), len(donors), len(recipients))
+        net = dataclasses.replace(net, donor_labels=donors, recipient_labels=recipients)
         d = tmp_path_factory.mktemp("rt")
         save_network(net, d)
         assert networks_equal(net, load_network_dir(d))

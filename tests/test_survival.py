@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from netlsm import (
     CoxModel,
@@ -21,6 +22,8 @@ from netlsm.model import RefinedEstimates
 import netlsm.survival
 from netlsm.survival import Column, _column_set, _risk_set_stats, breslow_loglik, build_design
 from netlsm._util import substream
+
+from helpers import LABELS
 
 
 # Reference implementations: the dense, string-comparing and O(n^2) forms the
@@ -316,6 +319,11 @@ class TestCoxFit:
         with pytest.raises(ValueError):
             cox_fit(x, np.arange(1.0, 5.0), np.ones(4, bool), 1.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_penalty(self, lam):
+        with pytest.raises(ValueError, match="penalty must be non-negative"):
+            cox_fit(np.eye(2), np.array([1.0, 2.0]), np.ones(2, bool), lam)
+
     def test_rejects_explicitly_stored_zero_column(self):
         x = sp.csr_matrix((np.array([1.0, 0.0]), (np.array([0, 1]), np.array([0, 1]))),
                           shape=(4, 2))
@@ -603,6 +611,24 @@ class TestGenerator:
         assert np.array_equal(train.event, back.event)
         assert np.array_equal(train.covariates, back.covariates)
         assert np.array_equal(train.donor_type, back.donor_type)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    def test_csv_round_trip_quoted_labels(self, tmp_path_factory, seed, labels):
+        rng = np.random.default_rng(seed)
+        n = 10
+        data = TransplantDataset(
+            covariates=rng.standard_normal((n, 2)),
+            donor_type=np.array(labels)[rng.integers(0, len(labels), n)],
+            recipient_type=np.array(labels)[rng.integers(0, len(labels), n)],
+            time=rng.uniform(0.1, 5.0, n),
+            event=np.arange(n) % 2 == 0,
+        )
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        data.to_csv(path)
+        back = TransplantDataset.from_csv(path)
+        for field in ("covariates", "donor_type", "recipient_type", "time", "event"):
+            assert np.array_equal(getattr(data, field), getattr(back, field))
 
 
 GOOD_CSV = "id,time,event,donor_type,recipient_type,x1\n0,1.5,1,A,x,0.25\n1,2.0,0,B,y,-1\n"
