@@ -83,14 +83,20 @@ def write_csv(path, header, rows):
 
     Lines end in a line feed.  A field is quoted, as in RFC 4180, only when it
     holds a comma, a double quote or a line feed, so plain fields are written
-    as they are.  A carriage return is not quoted, and does not survive
-    :func:`read_csv`.
+    as they are.  The writer does not quote a carriage return, which
+    :func:`read_csv` would take for a line end, so a field holding one raises
+    ``ValueError`` naming ``path`` and the field, and nothing is written.
     """
+    rows = list(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
+    text = buf.getvalue()
+    if "\r" in text:
+        field = next(f for row in [header, *rows] for f in row if "\r" in str(f))
+        raise ValueError(f"{path}: field {field!r} holds a carriage return")
+    write_text_atomic(path, text)
 
 
 def _jsonable(obj):

@@ -21,7 +21,8 @@ Parameters are validated (as :class:`LsmParams`) only for the result, not per
 evaluation.  A fit that stops short of the gradient tolerance is finished by
 Newton steps on the gradient with the kernel's exact Hessian.  Distances do
 not change under translation or rotation of all positions, so the Hessian is
-singular along those directions and the Newton step leaves them out.
+singular along those directions; they are known in closed form, so each
+Newton step projects them out and is one linear solve.
 """
 
 import math
@@ -240,10 +241,45 @@ class _Objective:
         return z_d, z_r, float(x[nz])
 
     def at(self, x):
-        """(ll, gradient over ``x``) at optimizer vector ``x``, non-finite values kept."""
+        """(ll, gradient over ``x``) at optimizer vector ``x``, non-finite values kept.
+
+        This is :meth:`evaluate` at beta 1 with the node effects at the node
+        weights, cut to what the optimizer carries.  There the node residuals
+        are exactly 0, so their terms are left out; the remaining floating-point
+        operations run in :meth:`evaluate`'s order, so both give the same bits.
+        """
         net = self.net
-        ll, g = self.evaluate(*self._split(x), 1.0, net.donor_weight, net.recipient_weight)
-        return ll, g[: x.size]
+        z_d, z_r, alpha = self._split(x)
+        d2 = _sqdist(z_d, z_r)
+        resid = net.edge_weight - (alpha - d2)
+        ll = self.c_edge - 0.5 * np.sum((resid[self.mask] / self.s) ** 2)
+        ll += self.c_donor
+        ll += self.c_recipient
+        e = np.where(self.mask, resid / self.se2, 0.0)
+        g_zd = -2.0 * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
+        g_zr = 2.0 * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
+        return float(ll), np.concatenate([g_zd.ravel(), g_zr.ravel(), [e.sum()]])
+
+    def gauge_basis(self, x):
+        """Orthonormal basis, as columns, of the gauge directions at ``x``.
+
+        Distances do not change under a common translation or rotation of all
+        positions: one translation per axis, and per pair of axes ``(j, k)``
+        the rotation generator that moves each position by ``(-z_k, z_j)`` in
+        those axes.  Alpha does not move along any of them.
+        """
+        dim, nz = self.dim, self.nz
+        z = x[:nz].reshape(-1, dim)
+        pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
+        moves = np.zeros((dim + len(pairs),) + z.shape)
+        for axis in range(dim):
+            moves[axis, :, axis] = 1.0
+        for col, (j, k) in enumerate(pairs, start=dim):
+            moves[col, :, j] = -z[:, k]
+            moves[col, :, k] = z[:, j]
+        basis = np.zeros((nz + 1, len(moves)))
+        basis[:nz] = moves.reshape(len(moves), nz).T
+        return np.linalg.qr(basis)[0]
 
     def hessian(self, x):
         """Exact Hessian of the log-likelihood over ``x = (z_d, z_r, alpha)``.
@@ -382,20 +418,27 @@ def _polish(objective, x, max_steps=4):
     vector ``(z_d, z_r, alpha)`` of ``objective``, the :class:`_Objective`
     that also served L-BFGS-B; the gradient and Hessian come from it alone.
 
-    The step comes from :meth:`_Objective.hessian` through its
-    eigendecomposition.  Eigenvalues with |lambda| <= 1e-10 * max|lambda|
-    belong to the translation and rotation directions, along which the
-    likelihood is flat, and are dropped.  Steps are accepted only if they
-    shrink the gradient norm.
+    The likelihood is flat along the translation and rotation directions, so
+    the Hessian ``H`` of :meth:`_Objective.hessian` is singular there.  With
+    ``Q`` the :meth:`_Objective.gauge_basis` at ``x``, each step is one linear
+    solve, ``(H - s Q Q^T) step = g - Q Q^T g`` with ``s = max|diag H|``: the
+    pseudo-inverse Newton step, with the gauge directions projected out.
+    Steps are accepted only if they shrink the gradient norm; a singular
+    system ends the polish.
     """
     g = objective.at(x)[1]
     gnorm = np.max(np.abs(g))
     for _ in range(max_steps):
         if gnorm == 0.0:
             break
-        lam, vec = np.linalg.eigh(objective.hessian(x))
-        live = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
-        x_new = x - vec[:, live] @ ((vec[:, live].T @ g) / lam[live])
+        h = objective.hessian(x)
+        q = objective.gauge_basis(x)
+        h -= np.max(np.abs(np.diag(h))) * (q @ q.T)
+        try:
+            step = np.linalg.solve(h, g - q @ (q.T @ g))
+        except np.linalg.LinAlgError:
+            break
+        x_new = x - step
         if not np.all(np.isfinite(x_new)):
             break
         g_new = objective.at(x_new)[1]

@@ -117,7 +117,8 @@ class TransplantDataset:
         bad row, its line: a missing required column, a row whose field count
         differs from the header's, a number that does not parse or is not
         finite, an ``event`` other than 0 or 1, and a file without data rows.
-        Blank lines are skipped.
+        Blank lines are skipped.  Type labels are stripped of surrounding
+        whitespace, as the cells of the network files are.
         """
         header, rows = read_csv(path, ValueError)
         missing = [c for c in _CSV_COLUMNS if c not in header]
@@ -134,8 +135,8 @@ class TransplantDataset:
             if flag not in ("0", "1"):
                 raise ValueError(f"{path}:{line}: event must be 0 or 1, got {flag!r}")
             event.append(flag == "1")
-            donor_type.append(row[col["donor_type"]])
-            recipient_type.append(row[col["recipient_type"]])
+            donor_type.append(row[col["donor_type"]].strip())
+            recipient_type.append(row[col["recipient_type"]].strip())
         if not time:
             raise ValueError(f"{path}: no data rows")
         return cls(

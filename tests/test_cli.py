@@ -175,6 +175,33 @@ class TestTransplantsAndCox:
                     "--out", tmp_path / "fit"]) == 0
         assert "D,0" in load_network_dir(cox / "network").donor_labels
 
+    def test_padded_type_label_reaches_fit(self, data_dir, tmp_path):
+        # type labels are stripped as network cells are, so " D00" and "D00"
+        # are one donor type, not two nodes that read back as duplicates
+        text = (data_dir / "train.csv").read_text()
+        assert ",D01," in text
+        data = tmp_path / "padded.csv"
+        data.write_text(text.replace(",D01,", ", D00,"))
+        cox = tmp_path / "cox"
+        assert run(["coxph", "--data", data, "--min-count", 5, "--out", cox]) == 0
+        assert run(["fit", "--net", cox / "network", "--method", "raw",
+                    "--out", tmp_path / "fit"]) == 0
+        labels = load_network_dir(cox / "network").donor_labels
+        assert "D00" in labels and "D01" not in labels
+
+    def test_carriage_return_type_label_exits_2(self, data_dir, tmp_path, capsys):
+        # a quoted carriage return reads back as part of the label, but the
+        # network writer cannot quote it, so coxph stops before the network
+        text = (data_dir / "train.csv").read_text()
+        data = tmp_path / "cr.csv"
+        data.write_text(text.replace(",D00,", ',"D\r0",'), newline="")
+        cox = tmp_path / "cox"
+        assert run(["coxph", "--data", data, "--min-count", 5, "--out", cox]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "carriage return" in err
+        assert "Traceback" not in err
+        assert not list((cox / "network").iterdir())
+
     def test_coxph_missing_column_exits_2(self, data_dir, tmp_path, capsys):
         lines = (data_dir / "train.csv").read_text().splitlines()
         header = lines[0].split(",")

@@ -609,7 +609,11 @@ def ref_polish(x, net, dim, max_steps=4):
 @pytest.mark.parametrize("seed", sorted(CORPUS_LL))
 def test_polish_matches_reference(seed):
     # from where L-BFGS-B stops on each start of the 60x60 corpus, the polish on
-    # the kernel takes exactly the reference's Newton steps
+    # the kernel reaches the reference's point up to the gauge: the same
+    # distances, alpha and ll, and stationarity past the tolerance.  The two
+    # solve for the same pseudo-inverse step by different means (a projected
+    # linear solve against an eigendecomposition), so the positions themselves
+    # may differ in the last bits and by a translation or rotation.
     net = simulate(SimConfig(n_d=60, n_r=60, seed=seed)).observed
     cfg = FitConfig(dim=2, restarts=1, seed=seed)
     objective = _Objective(net, cfg.dim)
@@ -617,9 +621,64 @@ def test_polish_matches_reference(seed):
     for _, x0 in _start_points(net, cfg, None):
         x = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS).x
         polished = _polish(objective, x)
-        assert np.array_equal(polished, ref_polish(x, net, cfg.dim))
+        ref = ref_polish(x, net, cfg.dim)
+        z_d, z_r, alpha = objective._split(polished)
+        ref_z_d, ref_z_r, ref_alpha = objective._split(ref)
+        assert np.max(np.abs(_sqdist(z_d, z_r) - _sqdist(ref_z_d, ref_z_r))) <= 1e-10
+        assert abs(alpha - ref_alpha) <= 1e-10
+        ll, g = objective.at(polished)
+        ref_ll = objective.at(ref)[0]
+        assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
         moved.append(not np.array_equal(polished, x))
+        assert moved[-1] == (not np.array_equal(ref, x))
+        if moved[-1]:
+            assert np.max(np.abs(g)) <= cfg.grad_tol
     assert any(moved)
+
+
+def test_polish_leaves_a_rejected_step_unchanged():
+    # the MDS start of 60x60 seed 16 stops at max_iter far from stationarity, in a
+    # basin the random start beats; its Newton step does not shrink the gradient,
+    # so the polish returns the point it was given
+    net = simulate(SimConfig(n_d=60, n_r=60, seed=16)).observed
+    objective = _Objective(net, 2)
+    _, x0 = next(_start_points(net, FitConfig(dim=2, restarts=0, seed=16), None))
+    x = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS).x
+    assert np.max(np.abs(objective.at(x)[1])) > 30.0
+    assert np.array_equal(_polish(objective, x), x)
+
+
+def test_polish_stops_on_a_singular_system(monkeypatch):
+    # a system the solve cannot factor ends the polish where it stands
+    rng = substream(7, "polish-singular")
+    net = random_network(rng, 5, 4)
+    objective = _Objective(net, 2)
+    x = coupled(random_params(rng, 5, 4, 2))
+    monkeypatch.setattr(objective, "hessian", lambda x: np.zeros((x.size, x.size)))
+    assert np.array_equal(_polish(objective, x), x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gauge_basis(dim):
+    # the basis is orthonormal, holds one translation per axis and one rotation
+    # per pair of axes, and spans directions along which the Hessian at a
+    # stationary point and the gradient anywhere are zero
+    rng = substream(dim, "gauge-basis")
+    n_d, n_r = 7, 6
+    p = random_params(rng, n_d, n_r, dim)
+    truth = LsmParams(p.z_d, p.z_r, p.alpha, 1.0, p.delta, p.gamma)
+    objective = _Objective(noiseless_network(truth, se=0.1), dim)
+    x = coupled(truth)
+    assert np.max(np.abs(objective.at(x)[1])) <= 1e-10
+    q = objective.gauge_basis(x)
+    assert q.shape == (x.size, dim + dim * (dim - 1) // 2)
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-12
+    assert np.all(q[-1] == 0.0)
+    h = objective.hessian(x)
+    assert np.linalg.norm(h @ q) <= 1e-10 * np.linalg.norm(h)
+    moved = x + 0.3 * rng.standard_normal(x.size)
+    q, g = objective.gauge_basis(moved), objective.at(moved)[1]
+    assert np.max(np.abs(q.T @ g)) <= 1e-10 * np.linalg.norm(g)
 
 
 def test_fit_validates_params_only_at_the_boundary(monkeypatch):

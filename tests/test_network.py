@@ -115,6 +115,18 @@ class TestRoundTrip:
         assert networks_equal(net, load_network_dir(d))
 
 
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a,\rb"])
+    def test_carriage_return_label_is_rejected(self, tmp_path, label):
+        # read back, an unquoted carriage return would end the row, so the
+        # writer refuses it, naming the file and the field, and writes nothing
+        net = random_network(np.random.default_rng(4), 2, 2)
+        net = dataclasses.replace(net, recipient_labels=("r0", label))
+        with pytest.raises(ValueError) as exc:
+            save_network(net, tmp_path)
+        assert "recipient_nodes.csv" in str(exc.value) and repr(label) in str(exc.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["donor_nodes.csv"]
+
+
 class TestValidation:
     def test_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
