@@ -78,14 +78,14 @@ def parse_float(text, what, error, path, line):
     return v
 
 
-def write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` to ``path`` as CSV, atomically.
+def csv_text(path, header, rows):
+    """``header`` and ``rows`` as CSV text, for the file at ``path``.
 
     Lines end in a line feed.  A field is quoted, as in RFC 4180, only when it
     holds a comma, a double quote or a line feed, so plain fields are written
     as they are.  The writer does not quote a carriage return, which
     :func:`read_csv` would take for a line end, so a field holding one raises
-    ``ValueError`` naming ``path`` and the field, and nothing is written.
+    ``ValueError`` naming ``path`` and the field.
     """
     rows = list(rows)
     buf = io.StringIO()
@@ -96,7 +96,12 @@ def write_csv(path, header, rows):
     if "\r" in text:
         field = next(f for row in [header, *rows] for f in row if "\r" in str(f))
         raise ValueError(f"{path}: field {field!r} holds a carriage return")
-    write_text_atomic(path, text)
+    return text
+
+
+def write_csv(path, header, rows):
+    """Write :func:`csv_text` to ``path`` atomically; if it raises, nothing is written."""
+    write_text_atomic(path, csv_text(path, header, rows))
 
 
 def _jsonable(obj):

@@ -166,9 +166,9 @@ def run_coxph(cfg, out):
     if cfg["tune"]:
         lam = tune_lambda(x, data.time, data.event, cfg["lambda_grid"], seed=cfg["seed"])
     model = cox_fit(x, data.time, data.event, lam, columns=columns)
-    os.makedirs(out, exist_ok=True)
-    dump_json(model.to_dict(), os.path.join(out, "coxph.json"))
+    # the network first: a label it cannot write stops coxph before any file is written
     save_network(extract_network(model), os.path.join(out, "network"))
+    dump_json(model.to_dict(), os.path.join(out, "coxph.json"))
     return [
         "coxph.json",
         "network/edges.csv",

@@ -212,25 +212,29 @@ class _Objective:
         self.nzd = net.n_d * dim
         self.nz = self.nzd + net.n_r * dim
 
+    def _edges(self, z_d, z_r, alpha, beta):
+        """The edge terms: (edge ll, weighted residuals e, d2, gradient over z_d, over z_r)."""
+        d2 = _sqdist(z_d, z_r)
+        resid = self.net.edge_weight - (alpha - beta * d2)
+        ll = self.c_edge - 0.5 * np.sum((resid[self.mask] / self.s) ** 2)
+        e = np.where(self.mask, resid / self.se2, 0.0)
+        g_zd = -2.0 * beta * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
+        g_zr = 2.0 * beta * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
+        return ll, e, d2, g_zd, g_zr
+
     def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
         """(ll, gradient in :func:`pack_params` order, b included)."""
         net = self.net
-        d2 = _sqdist(z_d, z_r)
-        resid = net.edge_weight - (alpha - beta * d2)
+        ll, e, d2, g_zd, g_zr = self._edges(z_d, z_r, alpha, beta)
         r_d = net.donor_weight - delta
         r_r = net.recipient_weight - gamma
-        ll = self.c_edge - 0.5 * np.sum((resid[self.mask] / self.s) ** 2)
         ll += self.c_donor
         ll += -0.5 * np.sum((r_d / self.sd) ** 2)
         ll += self.c_recipient
         ll += -0.5 * np.sum((r_r / self.sr) ** 2)
-        e = np.where(self.mask, resid / self.se2, 0.0)
-        g_alpha = e.sum()
         g_b = beta * (-(e * d2).sum())
-        g_zd = -2.0 * beta * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
-        g_zr = 2.0 * beta * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
         g = np.concatenate(
-            [g_zd.ravel(), g_zr.ravel(), [g_alpha, g_b], r_d / self.sd2, r_r / self.sr2]
+            [g_zd.ravel(), g_zr.ravel(), [e.sum(), g_b], r_d / self.sd2, r_r / self.sr2]
         )
         return float(ll), g
 
@@ -245,19 +249,13 @@ class _Objective:
 
         This is :meth:`evaluate` at beta 1 with the node effects at the node
         weights, cut to what the optimizer carries.  There the node residuals
-        are exactly 0, so their terms are left out; the remaining floating-point
-        operations run in :meth:`evaluate`'s order, so both give the same bits.
+        are exactly 0, so their terms are left out, as are the b slot and the
+        node slots of the gradient; both share :meth:`_edges` and add the
+        constants in the same order, so both give the same bits.
         """
-        net = self.net
-        z_d, z_r, alpha = self._split(x)
-        d2 = _sqdist(z_d, z_r)
-        resid = net.edge_weight - (alpha - d2)
-        ll = self.c_edge - 0.5 * np.sum((resid[self.mask] / self.s) ** 2)
+        ll, e, _, g_zd, g_zr = self._edges(*self._split(x), 1.0)
         ll += self.c_donor
         ll += self.c_recipient
-        e = np.where(self.mask, resid / self.se2, 0.0)
-        g_zd = -2.0 * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
-        g_zr = 2.0 * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
         return float(ll), np.concatenate([g_zd.ravel(), g_zr.ravel(), [e.sum()]])
 
     def gauge_basis(self, x):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import FLOAT_FMT, parse_float, read_csv, write_csv
+from ._util import FLOAT_FMT, csv_text, parse_float, read_csv, write_text_atomic
 
 __all__ = [
     "CompatibilityNetwork",
@@ -169,24 +169,30 @@ def save_network(net, dir_path):
     """Write edges.csv, donor_nodes.csv, recipient_nodes.csv under ``dir_path``.
 
     Weights are printed with 17 significant digits, so a load/save round trip
-    is bit-exact.  The directory is created if absent.
+    is bit-exact.  The directory is created if absent.  All three files are
+    built before any is written, so a label :func:`csv_text` rejects leaves
+    ``dir_path`` as it was.
     """
-    os.makedirs(dir_path, exist_ok=True)
+    texts = {}
     for fname, labels, w, s in (
         ("donor_nodes.csv", net.donor_labels, net.donor_weight, net.donor_se),
         ("recipient_nodes.csv", net.recipient_labels, net.recipient_weight, net.recipient_se),
     ):
         rows = [(lab, FLOAT_FMT % wv, FLOAT_FMT % sv)
                 for lab, wv, sv in zip(labels, w.tolist(), s.tolist())]
-        write_csv(os.path.join(dir_path, fname), ["node", "weight", "stderr"], rows)
+        path = os.path.join(dir_path, fname)
+        texts[path] = csv_text(path, ["node", "weight", "stderr"], rows)
     i, j = np.nonzero(net.edge_mask)  # row-major: donor by donor, recipients in order
     rows = [
         (net.donor_labels[a], net.recipient_labels[b], FLOAT_FMT % wv, FLOAT_FMT % sv)
         for a, b, wv, sv in zip(i.tolist(), j.tolist(), net.edge_weight[i, j].tolist(),
                                 net.edge_se[i, j].tolist())
     ]
-    write_csv(os.path.join(dir_path, "edges.csv"),
-              ["donor", "recipient", "weight", "stderr"], rows)
+    path = os.path.join(dir_path, "edges.csv")
+    texts[path] = csv_text(path, ["donor", "recipient", "weight", "stderr"], rows)
+    os.makedirs(dir_path, exist_ok=True)
+    for path, text in texts.items():
+        write_text_atomic(path, text)
 
 
 def load_network_dir(dir_path):

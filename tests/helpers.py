@@ -9,7 +9,7 @@ from netlsm._util import substream
 # Node and type labels: commas, double quotes and line feeds, which a CSV file
 # must quote, mixed with any other text.  Network cells are stripped, so no
 # label starts or ends with whitespace.  Left out are "\r", which the writer
-# rejects (see _util.write_csv), and NUL, which Python 3.10's csv reader
+# rejects (see _util.csv_text), and NUL, which Python 3.10's csv reader
 # rejects.
 LABELS = st.text(
     st.sampled_from(',"\n') | st.characters(exclude_categories=("Cs",),

@@ -189,18 +189,25 @@ class TestTransplantsAndCox:
         labels = load_network_dir(cox / "network").donor_labels
         assert "D00" in labels and "D01" not in labels
 
-    def test_carriage_return_type_label_exits_2(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("cell, label", [(",D00,", "D\r0"), (",R00,", "R\r0")])
+    def test_carriage_return_type_label_exits_2(self, data_dir, tmp_path, capsys, cell, label):
         # a quoted carriage return reads back as part of the label, but the
-        # network writer cannot quote it, so coxph stops before the network
-        text = (data_dir / "train.csv").read_text()
-        data = tmp_path / "cr.csv"
-        data.write_text(text.replace(",D00,", ',"D\r0",'), newline="")
+        # network writer cannot quote it, so coxph stops before writing any
+        # file, and a network already in --out is left whole
         cox = tmp_path / "cox"
+        assert run(["coxph", "--data", data_dir / "train.csv", "--min-count", 5,
+                    "--out", cox]) == 0
+        before = {p: p.read_bytes() for p in cox.rglob("*") if p.is_file()}
+        text = (data_dir / "train.csv").read_text()
+        assert cell in text
+        data = tmp_path / "cr.csv"
+        data.write_text(text.replace(cell, f',"{label}",'), newline="")
+        capsys.readouterr()
         assert run(["coxph", "--data", data, "--min-count", 5, "--out", cox]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "carriage return" in err
         assert "Traceback" not in err
-        assert not list((cox / "network").iterdir())
+        assert {p: p.read_bytes() for p in cox.rglob("*") if p.is_file()} == before
 
     def test_coxph_missing_column_exits_2(self, data_dir, tmp_path, capsys):
         lines = (data_dir / "train.csv").read_text().splitlines()

@@ -115,16 +115,18 @@ class TestRoundTrip:
         assert networks_equal(net, load_network_dir(d))
 
 
+    @pytest.mark.parametrize("side, fname", [("donor_labels", "donor_nodes.csv"),
+                                             ("recipient_labels", "recipient_nodes.csv")])
     @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a,\rb"])
-    def test_carriage_return_label_is_rejected(self, tmp_path, label):
+    def test_carriage_return_label_is_rejected(self, tmp_path, label, side, fname):
         # read back, an unquoted carriage return would end the row, so the
-        # writer refuses it, naming the file and the field, and writes nothing
+        # writer refuses it, naming the file and the field, and writes no file
         net = random_network(np.random.default_rng(4), 2, 2)
-        net = dataclasses.replace(net, recipient_labels=("r0", label))
+        net = dataclasses.replace(net, **{side: ("n0", label)})
         with pytest.raises(ValueError) as exc:
             save_network(net, tmp_path)
-        assert "recipient_nodes.csv" in str(exc.value) and repr(label) in str(exc.value)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["donor_nodes.csv"]
+        assert fname in str(exc.value) and repr(label) in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidation:
