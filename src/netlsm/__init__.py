@@ -16,13 +16,12 @@ from .model import (
     FitError,
     RefinedEstimates,
     pair_affinity,
-    predict_compatibility,
     log_likelihood,
     log_likelihood_gradient,
     fit,
     refine_network,
 )
-from .mdsinit import DissimilarityMatrix, build_dissimilarity, classical_mds, mds_init
+from .mdsinit import build_dissimilarity, classical_mds, mds_init
 from .procrustes import ProcrustesResult, procrustes_align
 from .simulate import SimConfig, SimulatedNetwork, simulate, run_replicates
 from .baselines import NmtfConfig, NmtfResult, pca_refine, nmtf_refine

@@ -41,7 +41,6 @@ __all__ = [
     "RefinedEstimates",
     "FitError",
     "pair_affinity",
-    "predict_compatibility",
     "log_likelihood",
     "log_likelihood_gradient",
     "fit",
@@ -166,11 +165,6 @@ def pair_affinity(params, i, j):
     """alpha - beta * squared Euclidean distance between nodes i and j."""
     d2 = np.sum((params.z_d[i] - params.z_r[j]) ** 2)
     return params.alpha - params.beta * d2
-
-
-def predict_compatibility(params, i, j):
-    """Model compatibility mu_ij = affinity + delta_i + gamma_j."""
-    return pair_affinity(params, i, j) + params.delta[i] + params.gamma[j]
 
 
 def _check_dims(params, net):
@@ -384,9 +378,11 @@ _BIG = 1e25  # stands in for a non-finite objective so line searches back off
 def _start_points(net, config, init):
     """Yield (restart_index, initial optimizer vector ``(z_d, z_r, alpha)``).
 
-    An ``init`` enters the gauge as ``(sqrt(beta) z_d, sqrt(beta) z_r,
-    alpha)``, which leaves its distance terms unchanged; its node effects
-    are ignored.
+    Start 0 is the ``init`` or else the classical-scaling positions of
+    :func:`mds_init`, with alpha in closed form for them: the mean over
+    observed edges of ``w + ||z_d - z_r||^2``.  An ``init`` enters the gauge
+    as ``(sqrt(beta) z_d, sqrt(beta) z_r, alpha)``, which leaves its distance
+    terms unchanged; its node effects are ignored.  Restarts are random.
     """
     nz = (net.n_d + net.n_r) * config.dim
     if init is not None:
@@ -394,7 +390,8 @@ def _start_points(net, config, init):
         yield 0, np.concatenate([scale * init.z_d.ravel(), scale * init.z_r.ravel(), [init.alpha]])
     else:
         z_d0, z_r0 = mds_init(net, config.dim)
-        yield 0, np.concatenate([z_d0.ravel(), z_r0.ravel(), [0.0]])
+        alpha0 = np.mean((net.edge_weight + _sqdist(z_d0, z_r0))[net.edge_mask])
+        yield 0, np.concatenate([z_d0.ravel(), z_r0.ravel(), [alpha0]])
     for k in range(config.restarts):
         rng = substream(config.seed, "lsm-restart", str(k))
         yield k + 1, 0.5 * rng.standard_normal(nz + 1)
@@ -448,10 +445,12 @@ def _polish(objective, x, max_steps=4):
 
 
 def fit(net, config, init=None):
-    """Maximum likelihood fit via L-BFGS-B with MDS-initialized + random restarts.
+    """Maximum likelihood fit via L-BFGS-B from a classical-scaling start + random restarts.
 
-    The restart (or the ``init``-seeded start) with the highest final
-    log-likelihood wins; ties within 1e-12 go to the lowest restart index.
+    The first start is ``init`` if given, else the classical scaling of the
+    edge weights (:func:`mds_init`, see :func:`_start_points`); the
+    ``config.restarts`` further starts are random.  The start with the highest
+    final log-likelihood wins; ties within 1e-12 go to the lowest restart index.
     Restarts whose objective becomes non-finite are discarded; if all diverge
     a :class:`FitError` is raised.
 

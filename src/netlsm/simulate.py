@@ -193,7 +193,7 @@ def run_replicates(config, fit_config, n_reps):
     with the position scale); positions are scored after a Procrustes
     alignment that fits the scale, so a truth generated with another beta is
     recovered as well.  Fit failures are recorded per replicate and excluded
-    from the aggregates.
+    from the aggregates, which are empty if every replicate failed.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -205,7 +205,7 @@ def run_replicates(config, fit_config, n_reps):
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
             failures.append({"seed": config.seed + k, "error": str(exc)})
     if not per_rep:
-        raise RuntimeError("all replicates failed: " + "; ".join(f["error"] for f in failures))
+        return ReplicateReport(n_reps, {}, {}, {}, {}, (), tuple(failures))
 
     def agg(metric, name):
         vals = np.array([r[metric][name] for r in per_rep])
@@ -234,6 +234,8 @@ def format_report_table(report, title=""):
     lines = []
     if title:
         lines.append(title)
+    if not report.per_replicate:
+        return "\n".join(lines + ["no replicate succeeded"]) + "\n"
     lines.append(f"{'':6s} {'quantity':9s} {'mean':>10s} {'std err':>10s}")
     for q in QUANTITIES:
         lines.append(

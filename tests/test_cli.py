@@ -320,6 +320,23 @@ class TestTable1:
             assert report["failures"] == [{"seed": 1, "error": "all optimizer restarts diverged"}]
         assert (out / "manifest.json").is_file()
 
+    def test_every_replicate_raising_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a block with no replicate left still writes its failures, not a traceback
+        def raises(net, config, init=None):
+            raise FitError("all optimizer restarts diverged")
+
+        monkeypatch.setattr(importlib.import_module("netlsm.simulate"), "fit", raises)
+        out = tmp_path / "t1"
+        assert run(["table1", "--reps", 1, "--restarts", 0, "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        payload = json.loads((out / "table1.json").read_text())
+        assert len(payload) == 4
+        for report in payload.values():
+            assert report["per_replicate"] == [] and report["rmse_mean"] == {}
+            assert report["failures"] == [{"seed": 0, "error": "all optimizer restarts diverged"}]
+        assert "no replicate succeeded" in (out / "table1.txt").read_text()
+        assert (out / "manifest.json").is_file()
+
 
 class TestManifestRerun:
     def test_rerun_reproduces_outputs(self, tmp_path):
