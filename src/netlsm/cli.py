@@ -20,7 +20,7 @@ from .metrics import METHODS, evaluate_refinement, format_eval_table
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``cli.fit``.
 from .model import fit  # noqa: F401
-from .model import FitConfig
+from .model import FitConfig, FitError
 from .network import load_network_dir, save_network
 from .simulate import (
     FULL_COMPATIBILITY,
@@ -31,6 +31,7 @@ from .simulate import (
     simulate,
 )
 from .survival import (
+    ConvergenceError,
     SurvivalGenConfig,
     TransplantDataset,
     cox_fit,
@@ -178,6 +179,8 @@ def run_coxph(cfg, out):
 
 
 def run_pipeline(cfg, out):
+    if cfg["seeds"] < 1:
+        raise ValueError("seeds must be >= 1")
     per_seed = []
     failures = []
     converged = True
@@ -191,10 +194,7 @@ def run_pipeline(cfg, out):
         )
         fc = FitConfig(dim=cfg["dim"], restarts=cfg["restarts"], seed=seed)
         try:
-            res = pipeline_end_to_end(
-                gen, fc, lam=cfg["lam"], min_count=cfg["min_count"],
-                identity_refinement=cfg["identity_refinement"],
-            )
+            res = pipeline_end_to_end(gen, fc, lam=cfg["lam"], min_count=cfg["min_count"])
         except Exception as exc:  # noqa: BLE001 - per-seed isolation
             failures.append({"seed": seed, "error": str(exc)})
             continue
@@ -324,7 +324,6 @@ def build_parser():
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--no-structure", action="store_true")
-    p.add_argument("--identity-refinement", action="store_true")
     return parser
 
 
@@ -360,7 +359,8 @@ def _matches(value, default):
 def _read_manifest(parser, path, command):
     """The manifest at ``path``; ``parser.error`` unless it holds a full config for ``command``.
 
-    Every config value must have the type of the command's default (see :func:`_matches`).
+    The config must hold exactly the command's keys, and every value must have
+    the type of the command's default (see :func:`_matches`).
     A value whose default is ``None`` may be ``None``, or else must have its
     type in ``_UNSET_TYPES``.
     """
@@ -380,6 +380,9 @@ def _read_manifest(parser, path, command):
     missing = set(defaults) - set(cfg)
     if missing:
         parser.error(f"manifest config lacks {', '.join(sorted(missing))}")
+    unknown = set(cfg) - set(defaults)
+    if unknown:
+        parser.error(f"manifest config has unknown key(s) {', '.join(sorted(unknown))}")
     wrong = []
     for k, v in sorted(defaults.items()):
         expected = _UNSET_TYPES[k] if v is None else v
@@ -411,6 +414,9 @@ def main(argv=None):
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (FitError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     duration = _time.perf_counter() - t0
     manifest = {
         "command": args.command,

@@ -60,14 +60,12 @@ def refine(net, method, dim, fit_config=None, nmtf_config=None):
         eta = nmtf_refine(mean_impute(net.edge_weight, net.edge_mask), cfg).reconstruction
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    delta, gamma = net.donor_weight.copy(), net.recipient_weight.copy()
     refined = RefinedEstimates(
         donor_labels=net.donor_labels,
         recipient_labels=net.recipient_labels,
-        mu=eta + delta[:, None] + gamma[None, :],
         eta=eta,
-        delta=delta,
-        gamma=gamma,
+        delta=net.donor_weight.copy(),
+        gamma=net.recipient_weight.copy(),
     )
     return refined, None
 
@@ -156,12 +154,12 @@ def _mu_scale(net):
     return mu, np.sqrt(var)
 
 
-def evaluate_refinement(train_net, test_net, method, dim_grid, fit_config=None, nmtf_config=None):
+def evaluate_refinement(train_net, test_net, method, dim_grid, fit_config=None):
     """Refine ``train_net`` and score predictions against ``test_net``.
 
     The two networks must share node labels.  Metrics run over pairs observed
     in both, on the compatibility scale mu; the selected dimension maximizes
-    mean log-probability.
+    mean log-probability.  NMTF runs with the :class:`NmtfConfig` defaults.
     """
     if train_net.donor_labels != test_net.donor_labels or (
         train_net.recipient_labels != test_net.recipient_labels
@@ -181,7 +179,7 @@ def evaluate_refinement(train_net, test_net, method, dim_grid, fit_config=None, 
     reports = {}
     fits = {}
     for dim in dims:
-        refined, result = refine(train_net, method, dim, fit_config, nmtf_config)
+        refined, result = refine(train_net, method, dim, fit_config)
         if result is not None:
             fits[dim] = result
         pred = refined.mu[common]

@@ -149,10 +149,14 @@ class RefinedEstimates:
 
     donor_labels: tuple
     recipient_labels: tuple
-    mu: np.ndarray
     eta: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
+
+    @property
+    def mu(self):
+        """Compatibilities on the full scale, ``eta + delta + gamma``."""
+        return self.eta + self.delta[:, None] + self.gamma[None, :]
 
 
 def _sqdist(z_d, z_r):
@@ -373,6 +377,7 @@ def unpack_params(vec, n_d, n_r, dim):
 
 
 _BIG = 1e25  # stands in for a non-finite objective so line searches back off
+_POLISH_STEPS = 4  # Newton steps at most in the polish
 
 
 def _start_points(net, config, init):
@@ -403,7 +408,7 @@ def _full_params(x, net, dim):
     return unpack_params(vec, net.n_d, net.n_r, dim)
 
 
-def _polish(objective, x, max_steps=4):
+def _polish(objective, x):
     """Newton steps on the gradient itself, with the exact Hessian.
 
     Near the optimum the objective changes by less than machine epsilon per
@@ -423,7 +428,7 @@ def _polish(objective, x, max_steps=4):
     """
     g = objective.at(x)[1]
     gnorm = np.max(np.abs(g))
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         if gnorm == 0.0:
             break
         h = objective.hessian(x)
@@ -504,13 +509,10 @@ def refine_network(net, result):
     """Model-based estimates for every pair of ``net``, masked pairs included."""
     params = result.params
     _check_dims(params, net)
-    eta = params.affinity()
-    mu = eta + params.delta[:, None] + params.gamma[None, :]
     return RefinedEstimates(
         donor_labels=net.donor_labels,
         recipient_labels=net.recipient_labels,
-        mu=mu,
-        eta=eta,
+        eta=params.affinity(),
         delta=params.delta.copy(),
         gamma=params.gamma.copy(),
     )

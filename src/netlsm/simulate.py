@@ -30,6 +30,7 @@ __all__ = [
 PAIR_TERM_ONLY = "pair_term_only"
 FULL_COMPATIBILITY = "full_compatibility"
 _CONVENTIONS = (PAIR_TERM_ONLY, FULL_COMPATIBILITY)
+TRUTH_STD = math.sqrt(0.5)  # of each planted position coordinate and node effect
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,6 @@ class SimConfig:
     dim: int = 2
     alpha: float = 1.0
     beta: float = 1.0
-    pos_std: float = math.sqrt(0.5)
-    effect_std: float = math.sqrt(0.5)
     sigma_w: float = 0.15
     sigma_node: float = 0.15
     edge_mean_convention: str = PAIR_TERM_ONLY
@@ -49,7 +48,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n_d < 1 or self.n_r < 1:
             raise ValueError("node counts must be >= 1")
-        for name in ("pos_std", "effect_std", "sigma_w", "sigma_node"):
+        for name in ("sigma_w", "sigma_node"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0")
         if self.edge_mean_convention not in _CONVENTIONS:
@@ -64,12 +63,17 @@ class SimulatedNetwork:
     observed: CompatibilityNetwork
 
 
-def _sample_truth(config, rng):
-    z_d = config.pos_std * rng.standard_normal((config.n_d, config.dim))
-    z_r = config.pos_std * rng.standard_normal((config.n_r, config.dim))
-    delta = config.effect_std * rng.standard_normal(config.n_d)
-    gamma = config.effect_std * rng.standard_normal(config.n_r)
-    return LsmParams(z_d, z_r, config.alpha, config.beta, delta, gamma)
+def sample_truth(rng, n_d, n_r, dim, std, alpha, beta):
+    """Planted :class:`LsmParams` with positions and node effects i.i.d. N(0, std^2).
+
+    Draws from ``rng`` in this order: donor positions, recipient positions,
+    donor effects, recipient effects.
+    """
+    z_d = std * rng.standard_normal((n_d, dim))
+    z_r = std * rng.standard_normal((n_r, dim))
+    delta = std * rng.standard_normal(n_d)
+    gamma = std * rng.standard_normal(n_r)
+    return LsmParams(z_d, z_r, alpha, beta, delta, gamma)
 
 
 def _observe(truth, config, rng):
@@ -97,22 +101,24 @@ def _observe(truth, config, rng):
 def simulate(config):
     """Sample a ground-truth parameter set and its noisy observed network.
 
-    All edges are observed (full mask); the observed network's standard-error
-    fields are set to the generating noise levels, making them exact plug-ins.
+    The truth is :func:`sample_truth` at ``TRUTH_STD``.  All edges are
+    observed (full mask); the observed network's standard-error fields are
+    set to the generating noise levels, making them exact plug-ins.
     """
     rng = substream(config.seed, "simnet")
-    truth = _sample_truth(config, rng)
+    truth = sample_truth(rng, config.n_d, config.n_r, config.dim, TRUTH_STD,
+                         config.alpha, config.beta)
     return SimulatedNetwork(truth=truth, observed=_observe(truth, config, rng))
 
 
 def simulate_train_test(config):
-    """One truth, two independently-noised observed networks.
+    """:func:`simulate`'s truth and two independently-noised observed networks.
 
     Returns (truth, train_net, test_net); the pair shares node labels and the
     full observation mask, so refinement of the train network can be scored
     against the test network.
     """
-    truth = _sample_truth(config, substream(config.seed, "simnet"))
+    truth = simulate(config).truth
     train = _observe(truth, config, substream(config.seed, "simnet", "train-noise"))
     test = _observe(truth, config, substream(config.seed, "simnet", "test-noise"))
     return truth, train, test

@@ -30,6 +30,7 @@ from .metrics import refine
 from .model import fit  # noqa: F401
 from .model import FitConfig, LsmParams
 from .network import CompatibilityNetwork
+from .simulate import sample_truth
 
 __all__ = [
     "TransplantDataset",
@@ -48,6 +49,14 @@ __all__ = [
     "pipeline_end_to_end",
     "PipelineResult",
 ]
+
+_COX_GRAD_TOL = 1e-8  # on the largest penalized score entry
+_COX_MAX_ITER = 100
+# simulate_transplants's constants; its docstring says what each one sets
+TRUTH_STD = 0.25
+COVARIATE_COEF_STD = 0.5
+BASELINE_RATE = 0.1
+CENSORING_TARGET = 0.75
 
 
 class ConvergenceError(RuntimeError):
@@ -322,15 +331,16 @@ def breslow_loglik(x, time, event, w):
                            np.asarray(w, dtype=float), need_hessian=False)[0]
 
 
-def cox_fit(x, time, event, lam, max_iter=100, grad_tol=1e-8, columns=None):
+def cox_fit(x, time, event, lam, columns=None):
     """Newton maximization of the ridge-penalized Breslow partial likelihood.
 
     ``x`` is converted to CSR, and every iteration runs the sparse
-    :func:`_risk_set_stats`.  A column without a nonzero entry raises
-    ``ValueError``.  Standard errors are square roots of the diagonal of the
-    inverse penalized observed information at the optimum.  ``columns`` may
-    carry the design metadata so the fitted model can be turned into a
-    network.
+    :func:`_risk_set_stats`.  The fit has converged when the largest penalized
+    score entry is at most 1e-8 in absolute value, within 100 iterations.  A
+    column without a nonzero entry raises ``ValueError``.  Standard errors are
+    square roots of the diagonal of the inverse penalized observed information
+    at the optimum.  ``columns`` may carry the design metadata so the fitted
+    model can be turned into a network.
     """
     x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
@@ -343,12 +353,9 @@ def cox_fit(x, time, event, lam, max_iter=100, grad_tol=1e-8, columns=None):
     w = np.zeros(p)
     ll, grad, info = _risk_set_stats(x, time, event, w, need_hessian=True)
     ll_pen = ll - 0.5 * lam * w @ w
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
+    for _ in range(_COX_MAX_ITER):
         g_pen = grad - lam * w
-        if np.max(np.abs(g_pen)) <= grad_tol:
-            converged = True
+        if np.max(np.abs(g_pen)) <= _COX_GRAD_TOL:
             break
         h = info + lam * np.eye(p)
         try:
@@ -368,9 +375,7 @@ def cox_fit(x, time, event, lam, max_iter=100, grad_tol=1e-8, columns=None):
         else:
             break  # no improving step; report current iterate
         w, ll_pen, grad, info = w_new, ll_pen_new, grad_new, info_new
-    else:
-        g_pen = grad - lam * w
-        converged = np.max(np.abs(g_pen)) <= grad_tol
+    converged = np.max(np.abs(grad - lam * w)) <= _COX_GRAD_TOL
     h = info + lam * np.eye(p)
     try:
         cov = np.linalg.inv(h)
@@ -551,35 +556,26 @@ class SurvivalGenConfig:
     n_recipient_types: int = 12
     n_covariates: int = 4
     dim: int = 2
-    alpha: float = 1.0
-    beta: float = 1.0
-    # latent scales sized so the pair-coefficient spread is comparable to its
-    # CoxPH standard errors; that is the regime refinement is meant for
-    pos_std: float = 0.25
-    effect_std: float = 0.25
-    covariate_coef_std: float = 0.5
-    baseline_rate: float = 0.1
-    censoring_target: float = 0.75
     no_structure: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.n_per_split < 2:
             raise ValueError("n_per_split must be >= 2")
-        if not (0.0 < self.censoring_target < 1.0):
-            raise ValueError("censoring_target must be in (0, 1)")
-        if not (self.baseline_rate > 0):
-            raise ValueError("baseline_rate must be > 0")
 
 
 @dataclass(frozen=True)
 class PlantedTruth:
     params: LsmParams
     eta: np.ndarray
-    mu: np.ndarray
     donor_labels: tuple
     recipient_labels: tuple
     basic_coef: np.ndarray
+
+    @property
+    def mu(self):
+        """Planted compatibilities ``eta + delta + gamma``."""
+        return self.eta + self.params.delta[:, None] + self.params.gamma[None, :]
 
 
 def _sample_split(cfg, truth, rng):
@@ -593,12 +589,12 @@ def _sample_split(cfg, truth, rng):
         - truth.params.gamma[r_idx]
         - truth.eta[d_idx, r_idx]
     )
-    hazard = cfg.baseline_rate * np.exp(lp)
+    hazard = BASELINE_RATE * np.exp(lp)
     t_event = rng.exponential(1.0 / hazard)
 
     def censored_fraction(log_c):
         c = math.exp(log_c)
-        return float(np.mean(c / (c + hazard))) - cfg.censoring_target
+        return float(np.mean(c / (c + hazard))) - CENSORING_TARGET
 
     log_c = brentq(censored_fraction, -40.0, 40.0)
     t_cens = rng.exponential(math.exp(-log_c), size=n)
@@ -619,27 +615,27 @@ def simulate_transplants(cfg):
     """Generate train/test transplant datasets from a planted latent truth.
 
     True coefficients are the negated compatibilities of a latent-space truth
-    plus random basic-covariate coefficients; survival times follow an
-    exponential baseline hazard scaled by exp(linear predictor), with
-    independent exponential censoring tuned to the target censoring fraction.
+    plus basic-covariate coefficients from N(0, ``COVARIATE_COEF_STD``^2).  The
+    truth (:func:`netlsm.simulate.sample_truth`) has alpha = beta = 1 and
+    standard deviation ``TRUTH_STD``, at which the pair-coefficient spread is
+    comparable to its CoxPH standard errors: the regime refinement is meant
+    for.  Survival times follow an exponential baseline hazard
+    ``BASELINE_RATE`` scaled by exp(linear predictor), with independent
+    exponential censoring tuned to the censored fraction ``CENSORING_TARGET``.
     With ``no_structure`` the pair-affinity matrix entries are randomly
     permuted, destroying the latent geometry while keeping the marginals.
     """
     rng = substream(cfg.seed, "transplant-gen")
-    z_d = cfg.pos_std * rng.standard_normal((cfg.n_donor_types, cfg.dim))
-    z_r = cfg.pos_std * rng.standard_normal((cfg.n_recipient_types, cfg.dim))
-    delta = cfg.effect_std * rng.standard_normal(cfg.n_donor_types)
-    gamma = cfg.effect_std * rng.standard_normal(cfg.n_recipient_types)
-    params = LsmParams(z_d, z_r, cfg.alpha, cfg.beta, delta, gamma)
+    params = sample_truth(rng, cfg.n_donor_types, cfg.n_recipient_types, cfg.dim,
+                          TRUTH_STD, 1.0, 1.0)
     eta = params.affinity()
     if cfg.no_structure:
         flat = eta.ravel()
         eta = flat[rng.permutation(flat.size)].reshape(eta.shape)
-    basic = cfg.covariate_coef_std * rng.standard_normal(cfg.n_covariates)
+    basic = COVARIATE_COEF_STD * rng.standard_normal(cfg.n_covariates)
     truth = PlantedTruth(
         params=params,
         eta=eta,
-        mu=eta + delta[:, None] + gamma[None, :],
         donor_labels=tuple(f"D{i:02d}" for i in range(cfg.n_donor_types)),
         recipient_labels=tuple(f"R{j:02d}" for j in range(cfg.n_recipient_types)),
         basic_coef=basic,
@@ -667,24 +663,17 @@ class PipelineResult:
         }
 
 
-def pipeline_end_to_end(
-    gen_config,
-    fit_config=None,
-    lam=1.0,
-    min_count=10,
-    methods=("lsm", "nmtf", "pca"),
-    identity_refinement=False,
-):
+def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
+                        methods=("lsm", "nmtf", "pca")):
     """Run the full coefficient-substitution pipeline on synthetic data.
 
     Fits CoxPH on the train split, extracts the compatibility network, refines
     it with each requested method, substitutes the negated refined estimates
     back, and reports test-set C-indices.  The ridge strength is ``lam``;
     ``netlsm coxph --tune`` picks one by cross-validation (:func:`tune_lambda`).
-    Every method goes through :func:`netlsm.metrics.refine`.
-    ``identity_refinement`` refines with ``raw`` in place of each method, so
-    the observed network values are substituted back, which must reproduce
-    the raw C-index exactly (debug control).
+    Every method goes through :func:`netlsm.metrics.refine`; ``raw``
+    substitutes the observed network values back, which reproduces the raw
+    C-index exactly.
     """
     fit_config = fit_config or FitConfig(dim=gen_config.dim, restarts=1, seed=gen_config.seed)
     train, test, truth = simulate_transplants(gen_config)
@@ -698,9 +687,7 @@ def pipeline_end_to_end(
     lsm_converged = True
     nmtf_config = NmtfConfig(seed=gen_config.seed)
     for method in methods:
-        refined, result = refine(
-            net, "raw" if identity_refinement else method, fit_config.dim, fit_config, nmtf_config
-        )
+        refined, result = refine(net, method, fit_config.dim, fit_config, nmtf_config)
         if result is not None:
             lsm_converged = result.converged
         sub = substitute_coefficients(model, refined)

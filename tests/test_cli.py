@@ -10,6 +10,7 @@ from netlsm._util import dump_json
 from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
 from netlsm.model import FitConfig, FitError, fit
 from netlsm.network import load_network_dir
+from netlsm.survival import ConvergenceError
 
 
 def read(path):
@@ -117,6 +118,29 @@ class TestFit:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def diverging_net(tmp_path_factory):
+    """A 4x4 network with one edge weight of 1e200: every start of a fit diverges."""
+    d = tmp_path_factory.mktemp("diverging")
+    run(["simulate-network", "--n-d", 4, "--n-r", 4, "--out", d])
+    header, first, *rest = (d / "edges.csv").read_text().splitlines()
+    donor, recipient, _, se = first.split(",")
+    assert (donor, recipient) == ("D00", "R00")
+    (d / "edges.csv").write_text("\n".join([header, f"D00,R00,1e200,{se}", *rest]) + "\n")
+    return d
+
+
+@pytest.mark.parametrize("argv", [["fit", "--net", "NET"],
+                                  ["eval", "--train-net", "NET", "--test-net", "NET"]])
+def test_a_fit_that_diverges_exits_1(diverging_net, tmp_path, capsys, argv):
+    # unchecked, FitError ended both commands in a traceback
+    capsys.readouterr()
+    out = tmp_path / "x"
+    assert run([diverging_net if a == "NET" else a for a in argv] + ["--out", out]) == 1
+    assert capsys.readouterr().err == "error: all optimizer restarts diverged\n"
+    assert not (out / "manifest.json").exists()
+
+
 class TestTransplantsAndCox:
     def test_artifacts(self, data_dir):
         assert (data_dir / "train.csv").exists()
@@ -131,6 +155,17 @@ class TestTransplantsAndCox:
         assert model["converged"] is True
         assert model["penalty"] == 1.0
         assert (out / "network" / "edges.csv").exists()
+
+    def test_a_cox_fit_that_fails_exits_1(self, data_dir, tmp_path, monkeypatch, capsys):
+        # unchecked, ConvergenceError ended coxph in a traceback
+        def raises(*args, **kwargs):
+            raise ConvergenceError("singular information matrix at optimum")
+
+        monkeypatch.setattr(netlsm.cli, "cox_fit", raises)
+        out = tmp_path / "cox"
+        assert run(["coxph", "--data", data_dir / "train.csv", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: singular information matrix at optimum\n"
+        assert not (out / "manifest.json").exists()
 
     def test_coxph_tune_with_columns_absent_from_a_fold(self, tmp_path):
         # 400 records over 12x12 types at --min-count 3: some type or pair
@@ -251,15 +286,12 @@ class TestEval:
 
 
 class TestPipelineCommand:
-    def test_identity_refinement_zero_delta(self, tmp_path):
+    def test_no_seeds_exits_2(self, tmp_path, capsys):
+        # unchecked, it exited 0 and wrote an empty pipeline.json
         out = tmp_path / "pipe"
-        assert run(["pipeline", "--seeds", 1, "--n", 1000, "--min-count", 5,
-                    "--identity-refinement", "--restarts", 0, "--out", out]) == 0
-        payload = json.loads((out / "pipeline.json").read_text())
-        for row in payload["per_seed"]:
-            for v in row["deltas"].values():
-                assert v == 0.0
-        assert set(payload["aggregate"]) == {"lsm", "nmtf", "pca"}
+        assert run(["pipeline", "--seeds", 0, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seeds must be >= 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("allow", [False, True])
     def test_a_seed_that_raises_exits_1(self, tmp_path, monkeypatch, capsys, allow):
@@ -275,7 +307,7 @@ class TestPipelineCommand:
         monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_raises)
         out = tmp_path / "pipe"
         argv = ["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
-                "--identity-refinement", "--restarts", 0, "--out", out]
+                "--restarts", 0, "--out", out]
         assert run(argv + ["--allow-nonconverged"] * allow) == 1
         assert "error:" in capsys.readouterr().err
         payload = json.loads((out / "pipeline.json").read_text())
@@ -338,6 +370,28 @@ class TestTable1:
         assert (out / "manifest.json").is_file()
 
 
+# The config keys of each command's manifest, which --config re-runs read
+MANIFEST_KEYS = {
+    "simulate-network": {"seed", "n_d", "n_r", "dim", "alpha", "beta", "sigma_w",
+                         "sigma_node", "convention"},
+    "simulate-transplants": {"seed", "n", "donor_types", "recipient_types", "covariates",
+                             "dim", "no_structure"},
+    "fit": {"seed", "max_iter", "grad_tol", "restarts", "net", "test_net", "method", "dim",
+            "dim_grid"},
+    "eval": {"seed", "max_iter", "grad_tol", "restarts", "train_net", "test_net", "methods",
+             "dim_grid"},
+    "table1": {"seed", "max_iter", "grad_tol", "restarts", "reps"},
+    "coxph": {"seed", "data", "min_count", "lam", "tune", "lambda_grid"},
+    "pipeline": {"seed", "seeds", "n", "dim", "restarts", "lam", "min_count", "no_structure"},
+}
+
+
+def test_manifest_config_keys_are_pinned():
+    assert set(MANIFEST_KEYS) == set(netlsm.cli._RUNNERS)
+    for command, keys in MANIFEST_KEYS.items():
+        assert set(_config_from_args(build_parser().parse_args([command]))) == keys, command
+
+
 class TestManifestRerun:
     def test_rerun_reproduces_outputs(self, tmp_path):
         first = tmp_path / "one"
@@ -387,6 +441,23 @@ class TestManifestRerun:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         self._rerun_exits_2(tmp_path, capsys, path, "manifest config lacks net")
+
+    def test_config_with_unknown_keys_exits_2(self, tmp_path, capsys):
+        # unchecked, the re-run exited 0 and copied both keys into its own manifest
+        first = tmp_path / "one"
+        assert run(["simulate-network", "--n-d", 5, "--n-r", 5, "--out", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"].update(restart=1, n_dd=5)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        self._rerun_exits_2(tmp_path, capsys, path, "unknown key(s) n_dd, restart",
+                            command="simulate-network")
+
+    def test_removed_identity_refinement_key_exits_2(self, tmp_path, capsys):
+        # an old manifest asking for the identity refinement must not run the plain study
+        path = self._pipeline_manifest(tmp_path, identity_refinement=True)
+        self._rerun_exits_2(tmp_path, capsys, path, "unknown key(s) identity_refinement",
+                            command="pipeline")
 
     @staticmethod
     def _pipeline_manifest(tmp_path, **changes):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from netlsm import FitConfig, SimConfig, evaluate_refinement, mean_log_prob, rmse, sign_accuracy
 from netlsm.baselines import NmtfConfig, mean_impute, nmtf_refine, pca_refine
 from netlsm.metrics import METHODS, format_eval_table, refine
-from netlsm.model import RefinedEstimates, fit, refine_network
+from netlsm.model import fit, refine_network
 from netlsm.simulate import simulate_train_test
 from netlsm._util import substream
 
@@ -183,30 +183,28 @@ def _old_predict(method, train_net, dim, fit_config, nmtf_config):
     return pred_eta, result
 
 
+# The two references below return arrays (mu, eta, delta, gamma), with mu by
+# its own formula, so that they check the RefinedEstimates.mu property.
 def _old_baseline_refined(net, method, dim, seed):
     imputed = mean_impute(net.edge_weight, net.edge_mask)
     if method == "pca":
         eta = pca_refine(imputed, dim)
     else:
         eta = nmtf_refine(imputed, NmtfConfig(rank=dim, seed=seed)).reconstruction
-    return RefinedEstimates(
-        donor_labels=net.donor_labels,
-        recipient_labels=net.recipient_labels,
-        mu=eta + net.donor_weight[:, None] + net.recipient_weight[None, :],
-        eta=eta,
-        delta=net.donor_weight.copy(),
-        gamma=net.recipient_weight.copy(),
+    return (
+        eta + net.donor_weight[:, None] + net.recipient_weight[None, :],
+        eta,
+        net.donor_weight.copy(),
+        net.recipient_weight.copy(),
     )
 
 
 def _old_identity_refined(net):
-    return RefinedEstimates(
-        donor_labels=net.donor_labels,
-        recipient_labels=net.recipient_labels,
-        mu=net.edge_weight + net.donor_weight[:, None] + net.recipient_weight[None, :],
-        eta=net.edge_weight.copy(),
-        delta=net.donor_weight.copy(),
-        gamma=net.recipient_weight.copy(),
+    return (
+        net.edge_weight + net.donor_weight[:, None] + net.recipient_weight[None, :],
+        net.edge_weight.copy(),
+        net.donor_weight.copy(),
+        net.recipient_weight.copy(),
     )
 
 
@@ -225,10 +223,12 @@ def _reference_networks():
     return nets + [replace(net, edge_mask=mask)]
 
 
-def _assert_same_estimates(a, b):
-    assert a.donor_labels == b.donor_labels and a.recipient_labels == b.recipient_labels
-    for name in ("mu", "eta", "delta", "gamma"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+def _assert_same_estimates(refined, net, expected):
+    """``refined`` carries ``net``'s labels and the arrays (mu, eta, delta, gamma)."""
+    assert refined.donor_labels == net.donor_labels
+    assert refined.recipient_labels == net.recipient_labels
+    for name, value in zip(("mu", "eta", "delta", "gamma"), expected):
+        assert np.array_equal(getattr(refined, name), value), name
 
 
 class TestRefine:
@@ -244,7 +244,8 @@ class TestRefine:
             assert np.array_equal(refined.mu, pred)
             if method == "lsm":
                 assert result.log_likelihood == old_result.log_likelihood
-                _assert_same_estimates(refined, refine_network(net, old_result))
+                old = refine_network(net, old_result)
+                _assert_same_estimates(refined, net, (old.mu, old.eta, old.delta, old.gamma))
             else:
                 assert result is None and old_result is None
 
@@ -254,13 +255,13 @@ class TestRefine:
     def test_matches_old_pipeline_baselines(self, method, dim, seed):
         for net in _reference_networks():
             refined, _ = refine(net, method, dim, self.FIT, NmtfConfig(seed=seed))
-            _assert_same_estimates(refined, _old_baseline_refined(net, method, dim, seed))
+            _assert_same_estimates(refined, net, _old_baseline_refined(net, method, dim, seed))
 
     def test_raw_matches_old_identity_refinement(self):
         for net in map(_zero_masked, _reference_networks()):
             refined, result = refine(net, "raw", None, self.FIT, NmtfConfig())
             assert result is None
-            _assert_same_estimates(refined, _old_identity_refined(net))
+            _assert_same_estimates(refined, net, _old_identity_refined(net))
 
     def test_estimates_do_not_alias_the_network(self):
         net = _reference_networks()[0]

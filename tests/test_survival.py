@@ -484,7 +484,6 @@ class TestExtractSubstitute:
         refined = RefinedEstimates(
             donor_labels=net.donor_labels,
             recipient_labels=net.recipient_labels,
-            mu=net.edge_weight + net.donor_weight[:, None] + net.recipient_weight[None, :],
             eta=net.edge_weight.copy(),
             delta=net.donor_weight.copy(),
             gamma=net.recipient_weight.copy(),
@@ -499,7 +498,6 @@ class TestExtractSubstitute:
         refined = RefinedEstimates(
             donor_labels=net.donor_labels,
             recipient_labels=net.recipient_labels,
-            mu=np.zeros((2, 2)),
             eta=rng.standard_normal((2, 2)),
             delta=net.donor_weight.copy(),
             gamma=net.recipient_weight.copy(),
@@ -516,7 +514,7 @@ class TestExtractSubstitute:
         model = small_model()
         refined = RefinedEstimates(
             donor_labels=("A",), recipient_labels=("x", "y"),
-            mu=np.zeros((1, 2)), eta=np.zeros((1, 2)),
+            eta=np.zeros((1, 2)),
             delta=np.zeros(1), gamma=np.zeros(2),
         )
         with pytest.raises(ValueError, match="missing donor"):
@@ -662,12 +660,6 @@ def test_from_csv_skips_blank_lines(tmp_path):
 
 
 class TestPipeline:
-    def test_identity_refinement_is_noop(self):
-        cfg = SurvivalGenConfig(n_per_split=1200, seed=2)
-        res = pipeline_end_to_end(cfg, min_count=5, methods=("lsm",),
-                                  identity_refinement=True)
-        assert res.deltas["lsm"] == 0.0
-
     def test_reports_all_methods(self):
         cfg = SurvivalGenConfig(n_per_split=1200, seed=3)
         res = pipeline_end_to_end(cfg, min_count=5)
