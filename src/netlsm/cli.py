@@ -97,7 +97,6 @@ def run_simulate_transplants(cfg, out):
 
 def _fit_config(cfg):
     return FitConfig(
-        dim=cfg.get("dim") or 2,
         max_iter=cfg["max_iter"],
         grad_tol=cfg["grad_tol"],
         restarts=cfg["restarts"],
@@ -105,39 +104,41 @@ def _fit_config(cfg):
     )
 
 
-def run_fit(cfg, out):
-    train = load_network_dir(cfg["net"])
+def _evaluate(cfg, out, net_key, methods, dims):
+    """Score each method refining ``cfg[net_key]`` on ``cfg["test_net"]`` (itself if unset).
+
+    The one refinement path of ``fit`` and ``eval``; it creates ``out`` and
+    returns the evaluations and whether every LSM fit converged.
+    """
+    train = load_network_dir(cfg[net_key])
     test = load_network_dir(cfg["test_net"]) if cfg["test_net"] else train
-    dims = cfg["dim_grid"] if cfg["dim_grid"] else [cfg["dim"]]
-    if cfg["method"] != "raw" and max(dims) > min(train.n_d, train.n_r):
-        raise ValueError("dimension exceeds node counts")
-    fc = _fit_config(cfg)
-    evaluation = evaluate_refinement(train, test, cfg["method"], dims, fit_config=fc)
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must be non-empty and distinct, got {methods}")
+    limit = min(train.n_d, train.n_r)
+    if any(m != "raw" for m in methods) and not all(1 <= d <= limit for d in dims):
+        raise ValueError(f"dimensions must lie in [1, {limit}] = [1, min(n_d, n_r)], got {dims}")
+    evaluations = [evaluate_refinement(train, test, m, dims, _fit_config(cfg)) for m in methods]
     os.makedirs(out, exist_ok=True)
+    return evaluations, all(r.converged for e in evaluations for r in e.fits.values())
+
+
+def run_fit(cfg, out):
+    dims = cfg["dim_grid"] or [cfg["dim"]]
+    [evaluation], converged = _evaluate(cfg, out, "net", [cfg["method"]], dims)
     artifacts = ["metrics.json"]
-    converged = True
-    payload = evaluation.to_dict()
     if evaluation.fits:  # an LSM fit per dimension
         result = evaluation.fits[evaluation.selected_dim]
-        converged = result.converged
         dump_json(result.to_dict(), os.path.join(out, "model.json"))
         artifacts.append("model.json")
-    dump_json(payload, os.path.join(out, "metrics.json"))
+    dump_json(evaluation.to_dict(), os.path.join(out, "metrics.json"))
     return artifacts, converged, False
 
 
 def run_eval(cfg, out):
-    train = load_network_dir(cfg["train_net"])
-    test = load_network_dir(cfg["test_net"])
-    fc = _fit_config(cfg)
-    evaluations = [
-        evaluate_refinement(train, test, m, cfg["dim_grid"], fit_config=fc)
-        for m in cfg["methods"]
-    ]
-    os.makedirs(out, exist_ok=True)
+    evaluations, converged = _evaluate(cfg, out, "train_net", cfg["methods"], cfg["dim_grid"])
     dump_json({e.method: e.to_dict() for e in evaluations}, os.path.join(out, "eval.json"))
     write_text_atomic(os.path.join(out, "eval_table.txt"), format_eval_table(evaluations))
-    return ["eval.json", "eval_table.txt"], True, False
+    return ["eval.json", "eval_table.txt"], converged, False
 
 
 def run_table1(cfg, out):

@@ -33,7 +33,7 @@ __all__ = [
 METHODS = ("raw", "lsm", "nmtf", "pca")
 
 
-def refine(net, method, dim, fit_config=None, nmtf_config=None):
+def refine(net, method, dim, fit_config=None):
     """Refine ``net`` with one method at one dimension.
 
     Returns ``(refined, result)``: estimates for every pair, masked pairs
@@ -43,20 +43,21 @@ def refine(net, method, dim, fit_config=None, nmtf_config=None):
     - ``raw`` keeps the observed edge weights, 0 where masked; ``dim`` is
       ignored.
     - ``pca`` and ``nmtf`` reconstruct the column-mean-imputed edge weights at
-      rank ``dim`` (NMTF with ``nmtf_config``'s seed and stopping rule).
+      rank ``dim``, NMTF from ``fit_config.seed``.
 
     Every method keeps the observed node weights as delta/gamma.
     An unknown method raises ``ValueError``.
     """
+    fit_config = fit_config or FitConfig()
     if method == "lsm":
-        result = fit(net, replace(fit_config or FitConfig(), dim=dim))
+        result = fit(net, replace(fit_config, dim=dim))
         return refine_network(net, result), result
     if method == "raw":
         eta = np.where(net.edge_mask, net.edge_weight, 0.0)
     elif method == "pca":
         eta = pca_refine(mean_impute(net.edge_weight, net.edge_mask), dim)
     elif method == "nmtf":
-        cfg = replace(nmtf_config or NmtfConfig(), rank=dim)
+        cfg = NmtfConfig(rank=dim, seed=fit_config.seed)
         eta = nmtf_refine(mean_impute(net.edge_weight, net.edge_mask), cfg).reconstruction
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -159,7 +160,7 @@ def evaluate_refinement(train_net, test_net, method, dim_grid, fit_config=None):
 
     The two networks must share node labels.  Metrics run over pairs observed
     in both, on the compatibility scale mu; the selected dimension maximizes
-    mean log-probability.  NMTF runs with the :class:`NmtfConfig` defaults.
+    mean log-probability.  ``fit_config``'s seed also starts NMTF.
     """
     if train_net.donor_labels != test_net.donor_labels or (
         train_net.recipient_labels != test_net.recipient_labels

@@ -51,7 +51,7 @@ SE_FLOOR = 1e-8  # degenerate standard errors are floored for stability
 
 
 class FitError(RuntimeError):
-    """All optimizer restarts diverged."""
+    """The network cannot be fit; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,8 @@ def fit(net, config, init=None):
     ``config.restarts`` further starts are random.  The start with the highest
     final log-likelihood wins; ties within 1e-12 go to the lowest restart index.
     Restarts whose objective becomes non-finite are discarded; if all diverge
-    a :class:`FitError` is raised.
+    a :class:`FitError` is raised, as it is before any start when the sum of
+    (weight / stderr)^2 over the edges overflows, naming the largest ratio's edge.
 
     Beta is held at 1, the gauge that fixes the position scale, so the
     result has ``beta == 1`` and positions in that gauge; an ``init`` is
@@ -474,6 +475,13 @@ def fit(net, config, init=None):
             raise ValueError("init latent dimension does not match config.dim")
     dim = config.dim
     objective = _Objective(net, dim)
+    with np.errstate(over="ignore"):  # an overflow makes every start diverge
+        ratio = np.abs(net.edge_weight[objective.mask] / objective.s)
+        if not math.isfinite(np.sum(ratio * ratio)):
+            i, j = np.argwhere(objective.mask)[np.argmax(ratio)]
+            raise FitError(f"edge {net.donor_labels[i]},{net.recipient_labels[j]} has weight "
+                           f"{net.edge_weight[i, j]:g} and stderr {net.edge_se[i, j]:g}: the sum "
+                           "of squared weight/stderr ratios overflows, so no fit can start")
     options = {
         "maxiter": config.max_iter,
         "gtol": config.grad_tol,

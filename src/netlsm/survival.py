@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from ._util import FLOAT_FMT, parse_float, read_csv, substream, write_csv
-from .baselines import NmtfConfig
 from .metrics import refine
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``survival.fit``.
@@ -95,15 +94,6 @@ class TransplantDataset:
     @property
     def n(self):
         return self.time.shape[0]
-
-    def subset(self, idx):
-        return TransplantDataset(
-            self.covariates[idx],
-            self.donor_type[idx],
-            self.recipient_type[idx],
-            self.time[idx],
-            self.event[idx],
-        )
 
     def to_csv(self, path):
         p = self.covariates.shape[1]
@@ -671,9 +661,9 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
     it with each requested method, substitutes the negated refined estimates
     back, and reports test-set C-indices.  The ridge strength is ``lam``;
     ``netlsm coxph --tune`` picks one by cross-validation (:func:`tune_lambda`).
-    Every method goes through :func:`netlsm.metrics.refine`; ``raw``
-    substitutes the observed network values back, which reproduces the raw
-    C-index exactly.
+    Every method goes through :func:`netlsm.metrics.refine` with
+    ``fit_config``, whose seed also starts NMTF; ``raw`` substitutes the
+    observed network values back, which reproduces the raw C-index exactly.
     """
     fit_config = fit_config or FitConfig(dim=gen_config.dim, restarts=1, seed=gen_config.seed)
     train, test, truth = simulate_transplants(gen_config)
@@ -685,9 +675,8 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
 
     c_ref = {}
     lsm_converged = True
-    nmtf_config = NmtfConfig(seed=gen_config.seed)
     for method in methods:
-        refined, result = refine(net, method, fit_config.dim, fit_config, nmtf_config)
+        refined, result = refine(net, method, fit_config.dim, fit_config)
         if result is not None:
             lsm_converged = result.converged
         sub = substitute_coefficients(model, refined)

@@ -1,11 +1,13 @@
 import importlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import netlsm.cli
 import netlsm.metrics
+import netlsm.model
 from netlsm._util import dump_json
 from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
 from netlsm.model import FitConfig, FitError, fit
@@ -102,6 +104,35 @@ class TestFit:
                                         restarts=1, seed=4))
         assert (out / "model.json").read_text() == dump_json(expected.to_dict())
 
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_an_unselected_dimension_that_stops_short_exits_1(
+        self, net_dir, tmp_path, monkeypatch, allow
+    ):
+        # unchecked, fit judged only the selected dimension's fit
+        argv = ["fit", "--net", net_dir, "--method", "lsm", "--dim-grid", "1,2",
+                "--restarts", 1, "--seed", 4]
+        assert run(argv + ["--out", tmp_path / "all"]) == 0
+        selected = json.loads((tmp_path / "all" / "metrics.json").read_text())["selected_dim"]
+        other = 3 - selected
+
+        def short_fit(net, config, init=None):
+            result = fit(net, config, init)
+            return replace(result, converged=False) if config.dim == other else result
+
+        monkeypatch.setattr(netlsm.metrics, "fit", short_fit)
+        out = tmp_path / "short"
+        flag = ["--allow-nonconverged"] if allow else []
+        assert run(argv + ["--out", out] + flag) == (0 if allow else 1)
+        assert read(out / "metrics.json") == read(tmp_path / "all" / "metrics.json")
+        assert json.loads((out / "model.json").read_text())["converged"] is True
+
+    def test_nmtf_follows_seed(self, net_dir, tmp_path):
+        # unchecked, NMTF started from seed 0 whatever --seed said
+        for seed in (0, 3):
+            assert run(["fit", "--net", net_dir, "--method", "nmtf", "--seed", seed,
+                        "--out", tmp_path / str(seed)]) == 0
+        assert read(tmp_path / "0" / "metrics.json") != read(tmp_path / "3" / "metrics.json")
+
     def test_dim_exceeds_nodes_exits_2(self, net_dir, tmp_path):
         assert run(["fit", "--net", net_dir, "--method", "pca", "--dim", 99,
                     "--out", tmp_path / "x"]) == 2
@@ -120,7 +151,7 @@ class TestFit:
 
 @pytest.fixture(scope="module")
 def diverging_net(tmp_path_factory):
-    """A 4x4 network with one edge weight of 1e200: every start of a fit diverges."""
+    """A 4x4 network with one edge weight of 1e200: its squared ratio to its stderr overflows."""
     d = tmp_path_factory.mktemp("diverging")
     run(["simulate-network", "--n-d", 4, "--n-r", 4, "--out", d])
     header, first, *rest = (d / "edges.csv").read_text().splitlines()
@@ -132,12 +163,20 @@ def diverging_net(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [["fit", "--net", "NET"],
                                   ["eval", "--train-net", "NET", "--test-net", "NET"]])
-def test_a_fit_that_diverges_exits_1(diverging_net, tmp_path, capsys, argv):
-    # unchecked, FitError ended both commands in a traceback
+def test_a_fit_that_diverges_exits_1(diverging_net, tmp_path, capsys, monkeypatch, argv):
+    # unchecked, FitError ended both commands in a traceback; the edge is
+    # named, and rejected before any optimizer start runs
+    def no_start(*args, **kwargs):
+        raise AssertionError("an optimizer start ran")
+
+    monkeypatch.setattr(netlsm.model, "minimize", no_start)
     capsys.readouterr()
     out = tmp_path / "x"
     assert run([diverging_net if a == "NET" else a for a in argv] + ["--out", out]) == 1
-    assert capsys.readouterr().err == "error: all optimizer restarts diverged\n"
+    assert capsys.readouterr().err == (
+        "error: edge D00,R00 has weight 1e+200 and stderr 0.15: the sum of squared "
+        "weight/stderr ratios overflows, so no fit can start\n"
+    )
     assert not (out / "manifest.json").exists()
 
 
@@ -271,15 +310,58 @@ def test_missing_input_exits_2(net_dir, tmp_path, capsys, argv, option):
     assert f"error: {option} is required" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def eval_nets(tmp_path_factory):
+    """Train and test 8x8 networks (seeds 5 and 6), as acceptance criterion 9 has them."""
+    a, b = tmp_path_factory.mktemp("train"), tmp_path_factory.mktemp("test")
+    run(["simulate-network", "--seed", 5, "--n-d", 8, "--n-r", 8, "--out", a])
+    run(["simulate-network", "--seed", 6, "--n-d", 8, "--n-r", 8, "--out", b])
+    return ["eval", "--train-net", a, "--test-net", b]
+
+
 class TestEval:
-    def test_eval_table(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run(["simulate-network", "--seed", 5, "--n-d", 8, "--n-r", 8, "--out", a])
-        run(["simulate-network", "--seed", 6, "--n-d", 8, "--n-r", 8, "--out", b])
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_a_fit_that_stops_short_exits_1(self, eval_nets, tmp_path, capsys, allow):
+        # unchecked, eval exited 0 whether or not its LSM fits converged
         out = tmp_path / "ev"
-        assert run(["eval", "--train-net", a, "--test-net", b,
-                    "--methods", "raw,pca,nmtf", "--dim-grid", "1,2",
-                    "--out", out]) == 0
+        flag = ["--allow-nonconverged"] if allow else []
+        assert run(eval_nets + ["--methods", "raw,lsm", "--dim-grid", "2", "--max-iter", 1,
+                                "--restarts", 0, "--out", out] + flag) == (0 if allow else 1)
+        assert json.loads((out / "manifest.json").read_text())["command"] == "eval"
+        assert ("warning: not all fits converged" in capsys.readouterr().err) is not allow
+
+    @pytest.mark.parametrize("args,message", [
+        (["--methods", "lsm", "--dim-grid", "9"],
+         "dimensions must lie in [1, 8] = [1, min(n_d, n_r)], got [9]"),
+        (["--methods", "raw,pca", "--dim-grid", "2,0"],
+         "dimensions must lie in [1, 8] = [1, min(n_d, n_r)], got [2, 0]"),
+        (["--methods", ""], "methods must be non-empty and distinct, got []"),
+        (["--methods", "raw,raw"], "methods must be non-empty and distinct, got ['raw', 'raw']"),
+    ], ids=["dim-above-nodes", "dim-zero", "no-methods", "repeated-method"])
+    def test_bad_methods_or_dimensions_exit_2(self, eval_nets, tmp_path, capsys, args, message):
+        # unchecked, each ran: dimension 9 on 8 nodes, an empty eval.json, or
+        # two table columns for one JSON key
+        out = tmp_path / "ev"
+        assert run(eval_nets + args + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_nmtf_follows_seed(self, eval_nets, tmp_path):
+        # unchecked, NMTF started from seed 0 whatever --seed said
+        payloads = {}
+        for seed in (0, 3):
+            out = tmp_path / str(seed)
+            assert run(eval_nets + ["--methods", "raw,nmtf,pca", "--seed", seed,
+                                    "--out", out]) == 0
+            payloads[seed] = json.loads((out / "eval.json").read_text())
+        assert payloads[0]["nmtf"] != payloads[3]["nmtf"]
+        assert payloads[0]["raw"] == payloads[3]["raw"]
+        assert payloads[0]["pca"] == payloads[3]["pca"]
+
+    def test_eval_table(self, eval_nets, tmp_path):
+        out = tmp_path / "ev"
+        assert run(eval_nets + ["--methods", "raw,pca,nmtf", "--dim-grid", "1,2",
+                                "--out", out]) == 0
         payload = json.loads((out / "eval.json").read_text())
         assert set(payload) == {"raw", "pca", "nmtf"}
         assert "rmse" in (out / "eval_table.txt").read_text()

@@ -237,10 +237,10 @@ class TestRefine:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_old_evaluation_dispatch(self, method, dim):
-        nmtf_config = NmtfConfig(seed=7)
+        fit_config = replace(self.FIT, seed=7)
         for net in _reference_networks():
-            refined, result = refine(net, method, dim, self.FIT, nmtf_config)
-            pred, old_result = _old_predict(method, net, dim, self.FIT, nmtf_config)
+            refined, result = refine(net, method, dim, fit_config)
+            pred, old_result = _old_predict(method, net, dim, fit_config, NmtfConfig(seed=7))
             assert np.array_equal(refined.mu, pred)
             if method == "lsm":
                 assert result.log_likelihood == old_result.log_likelihood
@@ -254,12 +254,12 @@ class TestRefine:
     @pytest.mark.parametrize("seed", [0, 11])
     def test_matches_old_pipeline_baselines(self, method, dim, seed):
         for net in _reference_networks():
-            refined, _ = refine(net, method, dim, self.FIT, NmtfConfig(seed=seed))
+            refined, _ = refine(net, method, dim, replace(self.FIT, seed=seed))
             _assert_same_estimates(refined, net, _old_baseline_refined(net, method, dim, seed))
 
     def test_raw_matches_old_identity_refinement(self):
         for net in map(_zero_masked, _reference_networks()):
-            refined, result = refine(net, "raw", None, self.FIT, NmtfConfig())
+            refined, result = refine(net, "raw", None, self.FIT)
             assert result is None
             _assert_same_estimates(refined, net, _old_identity_refined(net))
 
@@ -272,4 +272,4 @@ class TestRefine:
     def test_unknown_method_rejected(self):
         net = _reference_networks()[0]
         with pytest.raises(ValueError, match="unknown method 'ols'"):
-            refine(net, "ols", 2, self.FIT, NmtfConfig())
+            refine(net, "ols", 2, self.FIT)

@@ -173,7 +173,8 @@ class TestDesignMatrix:
         # drop one record from cell (B, y): that pair has 2 < 3 support
         keep = np.ones(data.n, dtype=bool)
         keep[np.flatnonzero((data.donor_type == "B") & (data.recipient_type == "y"))[0]] = False
-        sub = data.subset(np.flatnonzero(keep))
+        sub = TransplantDataset(data.covariates[keep], data.donor_type[keep],
+                                data.recipient_type[keep], data.time[keep], data.event[keep])
         _, cols = design_matrix(sub, min_count=3)
         names = [c.name for c in cols]
         assert "pair_B_y" not in names
