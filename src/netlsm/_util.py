@@ -46,9 +46,10 @@ def read_csv(path, error):
     ``line`` is the file line that ends the row.  Blank lines (whitespace and
     commas only) are skipped.  An empty file, or a row whose field count
     differs from the header's, raises ``error`` naming ``path`` and the line.
-    The file is read and closed before this returns.
+    A UTF-8 byte-order mark, as spreadsheet exports write, is dropped.  The
+    file is read and closed before this returns.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(io.StringIO(f.read(), newline=""))
     header = next(reader, None)
     if header is None:

@@ -21,14 +21,17 @@ Parameters are validated (as :class:`LsmParams`) only for the result, not per
 evaluation.  A fit that stops short of the gradient tolerance is finished by
 Newton steps on the gradient with the kernel's exact Hessian.  Distances do
 not change under translation or rotation of all positions, so the Hessian is
-singular along those directions; they are known in closed form, so each
-Newton step projects them out and is one linear solve.
+singular along those directions; they are known in closed form, so the polish
+projects them out and factors the Hessian once, and each of its steps is a
+solve with that one factorization.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import minimize
 
 from ._util import substream
@@ -160,9 +163,25 @@ class RefinedEstimates:
 
 
 def _sqdist(z_d, z_r):
-    # ||z_d_i - z_r_j||^2 for all pairs
-    diff = z_d[:, None, :] - z_r[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # ||z_d_i - z_r_j||^2 for all pairs, summed one axis at a time in place,
+    # with no (n_d, n_r, dim) difference array.  The even and odd axes are
+    # summed apart and added last: the order of np.einsum("ijk,ijk->ij", u, u)
+    # over the differences u, so the two give the same bits at dims 1 and 2 on
+    # any build (and up to dim 7 on common ones).  As in the einsum, a square
+    # that overflows is inf without a warning.
+    dim = z_d.shape[1]
+    sums = [None, None]  # even axes, odd axes
+    for k in range(dim):
+        u = np.subtract.outer(z_d[:, k], z_r[:, k])
+        with np.errstate(over="ignore"):
+            u *= u
+        if sums[k % 2] is None:
+            sums[k % 2] = u
+        else:
+            sums[k % 2] += u
+    if dim > 1:
+        sums[0] += sums[1]
+    return sums[0]
 
 
 def pair_affinity(params, i, j):
@@ -409,7 +428,7 @@ def _full_params(x, net, dim):
 
 
 def _polish(objective, x):
-    """Newton steps on the gradient itself, with the exact Hessian.
+    """Newton steps on the gradient itself, with the exact Hessian factored once.
 
     Near the optimum the objective changes by less than machine epsilon per
     step, so line-search methods stall with gradient norms around 1e-6; the
@@ -420,25 +439,33 @@ def _polish(objective, x):
 
     The likelihood is flat along the translation and rotation directions, so
     the Hessian ``H`` of :meth:`_Objective.hessian` is singular there.  With
-    ``Q`` the :meth:`_Objective.gauge_basis` at ``x``, each step is one linear
-    solve, ``(H - s Q Q^T) step = g - Q Q^T g`` with ``s = max|diag H|``: the
-    pseudo-inverse Newton step, with the gauge directions projected out.
-    Steps are accepted only if they shrink the gradient norm; a singular
-    system ends the polish.
+    ``Q`` the :meth:`_Objective.gauge_basis` at ``x`` and ``s = max|diag H|``,
+    ``H - s Q Q^T`` is built and LU-factored once per call, at ``x``; each
+    step is then one solve with that factorization,
+    ``(H - s Q Q^T) step = g - Q Q^T g``: the pseudo-inverse Newton step at
+    ``x``, with the gauge directions projected out, applied to the gradient
+    at the current point.  Steps are accepted only if they shrink the
+    gradient norm; the first that does not ends the polish, and an exactly
+    singular or non-finite system leaves ``x`` as it is.
     """
     g = objective.at(x)[1]
     gnorm = np.max(np.abs(g))
+    if gnorm == 0.0:
+        return x
+    h = objective.hessian(x)
+    q = objective.gauge_basis(x)
+    h -= np.max(np.abs(np.diag(h))) * (q @ q.T)
+    if not np.all(np.isfinite(h)):
+        return x
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot, checked next
+        lu = lu_factor(h, check_finite=False)
+    if not np.all(np.diag(lu[0])):
+        return x
     for _ in range(_POLISH_STEPS):
         if gnorm == 0.0:
             break
-        h = objective.hessian(x)
-        q = objective.gauge_basis(x)
-        h -= np.max(np.abs(np.diag(h))) * (q @ q.T)
-        try:
-            step = np.linalg.solve(h, g - q @ (q.T @ g))
-        except np.linalg.LinAlgError:
-            break
-        x_new = x - step
+        x_new = x - lu_solve(lu, g - q @ (q.T @ g), check_finite=False)
         if not np.all(np.isfinite(x_new)):
             break
         g_new = objective.at(x_new)[1]

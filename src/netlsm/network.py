@@ -101,32 +101,80 @@ class CompatibilityNetwork:
         return len(self.recipient_labels)
 
 
-def _read_rows(path, expected_header):
-    """``(line, stripped cells)`` per data row; the stripped header must be ``expected_header``."""
+def _read_columns(path, expected_header, what):
+    """``(lines, columns)`` of the data rows: the file line of each row, and per
+    column its stripped cells.  The stripped header must be ``expected_header``;
+    a file without data rows raises, naming ``what`` rows.
+    """
     header, rows = read_csv(path, NetworkFormatError)
     if [h.strip() for h in header] != expected_header:
         raise NetworkFormatError(
             f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}"
         )
-    return [(line, [c.strip() for c in row]) for line, row in rows]
+    # the cells go into one flat list and each row's list is dropped: the
+    # garbage collector rescans every live list, so keeping 160000 rows' lists
+    # made a 400x400 network load in ~1.3 s, against ~0.55 s this way
+    lines, cells = [], []
+    for line, row in rows:
+        lines.append(line)
+        cells += row
+    if not lines:
+        raise NetworkFormatError(f"{path}: no {what} rows")
+    n = len(header)
+    return lines, [list(map(str.strip, cells[k::n])) for k in range(n)]
+
+
+def _floats(cells, positive=False):
+    """``cells`` as a float array, or None if one is malformed, not finite or,
+    with ``positive``, not above 0."""
+    try:
+        a = np.array(list(map(float, cells)))
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(a)) or (positive and not np.all(a > 0)):
+        return None
+    return a
+
+
+# The row walks below raise the first fault in file order, each row's checks
+# in the order of the messages; the loaders call them only once a column-wise
+# check has failed.
+
+
+def _check_numbers(path, line, w, s, name):
+    if parse_float(s, "stderr", NetworkFormatError, path, line) <= 0:
+        raise NetworkFormatError(f"{path}:{line}: non-positive stderr for {name}")
+    parse_float(w, "weight", NetworkFormatError, path, line)
+
+
+def _raise_first_node_fault(path, lines, labels, w, s):
+    seen = set()
+    for line, label, wc, sc in zip(lines, labels, w, s):
+        if label in seen:
+            raise NetworkFormatError(f"{path}:{line}: duplicate node {label!r}")
+        seen.add(label)
+        _check_numbers(path, line, wc, sc, f"node {label!r}")
+
+
+def _raise_first_edge_fault(path, lines, don, rec, w, s, d_index, r_index):
+    seen = set()
+    for line, a, b, wc, sc in zip(lines, don, rec, w, s):
+        if a not in d_index:
+            raise NetworkFormatError(f"{path}:{line}: unknown donor node {a!r}")
+        if b not in r_index:
+            raise NetworkFormatError(f"{path}:{line}: unknown recipient node {b!r}")
+        if (a, b) in seen:
+            raise NetworkFormatError(f"{path}:{line}: duplicate pair ({a}, {b})")
+        seen.add((a, b))
+        _check_numbers(path, line, wc, sc, f"pair ({a}, {b})")
 
 
 def _load_nodes(path):
-    labels, weights, ses = [], [], []
-    seen = set()
-    for lineno, (label, w, s) in _read_rows(path, ["node", "weight", "stderr"]):
-        if label in seen:
-            raise NetworkFormatError(f"{path}:{lineno}: duplicate node {label!r}")
-        seen.add(label)
-        se = parse_float(s, "stderr", NetworkFormatError, path, lineno)
-        if se <= 0:
-            raise NetworkFormatError(f"{path}:{lineno}: non-positive stderr for node {label!r}")
-        labels.append(label)
-        weights.append(parse_float(w, "weight", NetworkFormatError, path, lineno))
-        ses.append(se)
-    if not labels:
-        raise NetworkFormatError(f"{path}: no node rows")
-    return labels, np.array(weights), np.array(ses)
+    lines, (labels, w, s) = _read_columns(path, ["node", "weight", "stderr"], "node")
+    weights, ses = _floats(w), _floats(s, positive=True)
+    if weights is None or ses is None or len(set(labels)) < len(labels):
+        _raise_first_node_fault(path, lines, labels, w, s)
+    return labels, weights, ses
 
 
 def load_network(edges_path, donor_nodes_path, recipient_nodes_path):
@@ -135,33 +183,29 @@ def load_network(edges_path, donor_nodes_path, recipient_nodes_path):
     Pairs absent from the edges file get ``edge_mask`` False.  Raises
     :class:`NetworkFormatError` with file/row context on malformed rows,
     duplicate pairs, non-positive standard errors, or unknown node labels.
+    Each column is parsed and checked at once; only when a check fails are
+    the rows walked, to name the first faulty one.
     """
     dl, dw, ds = _load_nodes(donor_nodes_path)
     rl, rw, rs = _load_nodes(recipient_nodes_path)
     d_index = {lab: i for i, lab in enumerate(dl)}
     r_index = {lab: j for j, lab in enumerate(rl)}
     n_d, n_r = len(dl), len(rl)
+    lines, (don, rec, w, s) = _read_columns(
+        edges_path, ["donor", "recipient", "weight", "stderr"], "edge"
+    )
+    i, j = list(map(d_index.get, don)), list(map(r_index.get, rec))
+    weights, ses = _floats(w), _floats(s, positive=True)
+    mask = np.zeros((n_d, n_r), dtype=bool)
+    if None not in i and None not in j:
+        i, j = np.array(i), np.array(j)
+        mask[i, j] = True
+    if weights is None or ses is None or np.count_nonzero(mask) < len(lines):
+        _raise_first_edge_fault(edges_path, lines, don, rec, w, s, d_index, r_index)
     ew = np.zeros((n_d, n_r))
     es = np.ones((n_d, n_r))
-    mask = np.zeros((n_d, n_r), dtype=bool)
-    for lineno, (don, rec, w, s) in _read_rows(edges_path, ["donor", "recipient", "weight", "stderr"]):
-        if don not in d_index:
-            raise NetworkFormatError(f"{edges_path}:{lineno}: unknown donor node {don!r}")
-        if rec not in r_index:
-            raise NetworkFormatError(f"{edges_path}:{lineno}: unknown recipient node {rec!r}")
-        i, j = d_index[don], r_index[rec]
-        if mask[i, j]:
-            raise NetworkFormatError(f"{edges_path}:{lineno}: duplicate pair ({don}, {rec})")
-        se = parse_float(s, "stderr", NetworkFormatError, edges_path, lineno)
-        if se <= 0:
-            raise NetworkFormatError(
-                f"{edges_path}:{lineno}: non-positive stderr for pair ({don}, {rec})"
-            )
-        ew[i, j] = parse_float(w, "weight", NetworkFormatError, edges_path, lineno)
-        es[i, j] = se
-        mask[i, j] = True
-    if not mask.any():
-        raise NetworkFormatError(f"{edges_path}: no edge rows")
+    ew[i, j] = weights
+    es[i, j] = ses
     return CompatibilityNetwork(dl, rl, dw, ds, rw, rs, ew, es, mask)
 
 

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.optimize import minimize
 from scipy.stats import ortho_group
 
@@ -57,6 +59,45 @@ class TestPointwise:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError, match="beta"):
             params_1x1((0, 0), (0, 0), beta=0.0)
+
+
+def einsum_sqdist(z_d, z_r):
+    u = z_d[:, None, :] - z_r[None, :, :]
+    return np.einsum("ijk,ijk->ij", u, u)
+
+
+class TestSqdist:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_d, n_r", [(1, 1), (1, 7), (7, 5), (60, 60)])
+    def test_equals_the_einsum_bit_for_bit(self, n_d, n_r, dim):
+        # the per-axis sum adds the even and odd axes apart, in the einsum's
+        # order, so at dims 1 and 2 the bits agree on any build
+        rng = substream(dim, "sqdist", str(n_d), str(n_r))
+        for scale in (1e-3, 1.0, 1e3):
+            z_d, z_r = scale * rng.standard_normal((n_d, dim)), rng.standard_normal((n_r, dim))
+            assert np.array_equal(_sqdist(z_d, z_r), einsum_sqdist(z_d, z_r))
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_matches_the_einsum_at_higher_dims(self, dim):
+        # beyond dim 2 the einsum's summation order is build-specific
+        rng = substream(dim, "sqdist-high")
+        z_d, z_r = rng.standard_normal((9, dim)), rng.standard_normal((11, dim))
+        np.testing.assert_allclose(_sqdist(z_d, z_r), einsum_sqdist(z_d, z_r), rtol=1e-15, atol=0)
+
+    def test_overflow_is_non_finite_only_where_it_occurs(self):
+        rng = substream(9, "sqdist-overflow")
+        z_d, z_r = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+        z_d[1, 0] = 1e200
+        z_r[2, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = _sqdist(z_d, z_r)
+        finite = np.ones((4, 3), dtype=bool)
+        finite[1, :] = finite[:, 2] = False
+        assert np.array_equal(np.isfinite(d2), finite)
+        assert np.all(d2[1, :2] == np.inf) and np.all(np.isnan(d2[:, 2]))
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(d2[finite], einsum_sqdist(z_d, z_r)[finite])
 
 
 class TestLogLikelihood:
@@ -627,9 +668,10 @@ def test_polish_matches_reference(seed):
     # from where L-BFGS-B stops on each start of the 60x60 corpus, the polish on
     # the kernel reaches the reference's point up to the gauge: the same
     # distances, alpha and ll, and stationarity past the tolerance.  The two
-    # solve for the same pseudo-inverse step by different means (a projected
-    # linear solve against an eigendecomposition), so the positions themselves
-    # may differ in the last bits and by a translation or rotation.
+    # take pseudo-inverse steps by different means (solves with one projected
+    # system factored at the start, against an eigendecomposition at each
+    # step), so the positions themselves may differ in the last bits and by a
+    # translation or rotation.
     net = simulate(SimConfig(n_d=60, n_r=60, seed=seed)).observed
     cfg = FitConfig(dim=2, restarts=1, seed=seed)
     objective = _Objective(net, cfg.dim)
@@ -667,13 +709,71 @@ def test_polish_leaves_a_rejected_step_unchanged():
 
 
 def test_polish_stops_on_a_singular_system(monkeypatch):
-    # a system the solve cannot factor ends the polish where it stands
+    # a system the solve cannot factor ends the polish where it stands, and
+    # the exact zero pivot that ends it raises no warning
     rng = substream(7, "polish-singular")
     net = random_network(rng, 5, 4)
     objective = _Objective(net, 2)
     x = coupled(random_params(rng, 5, 4, 2))
     monkeypatch.setattr(objective, "hessian", lambda x: np.zeros((x.size, x.size)))
-    assert np.array_equal(_polish(objective, x), x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_polish(objective, x), x)
+
+
+def zero_alpha_pivot(x):
+    # regular in the positions, but alpha couples to nothing, and the gauge
+    # shift leaves its row at zero: lu_factor finds an exact zero pivot
+    h = -np.eye(x.size)
+    h[-1, -1] = 0.0
+    return h
+
+
+@pytest.mark.parametrize("hessian", [
+    zero_alpha_pivot,
+    lambda x: np.full((x.size, x.size), np.nan),
+], ids=["zero-pivot", "nan"])
+def test_polish_leaves_a_singular_or_non_finite_system_unsolved(monkeypatch, hessian):
+    # lu_factor only warns on an exactly singular matrix (np.linalg.solve
+    # raised), so the polish checks the pivots itself; no step is taken, the
+    # gradient is read once and no warning escapes
+    rng = substream(8, "polish-zero-pivot")
+    net = random_network(rng, 5, 4)
+    objective = _Objective(net, 2)
+    x = coupled(random_params(rng, 5, 4, 2))
+    if hessian is zero_alpha_pivot:
+        with pytest.warns(LinAlgWarning):
+            lu_factor(hessian(x))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hessian(x), np.ones(x.size))
+    monkeypatch.setattr(objective, "hessian", hessian)
+    at_calls = []
+    at = objective.at
+    monkeypatch.setattr(objective, "at", lambda x: at_calls.append(1) or at(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_polish(objective, x), x)
+    assert len(at_calls) == 1
+
+
+def test_polish_factors_the_hessian_once(monkeypatch):
+    # from where L-BFGS-B stops on the classical-scaling start of 60x60 seed 14,
+    # the polish tries two steps (the second does not shrink the gradient), both
+    # solved with the Hessian and gauge basis of its starting point
+    net = simulate(SimConfig(n_d=60, n_r=60, seed=14)).observed
+    objective = _Objective(net, 2)
+    _, x0 = next(_start_points(net, FitConfig(dim=2, restarts=0, seed=14), None))
+    x = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS).x
+    calls = {"hessian": [], "gauge_basis": [], "at": []}
+    for name in calls:
+        method = getattr(objective, name)
+        monkeypatch.setattr(objective, name,
+                            lambda x, name=name, method=method: calls[name].append(x) or method(x))
+    polished = _polish(objective, x)
+    assert len(calls["hessian"]) == 1 and len(calls["gauge_basis"]) == 1
+    assert np.array_equal(calls["hessian"][0], x) and np.array_equal(calls["gauge_basis"][0], x)
+    assert len(calls["at"]) >= 3  # the start, then one per step tried
+    assert np.max(np.abs(objective.at(polished)[1])) <= 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

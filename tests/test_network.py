@@ -76,6 +76,153 @@ class TestLoad:
             load_network(tmp_path / "e.csv", tmp_path / "d.csv", tmp_path / "r.csv")
 
 
+GOOD = "A1,a1,0.25,0.10"
+DONORS = ("A1,0.5,0.2", "A2,0.1,0.3")
+RECIPIENTS = ("a1,-0.5,0.2", "a2,0.1,0.3")
+
+
+def net_paths(d):
+    return {"e": d / "e.csv", "d": d / "d.csv", "r": d / "r.csv"}
+
+
+def load_rows(d, edges, donors=DONORS, recipients=RECIPIENTS):
+    """Write the three files of these rows under directory ``d`` and load them."""
+    d.mkdir(exist_ok=True)
+    paths = net_paths(d)
+    write(paths["e"], edge_csv(edges))
+    write(paths["d"], node_csv(donors))
+    write(paths["r"], node_csv(recipients))
+    return load_network(paths["e"], paths["d"], paths["r"])
+
+
+def load_error(d, edges=(GOOD,), **rows):
+    """The message the loader raises on these rows, and the paths ``{e}``, ``{d}``, ``{r}``."""
+    with pytest.raises(NetworkFormatError) as exc:
+        load_rows(d, edges, **rows)
+    return str(exc.value), {k: str(v) for k, v in net_paths(d).items()}
+
+
+# (edge rows, message); line 2 is the first data row
+EDGE_FAULTS = {
+    "unknown-donor": ([GOOD, "B9,a2,0.1,0.1"], "{e}:3: unknown donor node 'B9'"),
+    "unknown-recipient": ([GOOD, "A1,b9,0.1,0.1"], "{e}:3: unknown recipient node 'b9'"),
+    "duplicate-pair": ([GOOD, "A2,a1,0.1,0.1", "A1,a1,0.3,0.10"], "{e}:4: duplicate pair (A1, a1)"),
+    "malformed-stderr": ([GOOD, "A1,a2,0.1,abc"], "{e}:3: malformed stderr 'abc'"),
+    "empty-stderr": ([GOOD, "A1,a2,0.1, "], "{e}:3: malformed stderr ''"),
+    "nan-stderr": ([GOOD, "A1,a2,0.1,nan"], "{e}:3: non-finite stderr"),
+    "inf-stderr": ([GOOD, "A1,a2,0.1,inf"], "{e}:3: non-finite stderr"),
+    "zero-stderr": ([GOOD, "A1,a2,0.1,0.0"], "{e}:3: non-positive stderr for pair (A1, a2)"),
+    "negative-stderr": ([GOOD, "A1,a2,0.1,-0.5"], "{e}:3: non-positive stderr for pair (A1, a2)"),
+    "malformed-weight": ([GOOD, "A1,a2,zzz,0.1"], "{e}:3: malformed weight 'zzz'"),
+    "nan-weight": ([GOOD, "A1,a2,NaN,0.1"], "{e}:3: non-finite weight"),
+    "inf-weight": ([GOOD, "A1,a2,-inf,0.1"], "{e}:3: non-finite weight"),
+}
+
+# (donor node rows, message)
+NODE_FAULTS = {
+    "duplicate-node": (["A1,0.5,0.2", "A2,0.1,0.3", "A1,0.1,0.3"], "{d}:4: duplicate node 'A1'"),
+    "malformed-stderr": (["A1,0.5,0.2", "A2,0.1,x"], "{d}:3: malformed stderr 'x'"),
+    "nonfinite-stderr": (["A1,0.5,0.2", "A2,0.1,inf"], "{d}:3: non-finite stderr"),
+    "zero-stderr": (["A1,0.5,0.2", "A2,0.1,0"], "{d}:3: non-positive stderr for node 'A2'"),
+    "negative-stderr": (["A1,0.5,0.2", "A2,0.1,-1e-9"], "{d}:3: non-positive stderr for node 'A2'"),
+    "malformed-weight": (["A1,0.5,0.2", "A2,1.2.3,0.3"], "{d}:3: malformed weight '1.2.3'"),
+    "nonfinite-weight": (["A1,0.5,0.2", "A2,nan,0.3"], "{d}:3: non-finite weight"),
+}
+
+
+class TestLoadErrors:
+    """The loader's exact messages, and which fault it names when there are several."""
+
+    @pytest.mark.parametrize("edges, message", EDGE_FAULTS.values(), ids=EDGE_FAULTS)
+    def test_edge_fault(self, tmp_path, edges, message):
+        got, paths = load_error(tmp_path, edges=edges)
+        assert got == message.format(**paths)
+
+    @pytest.mark.parametrize("donors, message", NODE_FAULTS.values(), ids=NODE_FAULTS)
+    def test_node_fault(self, tmp_path, donors, message):
+        got, paths = load_error(tmp_path, donors=donors)
+        assert got == message.format(**paths)
+
+    def test_recipient_node_fault(self, tmp_path):
+        got, paths = load_error(tmp_path, recipients=["a1,-0.5,0.2", "a2,0.1,0"])
+        assert got == "{r}:3: non-positive stderr for node 'a2'".format(**paths)
+
+    @pytest.mark.parametrize("side, rows, message", [
+        ("edges", [GOOD, "A1,a2,0.25"], "{e}:3: expected 4 fields, got 3"),
+        ("edges", [GOOD, "A1,a2,0.25,0.1,7"], "{e}:3: expected 4 fields, got 5"),
+        ("donors", ["A1,0.5,0.2", "A2,0.1"], "{d}:3: expected 3 fields, got 2"),
+        ("recipients", ["a1,-0.5,0.2,1"], "{r}:2: expected 3 fields, got 4"),
+        ("edges", [], "{e}: no edge rows"),
+        ("donors", [], "{d}: no node rows"),
+        ("recipients", [], "{r}: no node rows"),
+    ], ids=["edge-short", "edge-long", "node-short", "node-long", "edges-header-only",
+            "donors-header-only", "recipients-header-only"])
+    def test_file_fault(self, tmp_path, side, rows, message):
+        got, paths = load_error(tmp_path, **{side: rows})
+        assert got == message.format(**paths)
+
+    def test_empty_file(self, tmp_path):
+        paths = net_paths(tmp_path)
+        write(paths["e"], "")
+        write(paths["d"], node_csv(DONORS))
+        write(paths["r"], node_csv(RECIPIENTS))
+        with pytest.raises(NetworkFormatError) as exc:
+            load_network(paths["e"], paths["d"], paths["r"])
+        assert str(exc.value) == f"{paths['e']}: empty file"
+
+    def test_blank_rows_are_skipped_and_counted(self, tmp_path):
+        # blank lines and rows of only commas and whitespace are skipped, and
+        # line numbers still count them
+        edges = [GOOD, "", ",,,", " , ,\t, ", "A2,a2,-1.5,0.2"]
+        net = load_rows(tmp_path / "blank", edges, donors=["A1,0.5,0.2", "", "A2,0.1,0.3"])
+        plain = load_rows(tmp_path / "plain", [GOOD, "A2,a2,-1.5,0.2"])
+        assert networks_equal(net, plain)
+        assert net.edge_mask.tolist() == [[True, False], [False, True]]
+        got, paths = load_error(tmp_path, edges=edges + ["", "A1,a9,0.1,0.1"])
+        assert got == "{e}:8: unknown recipient node 'a9'".format(**paths)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([GOOD, "A1,a2,0.1,0", "B9,a2,0.1,0.1"], "{e}:3: non-positive stderr for pair (A1, a2)"),
+        ([GOOD, "A2,a1,zzz,0.1", "A1,a1,0.1,0.1"], "{e}:3: malformed weight 'zzz'"),
+        ([GOOD, "A2,a1,0.1,0.1", "A2,a1,0.1,0.1", "A1,b9,0.1,0.1"],
+         "{e}:4: duplicate pair (A2, a1)"),
+    ], ids=["stderr-before-unknown", "weight-before-duplicate", "duplicate-before-unknown"])
+    def test_the_earlier_of_two_faulty_rows_is_named(self, tmp_path, edges, message):
+        got, paths = load_error(tmp_path, edges=edges)
+        assert got == message.format(**paths)
+
+    @pytest.mark.parametrize("side, rows, message", [
+        ("edges", [GOOD, "B9,b9,zzz,0"], "{e}:3: unknown donor node 'B9'"),
+        ("edges", [GOOD, "A1,b9,zzz,0"], "{e}:3: unknown recipient node 'b9'"),
+        ("edges", [GOOD, "A1,a1,zzz,0"], "{e}:3: duplicate pair (A1, a1)"),
+        ("edges", [GOOD, "A1,a2,zzz,0"], "{e}:3: non-positive stderr for pair (A1, a2)"),
+        ("edges", [GOOD, "A1,a2,zzz,abc"], "{e}:3: malformed stderr 'abc'"),
+        ("edges", [GOOD, "A1,a2,inf,nan"], "{e}:3: non-finite stderr"),
+        ("donors", ["A1,0.5,0.2", "A1,zzz,0"], "{d}:3: duplicate node 'A1'"),
+        ("donors", ["A1,0.5,0.2", "A2,zzz,0"], "{d}:3: non-positive stderr for node 'A2'"),
+        ("donors", ["A1,0.5,0.2", "A2,zzz,x"], "{d}:3: malformed stderr 'x'"),
+    ], ids=["donor-first", "recipient-next", "duplicate-next", "stderr-before-weight",
+            "malformed-stderr-first", "nonfinite-stderr-first", "node-duplicate-first",
+            "node-stderr-before-weight", "node-malformed-stderr-first"])
+    def test_one_row_with_two_faults_names_the_first_check(self, tmp_path, side, rows, message):
+        got, paths = load_error(tmp_path, **{side: rows})
+        assert got == message.format(**paths)
+
+    def test_files_are_checked_donors_recipients_edges(self, tmp_path):
+        bad_d, bad_r = ["A1,0.5,0"], ["a1,-0.5,0"]
+        got, paths = load_error(tmp_path, edges=["B9,a1,0.1,0.1"], donors=bad_d,
+                                recipients=bad_r)
+        assert got == "{d}:2: non-positive stderr for node 'A1'".format(**paths)
+        got, paths = load_error(tmp_path, edges=["B9,a1,0.1,0.1"], donors=["A1,0.5,0.2"],
+                                recipients=bad_r)
+        assert got == "{r}:2: non-positive stderr for node 'a1'".format(**paths)
+
+    def test_a_field_count_fault_is_found_before_any_value_fault(self, tmp_path):
+        # each file's rows are split into fields before any cell is read
+        got, paths = load_error(tmp_path, edges=[GOOD, "A1,a2,zzz,0.1", "A2,a1,0.5"])
+        assert got == "{e}:4: expected 4 fields, got 3".format(**paths)
+
+
 class TestRoundTrip:
     def test_random_3x4(self, tmp_path):
         net = random_network(np.random.default_rng(1), 3, 4)
@@ -114,6 +261,16 @@ class TestRoundTrip:
         save_network(net, d)
         assert networks_equal(net, load_network_dir(d))
 
+
+    @pytest.mark.parametrize("fname", ["edges.csv", "donor_nodes.csv", "recipient_nodes.csv"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, fname):
+        # spreadsheet exports start a UTF-8 file with U+FEFF; the header still matches
+        net = random_network(np.random.default_rng(5), 3, 4, mask_frac=0.3)
+        save_network(net, tmp_path)
+        path = tmp_path / fname
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert networks_equal(net, load_network_dir(tmp_path))
 
     @pytest.mark.parametrize("side, fname", [("donor_labels", "donor_nodes.csv"),
                                              ("recipient_labels", "recipient_nodes.csv")])

@@ -660,6 +660,24 @@ def test_from_csv_skips_blank_lines(tmp_path):
     assert data.covariates.tolist() == [[0.25], [-1.0]]
 
 
+@pytest.mark.parametrize("first", ["id", "time"])
+def test_from_csv_drops_a_byte_order_mark(tmp_path, first):
+    # spreadsheet exports start a UTF-8 file with U+FEFF; with "time" first the
+    # mark would otherwise hide a required column
+    train, _, _ = simulate_transplants(SurvivalGenConfig(n_per_split=50, seed=1))
+    train.to_csv(tmp_path / "plain.csv")
+    lines = (tmp_path / "plain.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    if first == "time":  # swap the id and time columns
+        lines = [",".join([c[1], c[0], *c[2:]]) for c in (line.split(",") for line in lines)]
+    (tmp_path / "plain.csv").write_text("".join(lines), encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("\ufeff" + "".join(lines), encoding="utf-8")
+    plain = TransplantDataset.from_csv(tmp_path / "plain.csv")
+    bom = TransplantDataset.from_csv(tmp_path / "bom.csv")
+    for field in ("covariates", "donor_type", "recipient_type", "time", "event"):
+        assert np.array_equal(getattr(plain, field), getattr(bom, field))
+    assert np.array_equal(plain.time, train.time)
+
+
 class TestPipeline:
     def test_reports_all_methods(self):
         cfg = SurvivalGenConfig(n_per_split=1200, seed=3)
