@@ -114,6 +114,8 @@ def _evaluate(cfg, out, net_key, methods, dims):
     test = load_network_dir(cfg["test_net"]) if cfg["test_net"] else train
     if not methods or len(set(methods)) < len(methods):
         raise ValueError(f"methods must be non-empty and distinct, got {methods}")
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"dimensions must be distinct, got {dims}")
     limit = min(train.n_d, train.n_r)
     if any(m != "raw" for m in methods) and not all(1 <= d <= limit for d in dims):
         raise ValueError(f"dimensions must lie in [1, {limit}] = [1, min(n_d, n_r)], got {dims}")
@@ -182,6 +184,12 @@ def run_coxph(cfg, out):
 def run_pipeline(cfg, out):
     if cfg["seeds"] < 1:
         raise ValueError("seeds must be >= 1")
+    # as design_matrix and cox_fit would, but before any seed runs, so that
+    # bad input is not recorded as a failure of every seed
+    if cfg["min_count"] < 1:
+        raise ValueError("min_count must be >= 1")
+    if not cfg["lam"] >= 0:
+        raise ValueError(f"penalty must be non-negative, got {cfg['lam']}")
     per_seed = []
     failures = []
     converged = True
@@ -411,6 +419,8 @@ def main(argv=None):
         parser.error("--out is required (directly or via --config)")
     t0 = _time.perf_counter()
     try:
+        if cfg["seed"] < 0:  # pipeline and table1 would record it as every run's failure
+            raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         artifacts, converged, failed = _RUNNERS[args.command](cfg, out)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,12 +18,13 @@ One kernel, :class:`_Objective`, serves the whole fit on slices of that
 optimizer vector: the L-BFGS-B evaluations (log-likelihood and gradient in one
 pass), the Newton polish and the reported log-likelihood and gradient norm.
 Parameters are validated (as :class:`LsmParams`) only for the result, not per
-evaluation.  A fit that stops short of the gradient tolerance is finished by
-Newton steps on the gradient with the kernel's exact Hessian.  Distances do
-not change under translation or rotation of all positions, so the Hessian is
-singular along those directions; they are known in closed form, so the polish
-projects them out and factors the Hessian once, and each of its steps is a
-solve with that one factorization.
+evaluation.  Starts compete on their L-BFGS-B log-likelihood; the winning
+start, if it stops short of the gradient tolerance, is finished by Newton steps
+on the gradient with the kernel's exact Hessian.  Distances do not change under
+translation or rotation of all positions, so the Hessian is singular along
+those directions; they are known in closed form, so the polish projects them
+out and factors the Hessian once, and each of its steps is a solve with that
+one factorization.
 """
 
 import math
@@ -481,8 +482,10 @@ def fit(net, config, init=None):
 
     The first start is ``init`` if given, else the classical scaling of the
     edge weights (:func:`mds_init`, see :func:`_start_points`); the
-    ``config.restarts`` further starts are random.  The start with the highest
-    final log-likelihood wins; ties within 1e-12 go to the lowest restart index.
+    ``config.restarts`` further starts are random.  The start whose L-BFGS-B
+    result has the highest log-likelihood wins, ties within 1e-12 going to the
+    lowest restart index; it alone is polished, if it stopped short of
+    ``config.grad_tol``.
     Restarts whose objective becomes non-finite are discarded; if all diverge
     a :class:`FitError` is raised, as it is before any start when the sum of
     (weight / stderr)^2 over the edges overflows, naming the largest ratio's edge.
@@ -516,28 +519,21 @@ def fit(net, config, init=None):
         "maxcor": 20,
     }
 
-    best = None
+    best = best_idx = None
     for idx, x0 in _start_points(net, config, init):
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
-        if not math.isfinite(res.fun) or res.fun >= _BIG / 2:
-            continue
-        x = res.x
-        if np.max(np.abs(res.jac)) > config.grad_tol:
-            x = _polish(objective, x)
-        ll, g = objective.at(x)
-        if best is None or ll > best.log_likelihood + 1e-12:
-            gnorm = float(np.max(np.abs(g)))
-            best = FitResult(
-                params=_full_params(x, net, dim),
-                log_likelihood=ll,
-                iterations=int(res.nit),
-                grad_norm=gnorm,
-                restart_index=idx,
-                converged=gnorm <= config.grad_tol,
-            )
+        diverged = not math.isfinite(res.fun) or res.fun >= _BIG / 2
+        if not diverged and (best is None or res.fun < best.fun - 1e-12):
+            best, best_idx = res, idx
     if best is None:
         raise FitError("all optimizer restarts diverged")
-    return best
+    x = best.x
+    if np.max(np.abs(best.jac)) > config.grad_tol:
+        x = _polish(objective, x)
+    ll, g = objective.at(x)
+    gnorm = float(np.max(np.abs(g)))
+    return FitResult(params=_full_params(x, net, dim), log_likelihood=ll, iterations=int(best.nit),
+                     grad_norm=gnorm, restart_index=best_idx, converged=gnorm <= config.grad_tol)
 
 
 def refine_network(net, result):

@@ -137,6 +137,13 @@ class TestFit:
         assert run(["fit", "--net", net_dir, "--method", "pca", "--dim", 99,
                     "--out", tmp_path / "x"]) == 2
 
+    def test_repeated_dimension_exits_2(self, net_dir, tmp_path, capsys):
+        # unchecked, it fitted dimension 2 twice and reported it once
+        out = tmp_path / "x"
+        assert run(["fit", "--net", net_dir, "--dim-grid", "2,2", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: dimensions must be distinct, got [2, 2]\n"
+        assert not out.exists()
+
     def test_missing_dir_exits_2(self, tmp_path):
         assert run(["fit", "--net", tmp_path / "nope", "--out", tmp_path / "x"]) == 2
 
@@ -337,10 +344,11 @@ class TestEval:
          "dimensions must lie in [1, 8] = [1, min(n_d, n_r)], got [2, 0]"),
         (["--methods", ""], "methods must be non-empty and distinct, got []"),
         (["--methods", "raw,raw"], "methods must be non-empty and distinct, got ['raw', 'raw']"),
-    ], ids=["dim-above-nodes", "dim-zero", "no-methods", "repeated-method"])
+        (["--methods", "raw,lsm", "--dim-grid", "2,2"], "dimensions must be distinct, got [2, 2]"),
+    ], ids=["dim-above-nodes", "dim-zero", "no-methods", "repeated-method", "repeated-dim"])
     def test_bad_methods_or_dimensions_exit_2(self, eval_nets, tmp_path, capsys, args, message):
-        # unchecked, each ran: dimension 9 on 8 nodes, an empty eval.json, or
-        # two table columns for one JSON key
+        # unchecked, each ran: dimension 9 on 8 nodes, an empty eval.json, two
+        # table columns for one JSON key, or dimension 2 fitted twice
         out = tmp_path / "ev"
         assert run(eval_nets + args + ["--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -396,6 +404,25 @@ class TestPipelineCommand:
         assert [row["seed"] for row in payload["per_seed"]] == [0]
         assert payload["failures"] == [{"seed": 1, "error": "all optimizer restarts diverged"}]
         assert json.loads((out / "manifest.json").read_text())["artifacts"] == ["pipeline.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pipeline", "--min-count", 0], "min_count must be >= 1"),
+    (["pipeline", "--lam", -1], "penalty must be non-negative, got -1.0"),
+    (["pipeline", "--lam", "nan"], "penalty must be non-negative, got nan"),
+    (["pipeline", "--seed", -1], "seed must be >= 0, got -1"),
+    (["table1", "--reps", 1, "--restarts", 0, "--seed", -1], "seed must be >= 0, got -1"),
+    (["simulate-network", "--seed", -1], "seed must be >= 0, got -1"),
+], ids=["min-count", "lam-negative", "lam-nan", "pipeline-seed", "table1-seed", "simulate-seed"])
+def test_bad_input_exits_2(tmp_path, capsys, argv, message):
+    # unchecked, pipeline and table1 recorded the error as a failure of every
+    # run and exited 1
+    if argv[0] == "pipeline":
+        argv = argv + ["--seeds", 1, "--n", 300]
+    out = tmp_path / "x"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestTable1:
@@ -552,6 +579,12 @@ class TestManifestRerun:
         # unchecked, "2" reaches range() in run_pipeline as a TypeError traceback
         path = self._pipeline_manifest(tmp_path, seeds="2")
         self._rerun_exits_2(tmp_path, capsys, path, "seeds='2'", command="pipeline")
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = self._pipeline_manifest(tmp_path, seed=-1, seeds=1, n=300)
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
 
     def test_non_numeric_float_exits_2(self, tmp_path, capsys):
         # unchecked, "x" fails inside each seed and is only recorded as a failure

@@ -564,6 +564,72 @@ class TestClosedFormNodeEffects:
             assert np.array_equal(vec, longer[: nz + 1])
 
 
+def recording(monkeypatch, fun=None):
+    """Record each L-BFGS-B result and each polish point of ``fit``.
+
+    ``fun``, if given, maps a start's position to the objective value its
+    result reports, in place of the real one.
+    """
+    import netlsm.model
+
+    results, polished = [], []
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        if fun is not None:
+            res.fun = fun(len(results))
+        results.append(res)
+        return res
+
+    def recording_polish(objective, x):
+        polished.append(x.copy())
+        return _polish(objective, x)
+
+    monkeypatch.setattr(netlsm.model, "minimize", recording_minimize)
+    monkeypatch.setattr(netlsm.model, "_polish", recording_polish)
+    return results, polished
+
+
+class TestRestartSelection:
+    def test_only_the_winning_start_is_polished(self, monkeypatch):
+        # every start of seed 10 of the 60x60 corpus stops short of grad_tol;
+        # the losers are not polished
+        results, polished = recording(monkeypatch)
+        cfg = FitConfig(dim=2, restarts=3, seed=10)
+        res = fit(simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed, cfg)
+        assert len(results) == 1 + cfg.restarts
+        assert all(np.max(np.abs(r.jac)) > cfg.grad_tol for r in results)
+        winner = results[res.restart_index]
+        assert all(winner.fun <= r.fun + 1e-12 for r in results)
+        assert len(polished) == 1 and np.array_equal(polished[0], winner.x)
+        assert res.iterations == winner.nit and res.converged
+
+    def test_near_tie_is_decided_on_lbfgs_values(self, monkeypatch):
+        # seed 29 of the 60x60 corpus: both starts end in one basin.  Their
+        # L-BFGS-B log-likelihoods differ by more than 1e-12, so start 1 wins;
+        # polished, they would tie within 1e-12, and start 0 would win
+        results, polished = recording(monkeypatch)
+        net = simulate(SimConfig(n_d=60, n_r=60, seed=29)).observed
+        res = fit(net, FitConfig(dim=2, restarts=1, seed=29))
+        assert res.restart_index == 1 and res.converged
+        assert results[0].fun - results[1].fun > 1e-12
+        objective = _Objective(net, 2)
+        ll0, ll1 = (objective.at(_polish(objective, r.x))[0] for r in results)
+        assert abs(ll1 - ll0) <= 1e-12
+        assert res.log_likelihood == ll1
+
+    @pytest.mark.parametrize("gain,winner", [(0.0, 0), (0.5e-12, 0), (2e-12, 1), (-1.0, 0)])
+    def test_ties_within_1e_12_go_to_the_lowest_index(self, monkeypatch, gain, winner):
+        # start 1 reports an L-BFGS-B log-likelihood ``gain`` above start 0's
+        results, polished = recording(monkeypatch, fun=lambda k: -gain * k)
+        net = random_network(substream(18, "tie"), 6, 5)
+        res = fit(net, FitConfig(dim=2, restarts=1, seed=2))
+        assert len(results) == 2 and res.restart_index == winner
+        assert res.iterations == results[winner].nit
+        assert len(polished) <= 1
+        assert all(np.array_equal(x, results[winner].x) for x in polished)
+
+
 # reference log-likelihoods of the 60x60 corpus, from the earlier finite-difference polish
 CORPUS_LL = {
     10: 1932.0351538123, 11: 1932.0426878044, 12: 1867.5041871016, 13: 1996.4178857926,
@@ -821,9 +887,8 @@ def test_fit_validates_params_only_at_the_boundary(monkeypatch):
     monkeypatch.setattr(_Objective, "__init__", counting_objective)
     cfg = FitConfig(dim=2, restarts=1, seed=0)
     res = fit(net, cfg)
-    starts = 1 + cfg.restarts
     assert res.iterations >= 300
-    assert 1 <= len(params_built) <= starts
+    assert len(params_built) == 1
     assert len(objectives_built) == 1
 
 

@@ -2,9 +2,15 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
+
+from netlsm._util import substream
+from netlsm.model import FitConfig
+
+from helpers import random_network
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "paired_fits.py"
 spec = importlib.util.spec_from_file_location("paired_fits", TOOL)
@@ -55,3 +61,24 @@ def test_a_difference_exits_1(tmp_path, capsys, edit, what):
     assert compare(tmp_path, edit) == 1
     out = capsys.readouterr().out
     assert what in out and "1 difference(s)" in out
+
+
+def test_two_runs_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # the wall time is printed, not recorded, so the records of two runs can be
+    # compared byte for byte
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # restored after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run() prepends src
+    net = random_network(substream(3, "paired"), 6, 5)
+    monkeypatch.setattr(paired_fits, "corpus",
+                        lambda: [("tiny/s3", net, FitConfig(dim=2, restarts=1, seed=3))])
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert paired_fits.main(["run", "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    [record] = json.loads(paths[0].read_text())["fits"]
+    assert set(record) == {"id", "log_likelihood", "restart_index", "converged",
+                           "iterations", "grad_norm"}
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and all(line.startswith("tiny/s3: ") and line.endswith(" s)")
+                                 for line in out)

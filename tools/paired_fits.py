@@ -10,10 +10,12 @@ iteration count, and the same log-likelihood up to 1e-8 relative.
 
 ``run`` fits the corpus with the netlsm under ``--src`` (default: the ``src/``
 of the checkout holding this file) and writes one record per fit.  BLAS
-threads are pinned to 1 first.  ``compare`` prints every difference and a
-summary, and exits 1 on any difference that matters: a fit present on one
-side only, a different restart index, converged flag, iteration count or
-error, or a log-likelihood beyond 1e-8 relative.
+threads are pinned to 1 first.  Each fit's wall time is printed but not
+recorded, so two runs of one checkout write byte-identical files, which
+``cmp`` can check.  ``compare`` prints every difference and a summary, and
+exits 1 on any difference that matters: a fit present on one side only, a
+different restart index, converged flag, iteration count or error, or a
+log-likelihood beyond 1e-8 relative.
 
 The corpus (90 fits, about 10 s on one core):
 
@@ -91,9 +93,9 @@ def run(src, out):
                 "grad_norm": res.grad_norm,
             }
         record["id"] = fit_id
-        record["seconds"] = time.perf_counter() - start
         records.append(record)
-        print(f"{fit_id}: {json.dumps(record, sort_keys=True)}", flush=True)
+        seconds = time.perf_counter() - start
+        print(f"{fit_id}: {json.dumps(record, sort_keys=True)} ({seconds:.3f} s)", flush=True)
     Path(out).write_text(json.dumps({"src": str(src), "fits": records}, indent=1) + "\n")
     return 0
 
