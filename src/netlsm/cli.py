@@ -77,7 +77,6 @@ def run_simulate_transplants(cfg, out):
         no_structure=cfg["no_structure"],
         seed=cfg["seed"],
     )
-    os.makedirs(out, exist_ok=True)
     train, test, truth = simulate_transplants(gen)
     train.to_csv(os.path.join(out, "train.csv"))
     test.to_csv(os.path.join(out, "test.csv"))
@@ -107,7 +106,7 @@ def _fit_config(cfg):
 def _evaluate(cfg, out, net_key, methods, dims):
     """Score each method refining ``cfg[net_key]`` on ``cfg["test_net"]`` (itself if unset).
 
-    The one refinement path of ``fit`` and ``eval``; it creates ``out`` and
+    The one refinement path of ``fit`` and ``eval``; it writes nothing, and
     returns the evaluations and whether every LSM fit converged.
     """
     train = load_network_dir(cfg[net_key])
@@ -120,7 +119,6 @@ def _evaluate(cfg, out, net_key, methods, dims):
     if any(m != "raw" for m in methods) and not all(1 <= d <= limit for d in dims):
         raise ValueError(f"dimensions must lie in [1, {limit}] = [1, min(n_d, n_r)], got {dims}")
     evaluations = [evaluate_refinement(train, test, m, dims, _fit_config(cfg)) for m in methods]
-    os.makedirs(out, exist_ok=True)
     return evaluations, all(r.converged for e in evaluations for r in e.fits.values())
 
 
@@ -145,7 +143,6 @@ def run_eval(cfg, out):
 
 def run_table1(cfg, out):
     fc = _fit_config(cfg)
-    os.makedirs(out, exist_ok=True)
     payload = {}
     tables = []
     converged, failed = True, False
@@ -184,12 +181,6 @@ def run_coxph(cfg, out):
 def run_pipeline(cfg, out):
     if cfg["seeds"] < 1:
         raise ValueError("seeds must be >= 1")
-    # as design_matrix and cox_fit would, but before any seed runs, so that
-    # bad input is not recorded as a failure of every seed
-    if cfg["min_count"] < 1:
-        raise ValueError("min_count must be >= 1")
-    if not cfg["lam"] >= 0:
-        raise ValueError(f"penalty must be non-negative, got {cfg['lam']}")
     per_seed = []
     failures = []
     converged = True
@@ -204,7 +195,7 @@ def run_pipeline(cfg, out):
         fc = FitConfig(dim=cfg["dim"], restarts=cfg["restarts"], seed=seed)
         try:
             res = pipeline_end_to_end(gen, fc, lam=cfg["lam"], min_count=cfg["min_count"])
-        except Exception as exc:  # noqa: BLE001 - per-seed isolation
+        except (FitError, ConvergenceError) as exc:  # any other error stops the study
             failures.append({"seed": seed, "error": str(exc)})
             continue
         converged = converged and res.lsm_converged
@@ -217,7 +208,6 @@ def run_pipeline(cfg, out):
         }
         for m in methods
     }
-    os.makedirs(out, exist_ok=True)
     dump_json(
         {"per_seed": per_seed, "aggregate": aggregate, "failures": failures},
         os.path.join(out, "pipeline.json"),
@@ -321,7 +311,7 @@ def build_parser():
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--tune", action="store_true", help="2-fold CV over the lambda grid")
-    p.add_argument("--lambda-grid", type=_list_of(float), default=None,
+    p.add_argument("--lambda-grid", type=_list_of(float), default=DEFAULT_LAMBDA_GRID,
                    help="comma-separated")
 
     p = sub.add_parser("pipeline", help="end-to-end coefficient-substitution study")
@@ -339,10 +329,7 @@ def build_parser():
 def _config_from_args(args):
     """Materialize the full per-command configuration dict."""
     skip = {"command", "out", "config", "allow_nonconverged"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip}
-    if args.command == "coxph" and cfg.get("lambda_grid") is None:
-        cfg["lambda_grid"] = DEFAULT_LAMBDA_GRID
-    return cfg
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 # The config values that default to None: an example of the type a value
@@ -419,7 +406,7 @@ def main(argv=None):
         parser.error("--out is required (directly or via --config)")
     t0 = _time.perf_counter()
     try:
-        if cfg["seed"] < 0:  # pipeline and table1 would record it as every run's failure
+        if cfg["seed"] < 0:  # one message for every command, not numpy's SeedSequence one
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         artifacts, converged, failed = _RUNNERS[args.command](cfg, out)
     except (ValueError, FileNotFoundError) as exc:

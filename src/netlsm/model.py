@@ -76,6 +76,8 @@ class LsmParams:
         gamma = np.asarray(self.gamma, dtype=float)
         if z_d.shape[1] != z_r.shape[1]:
             raise ValueError("z_d and z_r must share the latent dimension")
+        if z_d.shape[1] < 1:
+            raise ValueError("latent dimension must be >= 1")
         if delta.shape != (z_d.shape[0],) or gamma.shape != (z_r.shape[0],):
             raise ValueError("node effect lengths must match position counts")
         if not (self.beta > 0):

@@ -213,9 +213,9 @@ def save_network(net, dir_path):
     """Write edges.csv, donor_nodes.csv, recipient_nodes.csv under ``dir_path``.
 
     Weights are printed with 17 significant digits, so a load/save round trip
-    is bit-exact.  The directory is created if absent.  All three files are
-    built before any is written, so a label :func:`csv_text` rejects leaves
-    ``dir_path`` as it was.
+    is bit-exact.  The directory is created with the first file, if absent.
+    All three files are built before any is written, so a label
+    :func:`csv_text` rejects leaves ``dir_path`` as it was.
     """
     texts = {}
     for fname, labels, w, s in (
@@ -234,7 +234,6 @@ def save_network(net, dir_path):
     ]
     path = os.path.join(dir_path, "edges.csv")
     texts[path] = csv_text(path, ["donor", "recipient", "weight", "stderr"], rows)
-    os.makedirs(dir_path, exist_ok=True)
     for path, text in texts.items():
         write_text_atomic(path, text)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._util import substream
 from .metrics import rmse
-from .model import fit, refine_network, LsmParams
+from .model import FitError, fit, refine_network, LsmParams
 from .network import CompatibilityNetwork
 from .procrustes import procrustes_align
 
@@ -198,8 +198,9 @@ def run_replicates(config, fit_config, n_reps):
     Fits hold beta at 1, the model's gauge (beta is not identifiable jointly
     with the position scale); positions are scored after a Procrustes
     alignment that fits the scale, so a truth generated with another beta is
-    recovered as well.  Fit failures are recorded per replicate and excluded
-    from the aggregates, which are empty if every replicate failed.
+    recovered as well.  A replicate whose fit raises :class:`FitError` is
+    recorded under ``failures`` and excluded from the aggregates, which are
+    empty if every replicate failed; any other error propagates.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -208,7 +209,7 @@ def run_replicates(config, fit_config, n_reps):
     for k in range(n_reps):
         try:
             per_rep.append(_replicate_metrics(config, fit_config, config.seed + k))
-        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
+        except FitError as exc:  # any other error stops the study
             failures.append({"seed": config.seed + k, "error": str(exc)})
     if not per_rep:
         return ReplicateReport(n_reps, {}, {}, {}, {}, (), tuple(failures))

@@ -422,38 +422,26 @@ def extract_network(model):
     Donor/recipient nodes are the types with retained one-hot columns; pairs
     without a retained column are masked out.
     """
-    donors = [c for c in model.columns if c.kind == "donor"]
-    recips = [c for c in model.columns if c.kind == "recipient"]
-    if not donors or not recips:
+    columns = model.columns
+    d_cols = [k for k, c in enumerate(columns) if c.kind == "donor"]
+    r_cols = [k for k, c in enumerate(columns) if c.kind == "recipient"]
+    if not d_cols or not r_cols:
         raise ValueError("model has no donor or recipient type columns")
-    d_index = {c.donor: i for i, c in enumerate(donors)}
-    r_index = {c.recipient: j for j, c in enumerate(recips)}
-    n_d, n_r = len(donors), len(recips)
-    coef = model.coefficients
-    se = model.std_errors
-    idx = {c.name: k for k, c in enumerate(model.columns)}
-    dw = np.array([-coef[idx[c.name]] for c in donors])
-    ds = np.array([se[idx[c.name]] for c in donors])
-    rw = np.array([-coef[idx[c.name]] for c in recips])
-    rs = np.array([se[idx[c.name]] for c in recips])
-    ew = np.zeros((n_d, n_r))
-    es = np.ones((n_d, n_r))
-    mask = np.zeros((n_d, n_r), dtype=bool)
-    for k, c in enumerate(model.columns):
-        if c.kind == "pair" and c.donor in d_index and c.recipient in r_index:
-            i, j = d_index[c.donor], r_index[c.recipient]
-            ew[i, j] = -coef[k]
-            es[i, j] = se[k]
-            mask[i, j] = True
+    donors = tuple(columns[k].donor for k in d_cols)
+    recips = tuple(columns[k].recipient for k in r_cols)
+    pair_col = {(c.donor, c.recipient): k for k, c in enumerate(columns) if c.kind == "pair"}
+    e_cols = np.array([[pair_col.get((d, r), -1) for r in recips] for d in donors])
+    mask = e_cols >= 0
+    coef, se = -model.coefficients, model.std_errors
     return CompatibilityNetwork(
-        donor_labels=tuple(c.donor for c in donors),
-        recipient_labels=tuple(c.recipient for c in recips),
-        donor_weight=dw,
-        donor_se=ds,
-        recipient_weight=rw,
-        recipient_se=rs,
-        edge_weight=ew,
-        edge_se=es,
+        donor_labels=donors,
+        recipient_labels=recips,
+        donor_weight=coef[d_cols],
+        donor_se=se[d_cols],
+        recipient_weight=coef[r_cols],
+        recipient_se=se[r_cols],
+        edge_weight=np.where(mask, coef[e_cols], 0.0),
+        edge_se=np.where(mask, se[e_cols], 1.0),
         edge_mask=mask,
     )
 
@@ -552,6 +540,8 @@ class SurvivalGenConfig:
     def __post_init__(self):
         if self.n_per_split < 2:
             raise ValueError("n_per_split must be >= 2")
+        if self.n_donor_types < 1 or self.n_recipient_types < 1:
+            raise ValueError("n_donor_types and n_recipient_types must be >= 1")
 
 
 @dataclass(frozen=True)

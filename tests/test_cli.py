@@ -383,15 +383,19 @@ class TestPipelineCommand:
         assert capsys.readouterr().err == "error: seeds must be >= 1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("allow", [False, True])
-    def test_a_seed_that_raises_exits_1(self, tmp_path, monkeypatch, capsys, allow):
+    @pytest.mark.parametrize("allow,error", [
+        (False, FitError("all optimizer restarts diverged")),
+        (True, FitError("all optimizer restarts diverged")),
+        (False, ConvergenceError("singular information matrix at optimum")),
+    ], ids=["False", "True", "convergence"])
+    def test_a_seed_that_raises_exits_1(self, tmp_path, monkeypatch, capsys, allow, error):
         # the failure is recorded and every artifact written, and
         # --allow-nonconverged, which tolerates fits that stop short, does not hide it
         real = netlsm.cli.pipeline_end_to_end
 
         def seed_1_raises(gen, *args, **kwargs):
             if gen.seed == 1:
-                raise FitError("all optimizer restarts diverged")
+                raise error
             return real(gen, *args, **kwargs)
 
         monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_raises)
@@ -402,8 +406,25 @@ class TestPipelineCommand:
         assert "error:" in capsys.readouterr().err
         payload = json.loads((out / "pipeline.json").read_text())
         assert [row["seed"] for row in payload["per_seed"]] == [0]
-        assert payload["failures"] == [{"seed": 1, "error": "all optimizer restarts diverged"}]
+        assert payload["failures"] == [{"seed": 1, "error": str(error)}]
         assert json.loads((out / "manifest.json").read_text())["artifacts"] == ["pipeline.json"]
+
+    def test_a_seed_that_raises_another_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # only fit failures are recorded; any other error stops the study
+        # before a file is written, however many seeds ran before it
+        real = netlsm.cli.pipeline_end_to_end
+
+        def seed_1_raises(gen, *args, **kwargs):
+            if gen.seed == 1:
+                raise ValueError("bad seed")
+            return real(gen, *args, **kwargs)
+
+        monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_raises)
+        out = tmp_path / "pipe"
+        assert run(["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
+                    "--restarts", 0, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: bad seed\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -413,12 +434,24 @@ class TestPipelineCommand:
     (["pipeline", "--seed", -1], "seed must be >= 0, got -1"),
     (["table1", "--reps", 1, "--restarts", 0, "--seed", -1], "seed must be >= 0, got -1"),
     (["simulate-network", "--seed", -1], "seed must be >= 0, got -1"),
-], ids=["min-count", "lam-negative", "lam-nan", "pipeline-seed", "table1-seed", "simulate-seed"])
+    (["pipeline", "--n", 300], "edge_mask must have at least one observed pair"),
+    (["pipeline", "--min-count", 100000], "model has no donor or recipient type columns"),
+    (["pipeline", "--dim", 13, "--n", 1000, "--min-count", 5, "--restarts", 0],
+     "rank must not exceed min(n_d, n_r)"),
+    (["table1", "--reps", 0], "n_reps must be >= 1"),
+    (["simulate-transplants", "--donor-types", 0],
+     "n_donor_types and n_recipient_types must be >= 1"),
+    (["simulate-network", "--dim", 0], "latent dimension must be >= 1"),
+    (["simulate-transplants", "--dim", 0], "latent dimension must be >= 1"),
+], ids=["min-count", "lam-negative", "lam-nan", "pipeline-seed", "table1-seed", "simulate-seed",
+        "pipeline-n", "pipeline-min-count", "pipeline-dim", "table1-reps",
+        "transplants-types", "network-dim-0", "transplants-dim-0"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # unchecked, pipeline and table1 recorded the error as a failure of every
-    # run and exited 1
+    # run and exited 1, some commands left an empty --out behind, and a latent
+    # dimension of 0 ended in a TypeError
     if argv[0] == "pipeline":
-        argv = argv + ["--seeds", 1, "--n", 300]
+        argv = argv[:1] + ["--seeds", 1, "--n", 300] + argv[1:]
     out = tmp_path / "x"
     assert run(argv + ["--out", out]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -460,6 +493,24 @@ class TestTable1:
             assert [row["seed"] for row in report["per_replicate"]] == [0]
             assert report["failures"] == [{"seed": 1, "error": "all optimizer restarts diverged"}]
         assert (out / "manifest.json").is_file()
+
+    def test_a_replicate_that_raises_another_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # only fit failures are recorded; any other error stops the study
+        # before a file is written
+        sim_module = importlib.import_module("netlsm.simulate")
+        real = sim_module.fit
+
+        def rep_1_raises(net, config, init=None):
+            if config.seed == 1:
+                raise ValueError("bad replicate")
+            return real(net, config, init)
+
+        monkeypatch.setattr(sim_module, "fit", rep_1_raises)
+        out = tmp_path / "t1"
+        assert run(["table1", "--reps", 2, "--restarts", 0, "--out", out,
+                    "--allow-nonconverged"]) == 2
+        assert capsys.readouterr().err == "error: bad replicate\n"
+        assert not out.exists()
 
     def test_every_replicate_raising_exits_1(self, tmp_path, monkeypatch, capsys):
         # a block with no replicate left still writes its failures, not a traceback

@@ -1,11 +1,14 @@
-"""Every name a ``netlsm`` module imports is used in that module, and only
-``_util`` imports :mod:`csv`.
+"""Every name a ``netlsm`` module imports is used in that module, only
+``_util`` imports :mod:`csv`, and no handler swallows every error.
 
 The check parses each module with :mod:`ast`: an imported name is used when a
 ``Name`` node (the head of any attribute chain) refers to it.  Exempt are the
 package re-exports in ``__init__.py`` and import statements marked
 ``# noqa: F401``.  One module reads and writes CSV, so that the network and
-transplant files share one reader, one float parser and one writer.
+transplant files share one reader, one float parser and one writer.  A
+handler that catches everything (bare, ``Exception`` or ``BaseException``)
+must re-raise, so that bad input surfaces as the error it is, not as a
+recorded failure.
 """
 
 import ast
@@ -83,3 +86,51 @@ def test_only_util_imports_csv():
     assert users == ["_util.py"]
     source = "import csv as c\nfrom os import path\nfrom . import csv\n"
     assert imported_modules(source) == {"csv", "os"}
+
+
+CATCH_ALL = {"Exception", "BaseException"}
+
+
+def catch_all_handlers(source):
+    """Sorted lines of the ``except`` clauses in ``source`` that catch every
+    error (bare, or naming ``Exception`` or ``BaseException``, alone or in a
+    tuple) and do not end in a bare ``raise``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if not any(t is None or isinstance(t, ast.Name) and t.id in CATCH_ALL for t in caught):
+            continue
+        last = node.body[-1]
+        if not (isinstance(last, ast.Raise) and last.exc is None):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_catch_all_handlers(path):
+    assert catch_all_handlers(path.read_text(encoding="utf-8")) == []
+
+
+def test_catch_all_checker_flags_handlers_that_do_not_reraise():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except Exception:\n"  # 3
+        "    pass\n"
+        "except (ValueError, BaseException) as exc:\n"  # 5
+        "    raise RuntimeError() from exc\n"
+        "except:\n"  # 7
+        "    x = 1\n"
+        "try:\n"
+        "    pass\n"
+        "except BaseException:\n"
+        "    cleanup()\n"
+        "    raise\n"
+        "except (KeyError, ValueError):\n"
+        "    pass\n"
+        "except:\n"
+        "    raise\n"
+    )
+    assert catch_all_handlers(source) == [3, 5, 7]

@@ -60,6 +60,11 @@ class TestPointwise:
         with pytest.raises(ValueError, match="beta"):
             params_1x1((0, 0), (0, 0), beta=0.0)
 
+    def test_latent_dimension_must_be_at_least_1(self):
+        # unchecked, affinity() raised a TypeError from _sqdist
+        with pytest.raises(ValueError, match="latent dimension must be >= 1"):
+            LsmParams(np.zeros((2, 0)), np.zeros((3, 0)), 0.0, 1.0, np.zeros(2), np.zeros(3))
+
 
 def einsum_sqdist(z_d, z_r):
     u = z_d[:, None, :] - z_r[None, :, :]
