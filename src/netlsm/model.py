@@ -17,6 +17,12 @@ log-likelihood over it by L-BFGS-B.
 One kernel, :class:`_Objective`, serves the whole fit on slices of that
 optimizer vector: the L-BFGS-B evaluations (log-likelihood and gradient in one
 pass), the Newton polish and the reported log-likelihood and gradient norm.
+It evaluates a stack of optimizer vectors at once, each row computed apart.
+The starts of a fit run in lockstep (:func:`minimize`): each is its own
+L-BFGS-B state machine, driven directly through SciPy's ``setulb``, and in
+each round the points all running starts ask for are evaluated in one kernel
+call; each start takes exactly the iterates ``scipy.optimize.minimize`` would
+take from it alone.
 Parameters are validated (as :class:`LsmParams`) only for the result, not per
 evaluation.  Starts compete on their L-BFGS-B log-likelihood; the winning
 start, if it stops short of the gradient tolerance, is finished by Newton steps
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from ._util import substream
 from .mdsinit import mds_init
@@ -166,16 +172,18 @@ class RefinedEstimates:
 
 
 def _sqdist(z_d, z_r):
-    # ||z_d_i - z_r_j||^2 for all pairs, summed one axis at a time in place,
-    # with no (n_d, n_r, dim) difference array.  The even and odd axes are
-    # summed apart and added last: the order of np.einsum("ijk,ijk->ij", u, u)
-    # over the differences u, so the two give the same bits at dims 1 and 2 on
-    # any build (and up to dim 7 on common ones).  As in the einsum, a square
-    # that overflows is inf without a warning.
-    dim = z_d.shape[1]
+    # ||z_d_i - z_r_j||^2 for all pairs, of one pair of position arrays
+    # (n, dim) or of each pair in stacks (K, n, dim), summed one axis at a
+    # time in place, with no (n_d, n_r, dim) difference array.  The even and
+    # odd axes are summed apart and added last: the order of
+    # np.einsum("ijk,ijk->ij", u, u) over the differences u, so the two give
+    # the same bits at dims 1 and 2 on any build (and up to dim 7 on common
+    # ones).  As in the einsum, a square that overflows is inf without a
+    # warning.
+    dim = z_d.shape[-1]
     sums = [None, None]  # even axes, odd axes
     for k in range(dim):
-        u = np.subtract.outer(z_d[:, k], z_r[:, k])
+        u = z_d[..., :, None, k] - z_r[..., None, :, k]
         with np.errstate(over="ignore"):
             u *= u
         if sums[k % 2] is None:
@@ -206,15 +214,18 @@ class _Objective:
     """The fit's one kernel: log-likelihood, gradient and Hessian on one network.
 
     What does not depend on the parameters (the floored standard errors,
-    their squares and the ``log(2 pi se^2)`` sums) is computed once, when the
-    object is built; each evaluation shares the squared distances, eta and the
-    residuals between the value and the gradient.  The optimizer vector is
-    ``(z_d, z_r, alpha)``, the :func:`pack_params` layout up to b, with beta at
-    the gauge value 1 and the node effects at the node weights; its slices are
-    the parameters, and no :class:`LsmParams` is built.  Called, it returns
-    ``(-ll, -gradient)`` for ``minimize(..., jac=True)``, with ``_BIG`` or
-    zeros in place of non-finite values; :meth:`at` gives the raw ``(ll,
-    gradient)`` for the polish and the result.
+    their squares, the observed entries and the ``log(2 pi se^2)`` sums) is
+    computed once, when the object is built; each evaluation shares the
+    squared distances, eta and the residuals between the value and the
+    gradient.  The optimizer vector is ``(z_d, z_r, alpha)``, the
+    :func:`pack_params` layout up to b, with beta at the gauge value 1 and the
+    node effects at the node weights; its slices are the parameters, and no
+    :class:`LsmParams` is built.  :meth:`edge_terms` evaluates a stack of such
+    vectors, one row each, in one pass of whole-stack array operations; every
+    other method is its one-row case or builds on it.  :meth:`loss` gives
+    ``(-ll, -gradient)`` per row for :func:`minimize`, with ``_BIG`` or zeros
+    in place of non-finite values; :meth:`at` gives the raw ``(ll,
+    gradient)`` of one vector for the polish and the result.
     """
 
     def __init__(self, net, dim):
@@ -225,6 +236,8 @@ class _Objective:
         sd = _floored(net.donor_se)
         sr = _floored(net.recipient_se)
         self.mask, self.s, self.se2 = m, s, se * se
+        # flat indices of the observed pairs, or None when every pair is observed
+        self.observed = None if m.all() else np.flatnonzero(m)
         self.sd, self.sr, self.sd2, self.sr2 = sd, sr, sd * sd, sr * sr
         self.c_edge = -0.5 * np.sum(np.log(2.0 * np.pi * s * s))
         self.c_donor = -0.5 * np.sum(np.log(2.0 * np.pi * sd * sd))
@@ -232,31 +245,51 @@ class _Objective:
         self.nzd = net.n_d * dim
         self.nz = self.nzd + net.n_r * dim
 
-    def _edges(self, z_d, z_r, alpha, beta):
-        """The edge terms: (edge ll, weighted residuals e, d2, gradient over z_d, over z_r)."""
+    def edge_terms(self, xs, beta=1.0):
+        """The edge terms at each row of ``xs``, a ``(K, nz + 1)`` stack of optimizer vectors.
+
+        Returns the edge log-likelihoods ``(K,)``, their gradients over the
+        rows ``(K, nz + 1)``, and the weighted residuals ``e`` and squared
+        distances ``d2`` ``(K, n_d, n_r)``; ``beta`` is the slope the
+        distances enter with.  Each row gets the bits it would get alone: the
+        reductions run over C-contiguous rows (the observed residuals are
+        taken from the flat view, not by a boolean mask, whose result is laid
+        out otherwise), and a non-finite row touches no other.
+        """
+        net, nzd, nz = self.net, self.nzd, self.nz
+        k = xs.shape[0]
+        z_d = xs[:, :nzd].reshape(k, net.n_d, self.dim)
+        z_r = xs[:, nzd:nz].reshape(k, net.n_r, self.dim)
         d2 = _sqdist(z_d, z_r)
-        resid = self.net.edge_weight - (alpha - beta * d2)
-        ll = self.c_edge - 0.5 * np.sum((resid[self.mask] / self.s) ** 2)
-        e = np.where(self.mask, resid / self.se2, 0.0)
-        g_zd = -2.0 * beta * (e.sum(axis=1)[:, None] * z_d - e @ z_r)
-        g_zr = 2.0 * beta * (e.T @ z_d - e.sum(axis=0)[:, None] * z_r)
-        return ll, e, d2, g_zd, g_zr
+        resid = net.edge_weight - (xs[:, nz, None, None] - beta * d2)
+        observed = resid.reshape(k, -1)
+        if self.observed is not None:
+            observed = np.take(observed, self.observed, axis=1)
+        ll = self.c_edge - 0.5 * np.sum((observed / self.s) ** 2, axis=1)
+        e = resid / self.se2
+        if self.observed is not None:
+            e = np.where(self.mask, e, 0.0)
+        g = np.empty((k, nz + 1))
+        g[:, :nzd] = (-2.0 * beta * (e.sum(axis=2)[..., None] * z_d - e @ z_r)).reshape(k, -1)
+        g[:, nzd:nz] = (2.0 * beta * (e.transpose(0, 2, 1) @ z_d
+                                      - e.sum(axis=1)[..., None] * z_r)).reshape(k, -1)
+        g[:, nz] = e.reshape(k, -1).sum(axis=1)
+        return ll, g, e, d2
 
     def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
         """(ll, gradient in :func:`pack_params` order, b included)."""
         net = self.net
-        ll, e, d2, g_zd, g_zr = self._edges(z_d, z_r, alpha, beta)
+        x = np.concatenate([z_d.ravel(), z_r.ravel(), [alpha]])
+        ll, g, e, d2 = self.edge_terms(x[None, :], beta)
+        ll = ll[0]
         r_d = net.donor_weight - delta
         r_r = net.recipient_weight - gamma
         ll += self.c_donor
         ll += -0.5 * np.sum((r_d / self.sd) ** 2)
         ll += self.c_recipient
         ll += -0.5 * np.sum((r_r / self.sr) ** 2)
-        g_b = beta * (-(e * d2).sum())
-        g = np.concatenate(
-            [g_zd.ravel(), g_zr.ravel(), [e.sum(), g_b], r_d / self.sd2, r_r / self.sr2]
-        )
-        return float(ll), g
+        g_b = beta * (-(e[0] * d2[0]).sum())
+        return float(ll), np.concatenate([g[0], [g_b], r_d / self.sd2, r_r / self.sr2])
 
     def _split(self, x):
         net, nzd, nz = self.net, self.nzd, self.nz
@@ -264,19 +297,36 @@ class _Objective:
         z_r = x[nzd:nz].reshape(net.n_r, self.dim)
         return z_d, z_r, float(x[nz])
 
-    def at(self, x):
-        """(ll, gradient over ``x``) at optimizer vector ``x``, non-finite values kept.
+    def values(self, xs):
+        """(ll ``(K,)``, gradient ``(K, nz + 1)``) at each row of ``xs``, non-finite values kept.
 
         This is :meth:`evaluate` at beta 1 with the node effects at the node
         weights, cut to what the optimizer carries.  There the node residuals
         are exactly 0, so their terms are left out, as are the b slot and the
-        node slots of the gradient; both share :meth:`_edges` and add the
+        node slots of the gradient; both share :meth:`edge_terms` and add the
         constants in the same order, so both give the same bits.
         """
-        ll, e, _, g_zd, g_zr = self._edges(*self._split(x), 1.0)
+        ll, g, _, _ = self.edge_terms(xs)
         ll += self.c_donor
         ll += self.c_recipient
-        return float(ll), np.concatenate([g_zd.ravel(), g_zr.ravel(), [e.sum()]])
+        return ll, g
+
+    def at(self, x):
+        """(ll, gradient over ``x``) at one optimizer vector ``x``: :meth:`values` of one row."""
+        ll, g = self.values(x[None, :])
+        return float(ll[0]), g[0]
+
+    def loss(self, xs):
+        """(-ll, -gradient) at each row of ``xs``, the values :func:`minimize` descends.
+
+        A row whose ll is not finite gets ``_BIG``, and one whose gradient
+        has a non-finite entry gets a zero gradient, so line searches back
+        off; the other rows are untouched.
+        """
+        ll, g = self.values(xs)
+        np.negative(g, out=g)
+        g[~np.all(np.isfinite(g), axis=1)] = 0.0
+        return np.where(np.isfinite(ll), -ll, _BIG), g
 
     def gauge_basis(self, x):
         """Orthonormal basis, as columns, of the gauge directions at ``x``.
@@ -332,13 +382,6 @@ class _Objective:
         )
         h[nz, nz] = -c.sum()
         return h
-
-    def __call__(self, x):
-        ll, g = self.at(x)
-        f = -ll if math.isfinite(ll) else _BIG
-        if not np.all(np.isfinite(g)):
-            return f, np.zeros(x.size)
-        return f, -g
 
 
 def _evaluate(params, net):
@@ -400,10 +443,93 @@ def unpack_params(vec, n_d, n_r, dim):
 
 _BIG = 1e25  # stands in for a non-finite objective so line searches back off
 _POLISH_STEPS = 4  # Newton steps at most in the polish
+_MAXCOR = 20  # L-BFGS-B memory: the corrections each start keeps
+_MAXLS = 20  # line-search steps at most per L-BFGS-B iteration
+_MAXFUN = 15000  # evaluations per start, counted as scipy.optimize counts them
+_FG, _NEW_X, _STOP = 3, 1, 5  # setulb task codes: evaluate at x, an iterate ended, stop
+
+
+@dataclass(frozen=True)
+class LbfgsResult:
+    """Where each start of :func:`minimize` stopped, one row per start."""
+
+    x: np.ndarray  # (K, n) final points
+    fun: np.ndarray  # (K,) objective values there (the last evaluated, as scipy reports)
+    jac: np.ndarray  # (K, n) gradients there
+    iterations: np.ndarray  # (K,) L-BFGS-B iterations
+
+    @property
+    def nit(self):
+        """L-BFGS-B iterations over all starts."""
+        return int(self.iterations.sum())
+
+
+def minimize(objective, x0, max_iter, grad_tol):
+    """L-BFGS-B from each row of ``x0``, all starts in lockstep on one kernel.
+
+    Each start is its own L-BFGS-B state machine, driven straight through
+    ``scipy.optimize._lbfgsb.setulb`` as ``scipy.optimize.minimize(...,
+    method="L-BFGS-B")`` drives it: no bounds, ``maxcor`` 20, ``ftol`` 0,
+    ``gtol`` = ``grad_tol``, ``maxls`` 20, a stop after ``max_iter``
+    iterations or, at the end of an iteration, after more than 15000
+    evaluations, an evaluation skipped where x has not moved since the last.
+    In each round every running start advances to its next request for the
+    value and gradient, and all requested points are evaluated in one call of
+    :meth:`_Objective.loss`, whose rows are computed apart; so each start
+    takes exactly the iterates it would take alone under
+    ``scipy.optimize.minimize``, and returns the same x, fun, jac and
+    iteration count.
+    """
+    x = np.array(x0, dtype=float)  # setulb updates each row in place
+    n_starts, n = x.shape
+    # f and g are what setulb is handed: f the last value evaluated, g its
+    # gradient, which setulb may overwrite in place, so seen_g keeps it
+    f, g, seen_g = np.zeros(n_starts), np.zeros((n_starts, n)), np.zeros((n_starts, n))
+    seen_x = np.full((n_starts, n), np.nan)  # the last point evaluated
+    nfev = np.zeros(n_starts, dtype=int)
+    iterations = np.zeros(n_starts, dtype=int)
+    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)  # no bounds
+    wa = np.zeros((n_starts, 2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR * _MAXCOR + 8 * _MAXCOR))
+    iwa = np.zeros((n_starts, 3 * n), np.int32)
+    task, ln_task = np.zeros((n_starts, 2), np.int32), np.zeros((n_starts, 2), np.int32)
+    lsave, isave = np.zeros((n_starts, 4), np.int32), np.zeros((n_starts, 44), np.int32)
+    dsave = np.zeros((n_starts, 29))
+    rows = list(zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task))
+
+    def advance(k):
+        """Run start k to its next evaluation request (True) or to its end (False)."""
+        x_k, g_k, wa_k, iwa_k, task_k, lsave_k, isave_k, dsave_k, ln_task_k = rows[k]
+        while True:
+            _lbfgsb.setulb(_MAXCOR, x_k, lower, upper, nbd, f[k], g_k, 0.0, grad_tol, wa_k,
+                           iwa_k, task_k, lsave_k, isave_k, dsave_k, _MAXLS, ln_task_k)
+            if task_k[0] == _FG:
+                return True
+            if task_k[0] != _NEW_X:
+                return False
+            iterations[k] += 1
+            if iterations[k] >= max_iter:
+                task_k[:] = _STOP, 504  # total iterations reached the limit
+            elif nfev[k] > _MAXFUN:
+                task_k[:] = _STOP, 502  # total evaluations exceed the limit
+
+    running = np.arange(n_starts)
+    while True:
+        running = running[[advance(k) for k in running]]
+        if not running.size:
+            break
+        xs = x[running]
+        moved = ~np.all(xs == seen_x[running], axis=1)
+        fresh, xs = running[moved], xs[moved]
+        if fresh.size:
+            f[fresh], seen_g[fresh] = objective.loss(xs)
+            seen_x[fresh] = xs
+            nfev[fresh] += 1
+        g[running] = seen_g[running]
+    return LbfgsResult(x=x, fun=f, jac=g, iterations=iterations)
 
 
 def _start_points(net, config, init):
-    """Yield (restart_index, initial optimizer vector ``(z_d, z_r, alpha)``).
+    """The initial optimizer vectors ``(z_d, z_r, alpha)``, one per start, start 0 first.
 
     Start 0 is the ``init`` or else the classical-scaling positions of
     :func:`mds_init`, with alpha in closed form for them: the mean over
@@ -414,14 +540,15 @@ def _start_points(net, config, init):
     nz = (net.n_d + net.n_r) * config.dim
     if init is not None:
         scale = math.sqrt(init.beta)
-        yield 0, np.concatenate([scale * init.z_d.ravel(), scale * init.z_r.ravel(), [init.alpha]])
+        starts = [np.concatenate([scale * init.z_d.ravel(), scale * init.z_r.ravel(), [init.alpha]])]
     else:
         z_d0, z_r0 = mds_init(net, config.dim)
         alpha0 = np.mean((net.edge_weight + _sqdist(z_d0, z_r0))[net.edge_mask])
-        yield 0, np.concatenate([z_d0.ravel(), z_r0.ravel(), [alpha0]])
+        starts = [np.concatenate([z_d0.ravel(), z_r0.ravel(), [alpha0]])]
     for k in range(config.restarts):
         rng = substream(config.seed, "lsm-restart", str(k))
-        yield k + 1, 0.5 * rng.standard_normal(nz + 1)
+        starts.append(0.5 * rng.standard_normal(nz + 1))
+    return starts
 
 
 def _full_params(x, net, dim):
@@ -496,8 +623,10 @@ def fit(net, config, init=None):
     result has ``beta == 1`` and positions in that gauge; an ``init`` is
     mapped into it.  The node effects have a closed form, the observed node
     weights: the result's delta/gamma are copies of them, and an ``init``'s
-    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha).  One
-    :class:`_Objective` serves every start: the L-BFGS-B evaluations, the
+    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha).  All
+    starts run in lockstep in one :func:`minimize` call, L-BFGS-B driven
+    directly, each start with its own state; one :class:`_Objective` serves
+    every start, each round's points evaluated as one stack, and then the
     polish and the reported log-likelihood and gradient norm.
     :class:`LsmParams` are built only for the result.
     """
@@ -514,28 +643,22 @@ def fit(net, config, init=None):
             raise FitError(f"edge {net.donor_labels[i]},{net.recipient_labels[j]} has weight "
                            f"{net.edge_weight[i, j]:g} and stderr {net.edge_se[i, j]:g}: the sum "
                            "of squared weight/stderr ratios overflows, so no fit can start")
-    options = {
-        "maxiter": config.max_iter,
-        "gtol": config.grad_tol,
-        "ftol": 0.0,
-        "maxcor": 20,
-    }
-
-    best = best_idx = None
-    for idx, x0 in _start_points(net, config, init):
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
-        diverged = not math.isfinite(res.fun) or res.fun >= _BIG / 2
-        if not diverged and (best is None or res.fun < best.fun - 1e-12):
-            best, best_idx = res, idx
+    res = minimize(objective, _start_points(net, config, init), config.max_iter, config.grad_tol)
+    best = None
+    for k, fun in enumerate(res.fun):
+        diverged = not math.isfinite(fun) or fun >= _BIG / 2
+        if not diverged and (best is None or fun < res.fun[best] - 1e-12):
+            best = k
     if best is None:
         raise FitError("all optimizer restarts diverged")
-    x = best.x
-    if np.max(np.abs(best.jac)) > config.grad_tol:
+    x = res.x[best]
+    if np.max(np.abs(res.jac[best])) > config.grad_tol:
         x = _polish(objective, x)
     ll, g = objective.at(x)
     gnorm = float(np.max(np.abs(g)))
-    return FitResult(params=_full_params(x, net, dim), log_likelihood=ll, iterations=int(best.nit),
-                     grad_norm=gnorm, restart_index=best_idx, converged=gnorm <= config.grad_tol)
+    return FitResult(params=_full_params(x, net, dim), log_likelihood=ll,
+                     iterations=int(res.iterations[best]), grad_norm=gnorm,
+                     restart_index=best, converged=gnorm <= config.grad_tol)
 
 
 def refine_network(net, result):

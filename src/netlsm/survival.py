@@ -542,6 +542,8 @@ class SurvivalGenConfig:
             raise ValueError("n_per_split must be >= 2")
         if self.n_donor_types < 1 or self.n_recipient_types < 1:
             raise ValueError("n_donor_types and n_recipient_types must be >= 1")
+        if self.n_covariates < 0:
+            raise ValueError("n_covariates must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -443,9 +443,10 @@ class TestPipelineCommand:
      "n_donor_types and n_recipient_types must be >= 1"),
     (["simulate-network", "--dim", 0], "latent dimension must be >= 1"),
     (["simulate-transplants", "--dim", 0], "latent dimension must be >= 1"),
+    (["simulate-transplants", "--covariates", -1], "n_covariates must be >= 0"),
 ], ids=["min-count", "lam-negative", "lam-nan", "pipeline-seed", "table1-seed", "simulate-seed",
         "pipeline-n", "pipeline-min-count", "pipeline-dim", "table1-reps",
-        "transplants-types", "network-dim-0", "transplants-dim-0"])
+        "transplants-types", "network-dim-0", "transplants-dim-0", "transplants-covariates"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # unchecked, pipeline and table1 recorded the error as a failure of every
     # run and exited 1, some commands left an empty --out behind, and a latent

@@ -1,10 +1,11 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.optimize import minimize
+import scipy.optimize
 from scipy.stats import ortho_group
 
 from netlsm import (
@@ -26,6 +27,7 @@ from netlsm.model import (
     _polish,
     _sqdist,
     _start_points,
+    minimize,
     pack_params,
     unpack_params,
 )
@@ -393,6 +395,14 @@ def coupled(p):
     return pack_params(p)[: (p.z_d.shape[0] + p.z_r.shape[0]) * p.dim + 1]
 
 
+def objective_row(objective):
+    """``objective.loss`` on one vector: the callable ``scipy.optimize.minimize(..., jac=True)`` takes."""
+    def row(x):
+        f, g = objective.loss(x[None, :])
+        return f[0], g[0]
+    return row
+
+
 class TestKernelOracle:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("tiny", [0, 2])
@@ -413,12 +423,40 @@ class TestKernelOracle:
             assert np.array_equal(log_likelihood_gradient(p, net),
                                   ref_log_likelihood_gradient(p, net))
             x = coupled(p)
-            f, g = objective(x)
+            f, g = objective_row(objective)(x)
             assert f == neg_ll(x)
             assert np.array_equal(g, neg_grad(x))
             if in_gauge:
                 assert f == -log_likelihood(p, net)
                 assert np.array_equal(g, -log_likelihood_gradient(p, net)[: x.size])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stack_rows_equal_one_row_evaluations(self, dim):
+        # each row of a stack gets the bits of its own one-row evaluation, on a
+        # network with unobserved pairs; a non-finite row gets the stand-ins
+        # and leaves every other row as it was
+        rng = substream(dim, "kernel-stack")
+        n_d, n_r = 9, 7
+        net = random_network(rng, n_d, n_r, mask_frac=0.3)
+        assert not net.edge_mask.all()
+        objective = _Objective(net, dim)
+        xs = np.array([coupled(random_params(rng, n_d, n_r, dim)) for _ in range(4)])
+        f, g = objective.loss(xs)
+        ll, g_raw = objective.values(xs)
+        for k, x in enumerate(xs):
+            f_k, g_k = objective.loss(x[None, :])
+            assert f[k].tobytes() == f_k[0].tobytes() and g[k].tobytes() == g_k[0].tobytes()
+            ll_k, g_raw_k = objective.at(x)
+            assert np.float64(ll_k).tobytes() == ll[k].tobytes()
+            assert g_raw_k.tobytes() == g_raw[k].tobytes()
+        bad = xs.copy()
+        bad[2, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_bad, g_bad = objective.loss(bad)
+        assert f_bad[2] == _BIG and np.all(g_bad[2] == 0.0)
+        keep = [0, 1, 3]
+        assert f_bad[keep].tobytes() == f[keep].tobytes()
+        assert g_bad[keep].tobytes() == g[keep].tobytes()
 
     @pytest.mark.parametrize("recipient", [False, True])
     def test_non_finite_paths(self, recipient):
@@ -431,7 +469,7 @@ class TestKernelOracle:
         x[n_d * dim if recipient else 0] = 1e200
         neg_ll, neg_grad = ref_closures(net, dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            f, g = _Objective(net, dim)(x)
+            f, g = objective_row(_Objective(net, dim))(x)
             assert f == _BIG == neg_ll(x)
             assert g.shape == x.shape and np.all(g == 0.0)
             assert np.array_equal(g, neg_grad(x))
@@ -534,20 +572,22 @@ class TestClosedFormNodeEffects:
         assert np.array_equal(pack_params(res.params),
                               pack_params(fit(net, cfg, init=at_weights).params))
 
-    def test_one_minimize_per_start(self, monkeypatch):
-        # seed 10 of the 60x60 corpus stops short of grad_tol on both starts
+    def test_one_minimize_per_fit(self, monkeypatch):
+        # seed 10 of the 60x60 corpus stops short of grad_tol on both starts;
+        # both run in the one call, whose nit counts the iterations of both
         import netlsm.model
 
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+            calls.append(minimize(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(netlsm.model, "minimize", counting)
         cfg = FitConfig(dim=2, restarts=1, seed=10)
         res = fit(simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed, cfg)
-        assert len(calls) == 1 + cfg.restarts
+        assert len(calls) == 1 and len(calls[0].iterations) == 1 + cfg.restarts
+        assert isinstance(calls[0].nit, int) and calls[0].nit == sum(calls[0].iterations)
         assert res.iterations < cfg.max_iter
 
     @pytest.mark.parametrize("node_effects", [False, True])
@@ -559,10 +599,10 @@ class TestClosedFormNodeEffects:
         net = random_network(substream(17, "starts"), n_d, n_r)
         cfg = FitConfig(dim=dim, restarts=3, seed=9)
         nz = (n_d + n_r) * dim
-        starts = list(_start_points(net, cfg, None))
-        assert [idx for idx, _ in starts] == [0, 1, 2, 3]
-        assert starts[0][1].size == nz + 1
-        for k, (_, vec) in enumerate(starts[1:]):
+        starts = _start_points(net, cfg, None)
+        assert len(starts) == 4
+        assert starts[0].size == nz + 1
+        for k, vec in enumerate(starts[1:]):
             size = nz + 2 + (n_d + n_r if node_effects else 0)
             longer = 0.5 * substream(9, "lsm-restart", str(k)).standard_normal(size)
             assert vec.size == nz + 1
@@ -570,10 +610,11 @@ class TestClosedFormNodeEffects:
 
 
 def recording(monkeypatch, fun=None):
-    """Record each L-BFGS-B result and each polish point of ``fit``.
+    """Record each start's L-BFGS-B result and each polish point of ``fit``.
 
-    ``fun``, if given, maps a start's position to the objective value its
-    result reports, in place of the real one.
+    A result is one row of the lockstep run, with the ``x``, ``fun``,
+    ``jac`` and ``nit`` of that start.  ``fun``, if given, maps a start's
+    position to the objective value its row reports, in place of the real one.
     """
     import netlsm.model
 
@@ -581,9 +622,11 @@ def recording(monkeypatch, fun=None):
 
     def recording_minimize(*args, **kwargs):
         res = minimize(*args, **kwargs)
-        if fun is not None:
-            res.fun = fun(len(results))
-        results.append(res)
+        for k in range(len(res.fun)):
+            if fun is not None:
+                res.fun[k] = fun(k)
+            results.append(SimpleNamespace(x=res.x[k], fun=res.fun[k], jac=res.jac[k],
+                                           nit=res.iterations[k]))
         return res
 
     def recording_polish(objective, x):
@@ -682,29 +725,98 @@ def test_classical_scaling_start_alone_reaches_the_best_optimum(n, seed):
 OPTIONS = {"maxiter": 500, "gtol": 1e-6, "ftol": 0.0, "maxcor": 20}  # as in fit
 
 
+def lbfgs(objective, x0, max_iter=OPTIONS["maxiter"]):
+    """Where L-BFGS-B, run as ``fit`` runs it, stops from ``x0``."""
+    return minimize(objective, [x0], max_iter, OPTIONS["gtol"]).x[0]
+
+
+def pipeline_network(seed):
+    """The network the pipeline extracts from its Cox fit at CLI defaults."""
+    train, _, _ = simulate_transplants(SurvivalGenConfig(seed=seed))
+    x, columns = design_matrix(train, 10)
+    return extract_network(cox_fit(x, train.time, train.event, 1.0, columns=columns))
+
+
+def scipy_rows_match(objective, x0, res, options):
+    """Check each row of the lockstep ``res`` against scipy's L-BFGS-B from that start alone.
+
+    x, fun, jac and the iteration count must be equal bit for bit; returns
+    scipy's results.
+    """
+    rows = []
+    for k, x in enumerate(x0):
+        row = scipy.optimize.minimize(objective_row(objective), x, jac=True,
+                                      method="L-BFGS-B", options=options)
+        assert res.iterations[k] == row.nit
+        assert res.x[k].tobytes() == row.x.tobytes()
+        assert np.float64(res.fun[k]).tobytes() == np.float64(row.fun).tobytes()
+        assert res.jac[k].tobytes() == row.jac.tobytes()
+        rows.append(row)
+    return rows
+
+
+def sim_network(**kwargs):
+    return lambda: simulate(SimConfig(**kwargs)).observed
+
+
 def trajectory_cases():
-    # the 60x60 corpus, then two 20x20 networks configured like table1
+    """(id, network maker, FitConfig, check on the starts' iteration counts)."""
+    anything = lambda iterations: True  # noqa: E731
     for seed in (10, 11, 12, 13):
-        yield SimConfig(n_d=60, n_r=60, seed=seed), FitConfig(dim=2, restarts=1, seed=seed)
-    for sc in (SimConfig(sigma_w=0.15, seed=0),
-               SimConfig(sigma_w=1.5, edge_mean_convention=FULL_COMPATIBILITY, seed=1)):
-        yield sc, FitConfig(dim=2, restarts=1, seed=sc.seed)
+        yield (f"60x60-s{seed}", sim_network(n_d=60, n_r=60, seed=seed),
+               FitConfig(dim=2, restarts=1, seed=seed), anything)
+    # two 20x20 networks configured like table1
+    yield ("table1-low", sim_network(sigma_w=0.15, seed=0),
+           FitConfig(dim=2, restarts=1, seed=0), anything)
+    yield ("table1-high", sim_network(sigma_w=1.5, edge_mean_convention=FULL_COMPATIBILITY, seed=1),
+           FitConfig(dim=2, restarts=1, seed=1), anything)
+    # table1's five starts stop at five different iterations, so the lockstep
+    # batch shrinks one start at a time
+    yield ("table1-5-starts", sim_network(sigma_w=0.15, seed=3),
+           FitConfig(dim=2, restarts=4, seed=3), lambda iterations: len(set(iterations)) == 5)
+    # the pipeline's 12x12 network runs both starts to max_iter
+    yield ("pipeline-max-iter", lambda: pipeline_network(0),
+           FitConfig(dim=2, restarts=1, seed=0), lambda iterations: set(iterations) == {500})
+    yield ("max-iter-7", sim_network(n_d=60, n_r=60, seed=10),
+           FitConfig(dim=2, restarts=1, seed=10, max_iter=7),
+           lambda iterations: set(iterations) == {7})
 
 
-@pytest.mark.parametrize("sim_config,config", list(trajectory_cases()),
-                         ids=["60x60-s10", "60x60-s11", "60x60-s12", "60x60-s13",
-                              "table1-low", "table1-high"])
-def test_lbfgs_trajectory_matches_reference(sim_config, config):
-    # the one-pass objective takes L-BFGS-B through exactly the reference's
-    # iterates, from the classical-scaling start and from one random start
-    net = simulate(sim_config).observed
-    neg_ll, neg_grad = ref_closures(net, config.dim)
+@pytest.mark.parametrize("network,config,check", [case[1:] for case in trajectory_cases()],
+                         ids=[case[0] for case in trajectory_cases()])
+def test_lbfgs_trajectory_matches_reference(network, config, check):
+    # every start of the lockstep run ends exactly where scipy's L-BFGS-B ends
+    # from it alone on the kernel's one-row case, with the same x, fun, jac and
+    # iteration count; and that run takes the reference objective's iterates
+    net = network()
     objective = _Objective(net, config.dim)
-    for _, x0 in _start_points(net, config, None):
-        ref = minimize(neg_ll, x0, jac=neg_grad, method="L-BFGS-B", options=OPTIONS)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS)
-        assert res.nit == ref.nit
-        assert np.array_equal(res.x, ref.x)
+    x0 = _start_points(net, config, None)
+    res = minimize(objective, x0, config.max_iter, config.grad_tol)
+    assert check(list(res.iterations))
+    assert res.nit == sum(res.iterations)
+    options = {**OPTIONS, "maxiter": config.max_iter}
+    rows = scipy_rows_match(objective, x0, res, options)
+    neg_ll, neg_grad = ref_closures(net, config.dim)
+    for x, row in zip(x0, rows):
+        ref = scipy.optimize.minimize(neg_ll, x, jac=neg_grad, method="L-BFGS-B", options=options)
+        assert ref.nit == row.nit
+        assert np.array_equal(ref.x, row.x)
+
+
+def test_evaluation_limit_stops_as_scipy_stops(monkeypatch):
+    # scipy's stop after more than maxfun evaluations (15000, out of reach below
+    # ~750 iterations), lowered to 40: each start stops at the iteration, and
+    # on the x, fun and jac, where scipy's L-BFGS-B stops from it alone
+    import netlsm.model
+
+    monkeypatch.setattr(netlsm.model, "_MAXFUN", 40)
+    config = FitConfig(dim=2, restarts=1, seed=10)
+    net = simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed
+    objective = _Objective(net, config.dim)
+    x0 = _start_points(net, config, None)
+    res = minimize(objective, x0, config.max_iter, config.grad_tol)
+    rows = scipy_rows_match(objective, x0, res, {**OPTIONS, "maxfun": 40})
+    assert all(row.nfev > 40 and row.nit < config.max_iter for row in rows)
 
 
 def ref_polish(x, net, dim, max_steps=4):
@@ -747,8 +859,8 @@ def test_polish_matches_reference(seed):
     cfg = FitConfig(dim=2, restarts=1, seed=seed)
     objective = _Objective(net, cfg.dim)
     moved = []
-    for _, x0 in _start_points(net, cfg, None):
-        x = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS).x
+    for x0 in _start_points(net, cfg, None):
+        x = lbfgs(objective, x0)
         polished = _polish(objective, x)
         ref = ref_polish(x, net, cfg.dim)
         z_d, z_r, alpha = objective._split(polished)
@@ -772,9 +884,8 @@ def test_polish_leaves_a_rejected_step_unchanged():
     # it was given
     net = simulate(SimConfig(n_d=60, n_r=60, seed=16)).observed
     objective = _Objective(net, 2)
-    _, x0 = list(_start_points(net, FitConfig(dim=2, restarts=1, seed=16), None))[1]
-    x = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                 options={**OPTIONS, "maxiter": 20}).x
+    x0 = _start_points(net, FitConfig(dim=2, restarts=1, seed=16), None)[1]
+    x = lbfgs(objective, x0, max_iter=20)
     assert np.max(np.abs(objective.at(x)[1])) > 1e3
     assert np.array_equal(_polish(objective, x), x)
 
@@ -833,8 +944,8 @@ def test_polish_factors_the_hessian_once(monkeypatch):
     # solved with the Hessian and gauge basis of its starting point
     net = simulate(SimConfig(n_d=60, n_r=60, seed=14)).observed
     objective = _Objective(net, 2)
-    _, x0 = next(_start_points(net, FitConfig(dim=2, restarts=0, seed=14), None))
-    x = minimize(objective, x0, jac=True, method="L-BFGS-B", options=OPTIONS).x
+    (x0,) = _start_points(net, FitConfig(dim=2, restarts=0, seed=14), None)
+    x = lbfgs(objective, x0)
     calls = {"hessian": [], "gauge_basis": [], "at": []}
     for name in calls:
         method = getattr(objective, name)
@@ -874,9 +985,7 @@ def test_fit_validates_params_only_at_the_boundary(monkeypatch):
     # one _Objective serves the whole fit, and LsmParams are built only for the
     # result, never per evaluation or per polish step; the pipeline-extracted
     # 12x12 network of seed 0 runs both starts to max_iter
-    train, _, _ = simulate_transplants(SurvivalGenConfig(seed=0))
-    x, columns = design_matrix(train, 10)
-    net = extract_network(cox_fit(x, train.time, train.event, 1.0, columns=columns))
+    net = pipeline_network(0)
     params_built, objectives_built = [], []
     post_init, objective_init = LsmParams.__post_init__, _Objective.__init__
 
