@@ -19,11 +19,12 @@ from .model import (
     log_likelihood,
     log_likelihood_gradient,
     fit,
+    fit_networks,
     refine_network,
 )
 from .mdsinit import build_dissimilarity, classical_mds, mds_init
 from .procrustes import ProcrustesResult, procrustes_align
-from .simulate import SimConfig, SimulatedNetwork, simulate, run_replicates
+from .simulate import SimConfig, SimulatedNetwork, simulate, run_replicates, run_blocks
 from .baselines import NmtfConfig, NmtfResult, pca_refine, nmtf_refine
 from .metrics import EvalReport, rmse, mean_log_prob, sign_accuracy, evaluate_refinement
 from .survival import (

@@ -27,7 +27,7 @@ from .simulate import (
     PAIR_TERM_ONLY,
     SimConfig,
     format_report_table,
-    run_replicates,
+    run_blocks,
     simulate,
 )
 from .survival import (
@@ -142,19 +142,17 @@ def run_eval(cfg, out):
 
 
 def run_table1(cfg, out):
-    fc = _fit_config(cfg)
-    payload = {}
-    tables = []
-    converged, failed = True, False
+    keys, blocks = [], []
     for noise_name, sigma_w in (("low_noise", 0.15), ("high_noise", 1.5)):
         for convention in (PAIR_TERM_ONLY, FULL_COMPATIBILITY):
-            sc = SimConfig(sigma_w=sigma_w, edge_mean_convention=convention, seed=cfg["seed"])
-            report = run_replicates(sc, fc, cfg["reps"])
-            key = f"{noise_name}/{convention}"
-            payload[key] = report.to_dict()
-            tables.append(format_report_table(report, title=key))
-            converged = converged and all(r["converged"] for r in report.per_replicate)
-            failed = failed or bool(report.failures)
+            keys.append(f"{noise_name}/{convention}")
+            blocks.append(SimConfig(sigma_w=sigma_w, edge_mean_convention=convention,
+                                    seed=cfg["seed"]))
+    reports = run_blocks(blocks, _fit_config(cfg), cfg["reps"])
+    payload = {key: report.to_dict() for key, report in zip(keys, reports)}
+    tables = [format_report_table(report, title=key) for key, report in zip(keys, reports)]
+    converged = all(r["converged"] for report in reports for r in report.per_replicate)
+    failed = any(report.failures for report in reports)
     dump_json(payload, os.path.join(out, "table1.json"))
     write_text_atomic(os.path.join(out, "table1.txt"), "\n".join(tables))
     return ["table1.json", "table1.txt"], converged, failed

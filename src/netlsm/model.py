@@ -22,7 +22,10 @@ The starts of a fit run in lockstep (:func:`minimize`): each is its own
 L-BFGS-B state machine, driven directly through SciPy's ``setulb``, and in
 each round the points all running starts ask for are evaluated in one kernel
 call; each start takes exactly the iterates ``scipy.optimize.minimize`` would
-take from it alone.
+take from it alone.  The kernel holds a stack of networks of one shape and
+observation mask, and each row is evaluated against its own network, so
+:func:`fit_networks` runs the starts of several fits in one lockstep, each
+fit ending as it would alone; :func:`fit` is its one-network case.
 Parameters are validated (as :class:`LsmParams`) only for the result, not per
 evaluation.  Starts compete on their L-BFGS-B log-likelihood; the winning
 start, if it stops short of the gradient tolerance, is finished by Newton steps
@@ -33,6 +36,7 @@ out and factors the Hessian once, and each of its steps is a solve with that
 one factorization.
 """
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,6 +58,7 @@ __all__ = [
     "log_likelihood",
     "log_likelihood_gradient",
     "fit",
+    "fit_networks",
     "refine_network",
 ]
 
@@ -210,63 +215,106 @@ def _floored(se):
     return np.maximum(se, SE_FLOOR)
 
 
-class _Objective:
-    """The fit's one kernel: log-likelihood, gradient and Hessian on one network.
+def _node_constant(se):
+    """The ``-log(2 pi se^2) / 2`` sum of one side's node terms, standard errors floored."""
+    s = _floored(se)
+    return -0.5 * np.sum(np.log(2.0 * np.pi * s * s))
 
-    What does not depend on the parameters (the floored standard errors,
-    their squares, the observed entries and the ``log(2 pi se^2)`` sums) is
-    computed once, when the object is built; each evaluation shares the
+
+class _Objective:
+    """The fit's one kernel: log-likelihood, gradient and Hessian on a stack of networks.
+
+    The networks share one shape and one observation mask.  What does not
+    depend on the parameters (the edge weights, the floored standard errors,
+    their squares and the ``log(2 pi se^2)`` sums) is computed once, when the
+    object is built, with a leading network axis; each evaluation shares the
     squared distances, eta and the residuals between the value and the
     gradient.  The optimizer vector is ``(z_d, z_r, alpha)``, the
     :func:`pack_params` layout up to b, with beta at the gauge value 1 and the
     node effects at the node weights; its slices are the parameters, and no
     :class:`LsmParams` is built.  :meth:`edge_terms` evaluates a stack of such
-    vectors, one row each, in one pass of whole-stack array operations; every
-    other method is its one-row case or builds on it.  :meth:`loss` gives
-    ``(-ll, -gradient)`` per row for :func:`minimize`, with ``_BIG`` or zeros
-    in place of non-finite values; :meth:`at` gives the raw ``(ll,
-    gradient)`` of one vector for the polish and the result.
+    vectors, each row against its own network, in one pass of whole-stack
+    array operations; every other method is its one-row case or builds on
+    it.  :meth:`loss` gives ``(-ll, -gradient)`` per row for :func:`minimize`,
+    with ``_BIG`` or zeros in place of non-finite values.  :meth:`at`,
+    :meth:`hessian` and :meth:`gauge_basis` serve the polish and the result on
+    a one-network kernel, which :meth:`network` takes from a stack.
     """
 
-    def __init__(self, net, dim):
-        self.net, self.dim = net, dim
-        m = net.edge_mask
-        se = _floored(net.edge_se)
-        s = se[m]
-        sd = _floored(net.donor_se)
-        sr = _floored(net.recipient_se)
-        self.mask, self.s, self.se2 = m, s, se * se
+    _PER_NETWORK = ("nets", "w", "s", "se2", "c")
+
+    def __init__(self, nets, dim):
+        nets = list(nets)
+        first = nets[0]
+        m = first.edge_mask
+        for net in nets[1:]:
+            if (net.n_d, net.n_r) != (first.n_d, first.n_r):
+                raise ValueError("networks of one kernel must share their shape")
+            if not np.array_equal(net.edge_mask, m):
+                raise ValueError("networks of one kernel must share their observation mask")
+        self.nets, self.dim, self.mask = nets, dim, m
+        self.n_d, self.n_r = first.n_d, first.n_r
+        self.w = np.stack([net.edge_weight for net in nets])
+        se = _floored(np.stack([net.edge_se for net in nets]))
+        self.s, self.se2 = np.ascontiguousarray(se[:, m]), se * se
         # flat indices of the observed pairs, or None when every pair is observed
         self.observed = None if m.all() else np.flatnonzero(m)
-        self.sd, self.sr, self.sd2, self.sr2 = sd, sr, sd * sd, sr * sr
-        self.c_edge = -0.5 * np.sum(np.log(2.0 * np.pi * s * s))
-        self.c_donor = -0.5 * np.sum(np.log(2.0 * np.pi * sd * sd))
-        self.c_recipient = -0.5 * np.sum(np.log(2.0 * np.pi * sr * sr))
-        self.nzd = net.n_d * dim
-        self.nz = self.nzd + net.n_r * dim
+        c_edge = -0.5 * np.sum(np.log(2.0 * np.pi * self.s * self.s), axis=1)
+        # per network, the constants of the edge, donor and recipient terms
+        self.c = np.array([(c, _node_constant(net.donor_se), _node_constant(net.recipient_se))
+                           for net, c in zip(nets, c_edge)])
+        self.nzd = self.n_d * dim
+        self.nz = self.nzd + self.n_r * dim
 
-    def edge_terms(self, xs, beta=1.0):
+    def network(self, j):
+        """The one-network kernel of network ``j``, sharing this stack's arrays."""
+        if len(self.nets) == 1:
+            return self
+        one = copy.copy(self)
+        for name in self._PER_NETWORK:
+            setattr(one, name, getattr(self, name)[j : j + 1])
+        return one
+
+    def _rows(self, which):
+        """The per-network arrays for rows from networks ``which`` (one index per row).
+
+        A one-network kernel returns its arrays as they are, whatever
+        ``which`` is: their leading axis of 1 broadcasts over the rows, so
+        nothing is gathered.
+        """
+        arrays = self.w, self.s, self.se2, self.c
+        if len(self.nets) == 1:
+            return arrays
+        if which is None:
+            raise ValueError("rows of a kernel over several networks need their network indices")
+        return tuple(a.take(which, axis=0) for a in arrays)
+
+    def edge_terms(self, xs, which=None, beta=1.0):
         """The edge terms at each row of ``xs``, a ``(K, nz + 1)`` stack of optimizer vectors.
 
-        Returns the edge log-likelihoods ``(K,)``, their gradients over the
-        rows ``(K, nz + 1)``, and the weighted residuals ``e`` and squared
-        distances ``d2`` ``(K, n_d, n_r)``; ``beta`` is the slope the
-        distances enter with.  Each row gets the bits it would get alone: the
+        Row ``k`` is evaluated against network ``which[k]``.  Returns the edge
+        log-likelihoods ``(K,)``, their gradients over the rows ``(K, nz +
+        1)``, the weighted residuals ``e`` and squared distances ``d2`` ``(K,
+        n_d, n_r)``, and the rows' constants ``(K, 3)`` of the edge, donor and
+        recipient terms; ``beta`` is the slope the distances enter with.  Each
+        row gets the bits it would get alone on a one-network kernel: the
         reductions run over C-contiguous rows (the observed residuals are
         taken from the flat view, not by a boolean mask, whose result is laid
-        out otherwise), and a non-finite row touches no other.
+        out otherwise, and the floored errors of the observed edges are kept
+        C-contiguous), and a non-finite row touches no other.
         """
-        net, nzd, nz = self.net, self.nzd, self.nz
+        nzd, nz = self.nzd, self.nz
+        w, s, se2, c = self._rows(which)
         k = xs.shape[0]
-        z_d = xs[:, :nzd].reshape(k, net.n_d, self.dim)
-        z_r = xs[:, nzd:nz].reshape(k, net.n_r, self.dim)
+        z_d = xs[:, :nzd].reshape(k, self.n_d, self.dim)
+        z_r = xs[:, nzd:nz].reshape(k, self.n_r, self.dim)
         d2 = _sqdist(z_d, z_r)
-        resid = net.edge_weight - (xs[:, nz, None, None] - beta * d2)
+        resid = w - (xs[:, nz, None, None] - beta * d2)
         observed = resid.reshape(k, -1)
         if self.observed is not None:
             observed = np.take(observed, self.observed, axis=1)
-        ll = self.c_edge - 0.5 * np.sum((observed / self.s) ** 2, axis=1)
-        e = resid / self.se2
+        ll = c[:, 0] - 0.5 * np.sum((observed / s) ** 2, axis=1)
+        e = resid / se2
         if self.observed is not None:
             e = np.where(self.mask, e, 0.0)
         g = np.empty((k, nz + 1))
@@ -274,30 +322,31 @@ class _Objective:
         g[:, nzd:nz] = (2.0 * beta * (e.transpose(0, 2, 1) @ z_d
                                       - e.sum(axis=1)[..., None] * z_r)).reshape(k, -1)
         g[:, nz] = e.reshape(k, -1).sum(axis=1)
-        return ll, g, e, d2
+        return ll, g, e, d2, c
 
     def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
-        """(ll, gradient in :func:`pack_params` order, b included)."""
-        net = self.net
+        """(ll, gradient in :func:`pack_params` order, b included), on a one-network kernel."""
+        net = self.nets[0]
         x = np.concatenate([z_d.ravel(), z_r.ravel(), [alpha]])
-        ll, g, e, d2 = self.edge_terms(x[None, :], beta)
+        ll, g, e, d2, c = self.edge_terms(x[None, :], beta=beta)
         ll = ll[0]
+        sd, sr = _floored(net.donor_se), _floored(net.recipient_se)
         r_d = net.donor_weight - delta
         r_r = net.recipient_weight - gamma
-        ll += self.c_donor
-        ll += -0.5 * np.sum((r_d / self.sd) ** 2)
-        ll += self.c_recipient
-        ll += -0.5 * np.sum((r_r / self.sr) ** 2)
+        ll += c[0, 1]
+        ll += -0.5 * np.sum((r_d / sd) ** 2)
+        ll += c[0, 2]
+        ll += -0.5 * np.sum((r_r / sr) ** 2)
         g_b = beta * (-(e[0] * d2[0]).sum())
-        return float(ll), np.concatenate([g[0], [g_b], r_d / self.sd2, r_r / self.sr2])
+        return float(ll), np.concatenate([g[0], [g_b], r_d / (sd * sd), r_r / (sr * sr)])
 
     def _split(self, x):
-        net, nzd, nz = self.net, self.nzd, self.nz
-        z_d = x[:nzd].reshape(net.n_d, self.dim)
-        z_r = x[nzd:nz].reshape(net.n_r, self.dim)
+        nzd, nz = self.nzd, self.nz
+        z_d = x[:nzd].reshape(self.n_d, self.dim)
+        z_r = x[nzd:nz].reshape(self.n_r, self.dim)
         return z_d, z_r, float(x[nz])
 
-    def values(self, xs):
+    def values(self, xs, which=None):
         """(ll ``(K,)``, gradient ``(K, nz + 1)``) at each row of ``xs``, non-finite values kept.
 
         This is :meth:`evaluate` at beta 1 with the node effects at the node
@@ -306,9 +355,9 @@ class _Objective:
         node slots of the gradient; both share :meth:`edge_terms` and add the
         constants in the same order, so both give the same bits.
         """
-        ll, g, _, _ = self.edge_terms(xs)
-        ll += self.c_donor
-        ll += self.c_recipient
+        ll, g, _, _, c = self.edge_terms(xs, which)
+        ll += c[:, 1]
+        ll += c[:, 2]
         return ll, g
 
     def at(self, x):
@@ -316,14 +365,14 @@ class _Objective:
         ll, g = self.values(x[None, :])
         return float(ll[0]), g[0]
 
-    def loss(self, xs):
+    def loss(self, xs, which=None):
         """(-ll, -gradient) at each row of ``xs``, the values :func:`minimize` descends.
 
         A row whose ll is not finite gets ``_BIG``, and one whose gradient
         has a non-finite entry gets a zero gradient, so line searches back
         off; the other rows are untouched.
         """
-        ll, g = self.values(xs)
+        ll, g = self.values(xs, which)
         np.negative(g, out=g)
         g[~np.all(np.isfinite(g), axis=1)] = 0.0
         return np.where(np.isfinite(ll), -ll, _BIG), g
@@ -350,18 +399,19 @@ class _Objective:
         return np.linalg.qr(basis)[0]
 
     def hessian(self, x):
-        """Exact Hessian of the log-likelihood over ``x = (z_d, z_r, alpha)``.
+        """Exact Hessian of the log-likelihood over ``x = (z_d, z_r, alpha)``, one network.
 
         The node effects couple to nothing (their Hessian is the diagonal
         -1/se^2) and beta is held at 1, so neither has a row.  The matrix is
         exactly symmetric.
         """
         z_d, z_r, alpha = self._split(x)
-        n_d, n_r, dim, nzd, nz = self.net.n_d, self.net.n_r, self.dim, self.nzd, self.nz
+        n_d, n_r, dim, nzd, nz = self.n_d, self.n_r, self.dim, self.nzd, self.nz
+        se2 = self.se2[0]
         u = z_d[:, None, :] - z_r[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", u, u)
-        c = np.where(self.mask, 1.0 / self.se2, 0.0)
-        e = np.where(self.mask, (self.net.edge_weight - (alpha - d2)) / self.se2, 0.0)
+        c = np.where(self.mask, 1.0 / se2, 0.0)
+        e = np.where(self.mask, (self.w[0] - (alpha - d2)) / se2, 0.0)
         v = np.sqrt(c)[:, :, None] * u
         cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
         eye = np.eye(dim)
@@ -386,7 +436,7 @@ class _Objective:
 
 def _evaluate(params, net):
     _check_dims(params, net)
-    return _Objective(net, params.dim).evaluate(
+    return _Objective([net], params.dim).evaluate(
         params.z_d, params.z_r, params.alpha, params.beta, params.delta, params.gamma
     )
 
@@ -464,7 +514,7 @@ class LbfgsResult:
         return int(self.iterations.sum())
 
 
-def minimize(objective, x0, max_iter, grad_tol):
+def minimize(objective, x0, max_iter, grad_tol, networks=None):
     """L-BFGS-B from each row of ``x0``, all starts in lockstep on one kernel.
 
     Each start is its own L-BFGS-B state machine, driven straight through
@@ -478,7 +528,8 @@ def minimize(objective, x0, max_iter, grad_tol):
     :meth:`_Objective.loss`, whose rows are computed apart; so each start
     takes exactly the iterates it would take alone under
     ``scipy.optimize.minimize``, and returns the same x, fun, jac and
-    iteration count.
+    iteration count.  ``networks`` gives, per start, the index of the network
+    of ``objective`` it descends on; a one-network kernel needs none.
     """
     x = np.array(x0, dtype=float)  # setulb updates each row in place
     n_starts, n = x.shape
@@ -521,7 +572,8 @@ def minimize(objective, x0, max_iter, grad_tol):
         moved = ~np.all(xs == seen_x[running], axis=1)
         fresh, xs = running[moved], xs[moved]
         if fresh.size:
-            f[fresh], seen_g[fresh] = objective.loss(xs)
+            f[fresh], seen_g[fresh] = objective.loss(
+                xs, None if networks is None else networks[fresh])
             seen_x[fresh] = xs
             nfev[fresh] += 1
         g[running] = seen_g[running]
@@ -606,6 +658,79 @@ def _polish(objective, x):
     return x
 
 
+def _overflow_error(objective, j):
+    """Network ``j``'s :class:`FitError` if its sum of (weight / stderr)^2 overflows, else None."""
+    net, mask = objective.nets[j], objective.mask
+    with np.errstate(over="ignore"):  # an overflow makes every start diverge
+        ratio = np.abs(objective.w[j][mask] / objective.s[j])
+        if math.isfinite(np.sum(ratio * ratio)):
+            return None
+    i, k = np.argwhere(mask)[np.argmax(ratio)]
+    return FitError(f"edge {net.donor_labels[i]},{net.recipient_labels[k]} has weight "
+                    f"{net.edge_weight[i, k]:g} and stderr {net.edge_se[i, k]:g}: the sum "
+                    "of squared weight/stderr ratios overflows, so no fit can start")
+
+
+def _finish(objective, config, res, rows):
+    """The :class:`FitResult` of a one-network ``objective`` from its starts' rows of ``res``.
+
+    The start with the lowest L-BFGS-B value wins, ties within 1e-12 going to
+    the lowest restart index and diverged starts skipped; it alone is
+    polished, if it stopped short of ``config.grad_tol``.
+    """
+    best = None
+    for k, fun in enumerate(res.fun[rows]):
+        diverged = not math.isfinite(fun) or fun >= _BIG / 2
+        if not diverged and (best is None or fun < res.fun[rows[best]] - 1e-12):
+            best = k
+    if best is None:
+        return FitError("all optimizer restarts diverged")
+    x = res.x[rows[best]]
+    if np.max(np.abs(res.jac[rows[best]])) > config.grad_tol:
+        x = _polish(objective, x)
+    ll, g = objective.at(x)
+    gnorm = float(np.max(np.abs(g)))
+    return FitResult(params=_full_params(x, objective.nets[0], config.dim), log_likelihood=ll,
+                     iterations=int(res.iterations[rows[best]]), grad_norm=gnorm,
+                     restart_index=best, converged=gnorm <= config.grad_tol)
+
+
+def fit_networks(nets, config, inits=None):
+    """:func:`fit` of each network of ``nets``, all in one lockstep.
+
+    The networks must share their shape and observation mask (else
+    ``ValueError``); ``inits``, if given, holds one ``init`` or None per
+    network.  Each network gets the starts, the winner, the polish and the
+    :class:`FitResult` that :func:`fit` would give it alone, bit for bit, or
+    the :class:`FitError` that :func:`fit` would raise for it, which is
+    returned in its place and leaves the other networks' results as they
+    are.  The starts of every network run in one :func:`minimize` call on
+    one :class:`_Objective` over the stack, each round's points of all
+    networks evaluated in one kernel call.
+    """
+    nets = list(nets)
+    inits = [None] * len(nets) if inits is None else list(inits)
+    if len(inits) != len(nets):
+        raise ValueError("inits must hold one entry per network")
+    for net, init in zip(nets, inits):
+        if init is not None:
+            _check_dims(init, net)
+            if init.dim != config.dim:
+                raise ValueError("init latent dimension does not match config.dim")
+    objective = _Objective(nets, config.dim)
+    outcomes = [_overflow_error(objective, j) for j in range(len(nets))]
+    live = [j for j, error in enumerate(outcomes) if error is None]
+    if not live:
+        return outcomes
+    starts = [_start_points(nets[j], config, inits[j]) for j in live]
+    owner = np.repeat(live, [len(points) for points in starts])
+    res = minimize(objective, [x for points in starts for x in points], config.max_iter,
+                   config.grad_tol, owner)
+    for j in live:
+        outcomes[j] = _finish(objective.network(j), config, res, np.flatnonzero(owner == j))
+    return outcomes
+
+
 def fit(net, config, init=None):
     """Maximum likelihood fit via L-BFGS-B from a classical-scaling start + random restarts.
 
@@ -628,37 +753,13 @@ def fit(net, config, init=None):
     directly, each start with its own state; one :class:`_Objective` serves
     every start, each round's points evaluated as one stack, and then the
     polish and the reported log-likelihood and gradient norm.
-    :class:`LsmParams` are built only for the result.
+    :class:`LsmParams` are built only for the result.  This is the
+    one-network case of :func:`fit_networks`.
     """
-    if init is not None:
-        _check_dims(init, net)
-        if init.dim != config.dim:
-            raise ValueError("init latent dimension does not match config.dim")
-    dim = config.dim
-    objective = _Objective(net, dim)
-    with np.errstate(over="ignore"):  # an overflow makes every start diverge
-        ratio = np.abs(net.edge_weight[objective.mask] / objective.s)
-        if not math.isfinite(np.sum(ratio * ratio)):
-            i, j = np.argwhere(objective.mask)[np.argmax(ratio)]
-            raise FitError(f"edge {net.donor_labels[i]},{net.recipient_labels[j]} has weight "
-                           f"{net.edge_weight[i, j]:g} and stderr {net.edge_se[i, j]:g}: the sum "
-                           "of squared weight/stderr ratios overflows, so no fit can start")
-    res = minimize(objective, _start_points(net, config, init), config.max_iter, config.grad_tol)
-    best = None
-    for k, fun in enumerate(res.fun):
-        diverged = not math.isfinite(fun) or fun >= _BIG / 2
-        if not diverged and (best is None or fun < res.fun[best] - 1e-12):
-            best = k
-    if best is None:
-        raise FitError("all optimizer restarts diverged")
-    x = res.x[best]
-    if np.max(np.abs(res.jac[best])) > config.grad_tol:
-        x = _polish(objective, x)
-    ll, g = objective.at(x)
-    gnorm = float(np.max(np.abs(g)))
-    return FitResult(params=_full_params(x, net, dim), log_likelihood=ll,
-                     iterations=int(res.iterations[best]), grad_norm=gnorm,
-                     restart_index=best, converged=gnorm <= config.grad_tol)
+    [outcome] = fit_networks([net], config, [init])
+    if isinstance(outcome, FitError):
+        raise outcome
+    return outcome
 
 
 def refine_network(net, result):

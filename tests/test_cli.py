@@ -476,16 +476,17 @@ class TestTable1:
         assert "RMSE" in text and "R^2" in text
 
     def test_a_replicate_that_raises_exits_1(self, tmp_path, monkeypatch, capsys):
-        # ``netlsm.simulate`` is the re-exported function, not the module
+        # ``netlsm.simulate`` is the re-exported function, not the module; each
+        # replicate seed fits the four blocks' networks in one ``fit_networks``
         sim_module = importlib.import_module("netlsm.simulate")
-        real = sim_module.fit
+        real = sim_module.fit_networks
 
-        def rep_1_raises(net, config, init=None):
+        def rep_1_raises(nets, config, inits=None):
             if config.seed == 1:
-                raise FitError("all optimizer restarts diverged")
-            return real(net, config, init)
+                return [FitError("all optimizer restarts diverged") for _ in nets]
+            return real(nets, config, inits)
 
-        monkeypatch.setattr(sim_module, "fit", rep_1_raises)
+        monkeypatch.setattr(sim_module, "fit_networks", rep_1_raises)
         out = tmp_path / "t1"
         assert run(["table1", "--reps", 2, "--restarts", 0, "--out", out,
                     "--allow-nonconverged"]) == 1
@@ -499,14 +500,14 @@ class TestTable1:
         # only fit failures are recorded; any other error stops the study
         # before a file is written
         sim_module = importlib.import_module("netlsm.simulate")
-        real = sim_module.fit
+        real = sim_module.fit_networks
 
-        def rep_1_raises(net, config, init=None):
+        def rep_1_raises(nets, config, inits=None):
             if config.seed == 1:
                 raise ValueError("bad replicate")
-            return real(net, config, init)
+            return real(nets, config, inits)
 
-        monkeypatch.setattr(sim_module, "fit", rep_1_raises)
+        monkeypatch.setattr(sim_module, "fit_networks", rep_1_raises)
         out = tmp_path / "t1"
         assert run(["table1", "--reps", 2, "--restarts", 0, "--out", out,
                     "--allow-nonconverged"]) == 2
@@ -515,10 +516,10 @@ class TestTable1:
 
     def test_every_replicate_raising_exits_1(self, tmp_path, monkeypatch, capsys):
         # a block with no replicate left still writes its failures, not a traceback
-        def raises(net, config, init=None):
-            raise FitError("all optimizer restarts diverged")
+        def raises(nets, config, inits=None):
+            return [FitError("all optimizer restarts diverged") for _ in nets]
 
-        monkeypatch.setattr(importlib.import_module("netlsm.simulate"), "fit", raises)
+        monkeypatch.setattr(importlib.import_module("netlsm.simulate"), "fit_networks", raises)
         out = tmp_path / "t1"
         assert run(["table1", "--reps", 1, "--restarts", 0, "--out", out]) == 1
         assert "error:" in capsys.readouterr().err

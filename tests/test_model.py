@@ -11,8 +11,10 @@ from scipy.stats import ortho_group
 from netlsm import (
     CompatibilityNetwork,
     FitConfig,
+    FitError,
     LsmParams,
     fit,
+    fit_networks,
     log_likelihood,
     log_likelihood_gradient,
     pair_affinity,
@@ -32,7 +34,7 @@ from netlsm.model import (
     unpack_params,
 )
 from netlsm.procrustes import procrustes_align
-from netlsm.simulate import FULL_COMPATIBILITY, SimConfig, simulate
+from netlsm.simulate import FULL_COMPATIBILITY, PAIR_TERM_ONLY, SimConfig, simulate
 from netlsm.survival import (
     SurvivalGenConfig,
     cox_fit,
@@ -265,6 +267,12 @@ def ref_log_likelihood_hessian(params, net):
     return h
 
 
+def with_mask(net, mask):
+    """Copy of ``net`` observed on ``mask``."""
+    return type(net)(net.donor_labels, net.recipient_labels, net.donor_weight, net.donor_se,
+                     net.recipient_weight, net.recipient_se, net.edge_weight, net.edge_se, mask)
+
+
 def gauged(p, net):
     """``p`` at beta 1 with the node effects at the node weights, as the kernel sees it."""
     return LsmParams(p.z_d, p.z_r, p.alpha, 1.0, net.donor_weight, net.recipient_weight)
@@ -277,7 +285,7 @@ class TestHessian:
         rng = substream(dim, "hess", str(tiny))
         n_d, n_r = 6, 5
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
-        objective = _Objective(net, dim)
+        objective = _Objective([net], dim)
         x = coupled(random_params(rng, n_d, n_r, dim))
         h = objective.hessian(x)
         assert h.shape == (x.size, x.size) and x.size == (n_d + n_r) * dim + 1
@@ -292,7 +300,7 @@ class TestHessian:
         n_d, n_r, dim = 5, 6, 2
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.25), rng, 1)
         p = gauged(random_params(rng, n_d, n_r, dim), net)
-        objective = _Objective(net, dim)
+        objective = _Objective([net], dim)
         x = coupled(p)
         h = objective.hessian(x)
         assert np.array_equal(h, ref_log_likelihood_hessian(p, net)[: x.size, : x.size])
@@ -308,7 +316,7 @@ class TestHessian:
         rng = substream(dim, "hess-ref", str(tiny))
         n_d, n_r = 7, 5
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
-        objective = _Objective(net, dim)
+        objective = _Objective([net], dim)
         for _ in range(3):
             p = gauged(random_params(rng, n_d, n_r, dim), net)
             x = coupled(p)
@@ -320,7 +328,7 @@ class TestHessian:
         rng = substream(5, "hess-gauge")
         n_d, n_r, dim = 6, 4, 2
         net = random_network(rng, n_d, n_r, mask_frac=0.2)
-        h = _Objective(net, dim).hessian(coupled(random_params(rng, n_d, n_r, dim)))
+        h = _Objective([net], dim).hessian(coupled(random_params(rng, n_d, n_r, dim)))
         for axis in range(dim):
             t = np.zeros(h.shape[0])
             t[axis : (n_d + n_r) * dim : dim] = 1.0
@@ -413,7 +421,7 @@ class TestKernelOracle:
         rng = substream(dim, "kernel", str(tiny), str(in_gauge))
         n_d, n_r = 7, 5
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
-        objective = _Objective(net, dim)
+        objective = _Objective([net], dim)
         neg_ll, neg_grad = ref_closures(net, dim)
         for _ in range(3):
             p = random_params(rng, n_d, n_r, dim)
@@ -439,7 +447,7 @@ class TestKernelOracle:
         n_d, n_r = 9, 7
         net = random_network(rng, n_d, n_r, mask_frac=0.3)
         assert not net.edge_mask.all()
-        objective = _Objective(net, dim)
+        objective = _Objective([net], dim)
         xs = np.array([coupled(random_params(rng, n_d, n_r, dim)) for _ in range(4)])
         f, g = objective.loss(xs)
         ll, g_raw = objective.values(xs)
@@ -458,6 +466,55 @@ class TestKernelOracle:
         assert f_bad[keep].tobytes() == f[keep].tobytes()
         assert g_bad[keep].tobytes() == g[keep].tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("holes", [False, True])
+    def test_mixed_stack_rows_equal_one_network_evaluations(self, dim, holes):
+        # rows of three networks of one shape and mask, in mixed order: each
+        # row gets the bits of its one-row evaluation on its own network's
+        # kernel, and a non-finite row of one network leaves the rows of the
+        # others as they were
+        rng = substream(dim, "kernel-mixed", str(holes))
+        n_d, n_r = 8, 6
+        first = random_network(rng, n_d, n_r, mask_frac=0.3 if holes else 0.0)
+        assert first.edge_mask.all() != holes
+        nets = [first] + [with_mask(random_network(rng, n_d, n_r), first.edge_mask)
+                          for _ in range(2)]
+        objective = _Objective(nets, dim)
+        which = np.array([2, 0, 1, 1, 2, 0, 1])
+        xs = np.array([coupled(random_params(rng, n_d, n_r, dim)) for _ in which])
+        f, g = objective.loss(xs, which)
+        ll, g_raw = objective.values(xs, which)
+        for k, (x, j) in enumerate(zip(xs, which)):
+            one = _Objective([nets[j]], dim)
+            f_k, g_k = one.loss(x[None, :])
+            assert f[k].tobytes() == f_k[0].tobytes() and g[k].tobytes() == g_k[0].tobytes()
+            ll_k, g_raw_k = one.at(x)
+            assert np.float64(ll_k).tobytes() == ll[k].tobytes()
+            assert g_raw_k.tobytes() == g_raw[k].tobytes()
+            view_ll, view_g = objective.network(j).at(x)
+            assert view_ll == ll_k and view_g.tobytes() == g_raw_k.tobytes()
+        bad = xs.copy()
+        bad[2, 0] = 1e200  # a row of network 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_bad, g_bad = objective.loss(bad, which)
+        assert f_bad[2] == _BIG and np.all(g_bad[2] == 0.0)
+        keep = [0, 1, 3, 4, 5, 6]
+        assert f_bad[keep].tobytes() == f[keep].tobytes()
+        assert g_bad[keep].tobytes() == g[keep].tobytes()
+
+    def test_networks_of_another_shape_or_mask_are_refused(self):
+        rng = substream(0, "kernel-refuse")
+        net = random_network(rng, 5, 4)
+        with pytest.raises(ValueError, match="share their shape"):
+            _Objective([net, random_network(rng, 5, 3)], 2)
+        holes = net.edge_mask.copy()
+        holes[1, 2] = False
+        with pytest.raises(ValueError, match="share their observation mask"):
+            _Objective([net, with_mask(net, holes)], 2)
+        x = coupled(random_params(rng, 5, 4, 2))
+        with pytest.raises(ValueError, match="network indices"):
+            _Objective([net, net], 2).loss(x[None, :])
+
     @pytest.mark.parametrize("recipient", [False, True])
     def test_non_finite_paths(self, recipient):
         # an overflowing donor or recipient position makes the distance, ll and
@@ -469,12 +526,12 @@ class TestKernelOracle:
         x[n_d * dim if recipient else 0] = 1e200
         neg_ll, neg_grad = ref_closures(net, dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            f, g = objective_row(_Objective(net, dim))(x)
+            f, g = objective_row(_Objective([net], dim))(x)
             assert f == _BIG == neg_ll(x)
             assert g.shape == x.shape and np.all(g == 0.0)
             assert np.array_equal(g, neg_grad(x))
             # the polish and the result read the raw values, not the stand-ins
-            ll, g_raw = _Objective(net, dim).at(x)
+            ll, g_raw = _Objective([net], dim).at(x)
             assert not math.isfinite(ll) and not np.all(np.isfinite(g_raw))
 
 
@@ -661,7 +718,7 @@ class TestRestartSelection:
         res = fit(net, FitConfig(dim=2, restarts=1, seed=29))
         assert res.restart_index == 1 and res.converged
         assert results[0].fun - results[1].fun > 1e-12
-        objective = _Objective(net, 2)
+        objective = _Objective([net], 2)
         ll0, ll1 = (objective.at(_polish(objective, r.x))[0] for r in results)
         assert abs(ll1 - ll0) <= 1e-12
         assert res.log_likelihood == ll1
@@ -676,6 +733,80 @@ class TestRestartSelection:
         assert res.iterations == results[winner].nit
         assert len(polished) <= 1
         assert all(np.array_equal(x, results[winner].x) for x in polished)
+
+
+def table1_networks(seed):
+    """The networks of table1's four blocks at replicate seed ``seed``."""
+    return [simulate(SimConfig(sigma_w=sigma_w, edge_mean_convention=convention,
+                               seed=seed)).observed
+            for sigma_w in (0.15, 1.5) for convention in (PAIR_TERM_ONLY, FULL_COMPATIBILITY)]
+
+
+def assert_same_fit(a, b):
+    assert np.float64(a.log_likelihood).tobytes() == np.float64(b.log_likelihood).tobytes()
+    assert pack_params(a.params).tobytes() == pack_params(b.params).tobytes()
+    assert (a.iterations, a.restart_index, a.converged) == (b.iterations, b.restart_index,
+                                                            b.converged)
+    assert np.float64(a.grad_norm).tobytes() == np.float64(b.grad_norm).tobytes()
+
+
+class TestFitNetworks:
+    def test_lockstep_equals_lone_fits(self, monkeypatch):
+        # seed 112 of table1: both full-compatibility fits stop short of
+        # grad_tol and are polished, and the high-noise one stays unconverged
+        # with a random restart winning; all twenty starts run in one minimize
+        import netlsm.model
+
+        calls, polished = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(minimize(*args, **kwargs))
+            return calls[-1]
+
+        def counting_polish(objective, x):
+            polished.append(objective.nets[0])
+            return _polish(objective, x)
+
+        nets = table1_networks(112)
+        cfg = FitConfig(seed=112)
+        monkeypatch.setattr(netlsm.model, "minimize", counting)
+        monkeypatch.setattr(netlsm.model, "_polish", counting_polish)
+        results = fit_networks(nets, cfg)
+        assert len(calls) == 1 and len(calls[0].iterations) == len(nets) * (1 + cfg.restarts)
+        assert len(polished) == 2 and polished[0] is nets[1] and polished[1] is nets[3]
+        assert [r.converged for r in results] == [True, True, True, False]
+        assert results[3].restart_index > 0
+        monkeypatch.undo()
+        for net, res in zip(nets, results):
+            assert_same_fit(res, fit(net, cfg))
+
+    def test_a_failing_network_gets_its_own_error(self):
+        # an overflowing edge fails its own network before any start; the
+        # other networks get the results they get without it
+        nets = table1_networks(3)
+        weight = nets[1].edge_weight.copy()
+        weight[2, 3] = 1e200
+        bad = type(nets[1])(nets[1].donor_labels, nets[1].recipient_labels,
+                            nets[1].donor_weight, nets[1].donor_se, nets[1].recipient_weight,
+                            nets[1].recipient_se, weight, nets[1].edge_se, nets[1].edge_mask)
+        cfg = FitConfig(restarts=2, seed=3)
+        results = fit_networks([nets[0], bad, nets[2]], cfg)
+        assert isinstance(results[1], FitError)
+        assert str(results[1]).startswith("edge D02,R03 has weight 1e+200 and stderr 0.15:")
+        with pytest.raises(FitError, match="edge D02,R03 has weight 1e"):
+            fit(bad, cfg)
+        for res, alone in zip([results[0], results[2]], fit_networks([nets[0], nets[2]], cfg)):
+            assert_same_fit(res, alone)
+
+    def test_inits_are_per_network(self):
+        nets = table1_networks(5)[:2]
+        cfg = FitConfig(restarts=1, seed=5)
+        init = fit(nets[1], cfg).params
+        results = fit_networks(nets, cfg, [None, init])
+        assert_same_fit(results[0], fit(nets[0], cfg))
+        assert_same_fit(results[1], fit(nets[1], cfg, init=init))
+        with pytest.raises(ValueError, match="one entry per network"):
+            fit_networks(nets, cfg, [init])
 
 
 # reference log-likelihoods of the 60x60 corpus, from the earlier finite-difference polish
@@ -789,7 +920,7 @@ def test_lbfgs_trajectory_matches_reference(network, config, check):
     # from it alone on the kernel's one-row case, with the same x, fun, jac and
     # iteration count; and that run takes the reference objective's iterates
     net = network()
-    objective = _Objective(net, config.dim)
+    objective = _Objective([net], config.dim)
     x0 = _start_points(net, config, None)
     res = minimize(objective, x0, config.max_iter, config.grad_tol)
     assert check(list(res.iterations))
@@ -812,7 +943,7 @@ def test_evaluation_limit_stops_as_scipy_stops(monkeypatch):
     monkeypatch.setattr(netlsm.model, "_MAXFUN", 40)
     config = FitConfig(dim=2, restarts=1, seed=10)
     net = simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed
-    objective = _Objective(net, config.dim)
+    objective = _Objective([net], config.dim)
     x0 = _start_points(net, config, None)
     res = minimize(objective, x0, config.max_iter, config.grad_tol)
     rows = scipy_rows_match(objective, x0, res, {**OPTIONS, "maxfun": 40})
@@ -857,7 +988,7 @@ def test_polish_matches_reference(seed):
     # translation or rotation.
     net = simulate(SimConfig(n_d=60, n_r=60, seed=seed)).observed
     cfg = FitConfig(dim=2, restarts=1, seed=seed)
-    objective = _Objective(net, cfg.dim)
+    objective = _Objective([net], cfg.dim)
     moved = []
     for x0 in _start_points(net, cfg, None):
         x = lbfgs(objective, x0)
@@ -883,7 +1014,7 @@ def test_polish_leaves_a_rejected_step_unchanged():
     # Newton step does not shrink the gradient, so the polish returns the point
     # it was given
     net = simulate(SimConfig(n_d=60, n_r=60, seed=16)).observed
-    objective = _Objective(net, 2)
+    objective = _Objective([net], 2)
     x0 = _start_points(net, FitConfig(dim=2, restarts=1, seed=16), None)[1]
     x = lbfgs(objective, x0, max_iter=20)
     assert np.max(np.abs(objective.at(x)[1])) > 1e3
@@ -895,7 +1026,7 @@ def test_polish_stops_on_a_singular_system(monkeypatch):
     # the exact zero pivot that ends it raises no warning
     rng = substream(7, "polish-singular")
     net = random_network(rng, 5, 4)
-    objective = _Objective(net, 2)
+    objective = _Objective([net], 2)
     x = coupled(random_params(rng, 5, 4, 2))
     monkeypatch.setattr(objective, "hessian", lambda x: np.zeros((x.size, x.size)))
     with warnings.catch_warnings():
@@ -921,7 +1052,7 @@ def test_polish_leaves_a_singular_or_non_finite_system_unsolved(monkeypatch, hes
     # gradient is read once and no warning escapes
     rng = substream(8, "polish-zero-pivot")
     net = random_network(rng, 5, 4)
-    objective = _Objective(net, 2)
+    objective = _Objective([net], 2)
     x = coupled(random_params(rng, 5, 4, 2))
     if hessian is zero_alpha_pivot:
         with pytest.warns(LinAlgWarning):
@@ -943,7 +1074,7 @@ def test_polish_factors_the_hessian_once(monkeypatch):
     # the polish tries two steps (the second does not shrink the gradient), both
     # solved with the Hessian and gauge basis of its starting point
     net = simulate(SimConfig(n_d=60, n_r=60, seed=14)).observed
-    objective = _Objective(net, 2)
+    objective = _Objective([net], 2)
     (x0,) = _start_points(net, FitConfig(dim=2, restarts=0, seed=14), None)
     x = lbfgs(objective, x0)
     calls = {"hessian": [], "gauge_basis": [], "at": []}
@@ -967,7 +1098,7 @@ def test_gauge_basis(dim):
     n_d, n_r = 7, 6
     p = random_params(rng, n_d, n_r, dim)
     truth = LsmParams(p.z_d, p.z_r, p.alpha, 1.0, p.delta, p.gamma)
-    objective = _Objective(noiseless_network(truth, se=0.1), dim)
+    objective = _Objective([noiseless_network(truth, se=0.1)], dim)
     x = coupled(truth)
     assert np.max(np.abs(objective.at(x)[1])) <= 1e-10
     q = objective.gauge_basis(x)

@@ -5,6 +5,7 @@ from netlsm import FitConfig, SimConfig, simulate
 from netlsm.simulate import (
     FULL_COMPATIBILITY,
     format_report_table,
+    run_blocks,
     run_replicates,
     simulate_train_test,
 )
@@ -95,6 +96,25 @@ class TestReplicates:
     def test_invalid_reps(self):
         with pytest.raises(ValueError):
             run_replicates(SimConfig(), FitConfig(), 0)
+
+    def test_blocks_report_as_their_own_runs(self):
+        # each replicate seed fits every block's network in one lockstep, and
+        # each block's report is the one its own run gives
+        blocks = [SimConfig(n_d=8, n_r=8, sigma_w=sigma_w, edge_mean_convention=convention,
+                            seed=3)
+                  for sigma_w in (0.15, 1.5) for convention in ("pair_term_only",
+                                                                FULL_COMPATIBILITY)]
+        fit_config = FitConfig(restarts=1)
+        reports = run_blocks(blocks, fit_config, 2)
+        assert len(reports) == len(blocks)
+        for block, report in zip(blocks, reports):
+            assert report.to_dict() == run_replicates(block, fit_config, 2).to_dict()
+
+    @pytest.mark.parametrize("other", [SimConfig(seed=1), SimConfig(n_r=19)],
+                             ids=["seed", "shape"])
+    def test_blocks_must_share_their_seed_and_shape(self, other):
+        with pytest.raises(ValueError, match="share their seed and network shape"):
+            run_blocks([SimConfig(), other], FitConfig(), 1)
 
 
 class TestConfigValidation:

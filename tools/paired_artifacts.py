@@ -10,10 +10,11 @@ these runs byte-identical:
 ``run`` calls ``netlsm.cli.main`` from the netlsm under ``--src`` (default:
 the ``src/`` of the checkout holding this file), with BLAS threads pinned to
 1, for each command of the acceptance test's determinism criterion (all
-seven commands, at its fixed seeds) and for ``pipeline --seeds 2`` at the
-CLI defaults.  Each run writes into its own subdirectory of ``--out``, and
-the paths it is given are relative to ``--out``, so that the manifests of
-two runs hold the same config.  ``exit_codes.json`` records each exit code.
+seven commands, at its fixed seeds) and for ``pipeline --seeds 2`` and
+``table1 --reps 2`` at the CLI defaults: two seeds, four restarts, and each
+seed's four blocks fit in one lockstep.  Each run writes into its own
+subdirectory of ``--out``, and the paths it is given are relative to
+``--out``, so that the manifests of two runs hold the same config.  ``exit_codes.json`` records each exit code.
 
 ``compare`` walks both directories and prints every difference and a
 summary; it exits 1 on any difference.  Files other than ``manifest.json``
@@ -44,6 +45,7 @@ COMMANDS = (
     ("pipeline", ["pipeline", "--seeds", "1", "--n", "1000", "--min-count", "5",
                   "--restarts", "0"]),
     ("pipeline-defaults", ["pipeline", "--seeds", "2"]),
+    ("table1-defaults", ["table1", "--reps", "2"]),
 )
 IGNORED = ("duration_s", "out")
 
