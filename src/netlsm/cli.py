@@ -103,7 +103,7 @@ def _fit_config(cfg):
     )
 
 
-def _evaluate(cfg, out, net_key, methods, dims):
+def _evaluate(cfg, net_key, methods, dims):
     """Score each method refining ``cfg[net_key]`` on ``cfg["test_net"]`` (itself if unset).
 
     The one refinement path of ``fit`` and ``eval``; it writes nothing, and
@@ -124,7 +124,7 @@ def _evaluate(cfg, out, net_key, methods, dims):
 
 def run_fit(cfg, out):
     dims = cfg["dim_grid"] or [cfg["dim"]]
-    [evaluation], converged = _evaluate(cfg, out, "net", [cfg["method"]], dims)
+    [evaluation], converged = _evaluate(cfg, "net", [cfg["method"]], dims)
     artifacts = ["metrics.json"]
     if evaluation.fits:  # an LSM fit per dimension
         result = evaluation.fits[evaluation.selected_dim]
@@ -135,7 +135,7 @@ def run_fit(cfg, out):
 
 
 def run_eval(cfg, out):
-    evaluations, converged = _evaluate(cfg, out, "train_net", cfg["methods"], cfg["dim_grid"])
+    evaluations, converged = _evaluate(cfg, "train_net", cfg["methods"], cfg["dim_grid"])
     dump_json({e.method: e.to_dict() for e in evaluations}, os.path.join(out, "eval.json"))
     write_text_atomic(os.path.join(out, "eval_table.txt"), format_eval_table(evaluations))
     return ["eval.json", "eval_table.txt"], converged, False
@@ -353,8 +353,9 @@ def _matches(value, default):
 def _read_manifest(parser, path, command):
     """The manifest at ``path``; ``parser.error`` unless it holds a full config for ``command``.
 
-    The config must hold exactly the command's keys, and every value must have
-    the type of the command's default (see :func:`_matches`).
+    The manifest's ``out`` must be a string or null.  The config must hold
+    exactly the command's keys, and every value must have the type of the
+    command's default (see :func:`_matches`).
     A value whose default is ``None`` may be ``None``, or else must have its
     type in ``_UNSET_TYPES``.
     """
@@ -367,6 +368,8 @@ def _read_manifest(parser, path, command):
         parser.error("manifest is not a JSON object")
     if manifest.get("command") != command:
         parser.error(f"manifest is for command {manifest.get('command')!r}")
+    if not isinstance(manifest.get("out"), (str, type(None))):
+        parser.error(f"manifest out={manifest['out']!r} is not a string or null")
     cfg = manifest.get("config")
     if not isinstance(cfg, dict):
         parser.error("manifest has no config")

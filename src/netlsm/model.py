@@ -17,15 +17,16 @@ log-likelihood over it by L-BFGS-B.
 One kernel, :class:`_Objective`, serves the whole fit on slices of that
 optimizer vector: the L-BFGS-B evaluations (log-likelihood and gradient in one
 pass), the Newton polish and the reported log-likelihood and gradient norm.
-It evaluates a stack of optimizer vectors at once, each row computed apart.
-The starts of a fit run in lockstep (:func:`minimize`): each is its own
-L-BFGS-B state machine, driven directly through SciPy's ``setulb``, and in
+The kernel holds a stack of networks of one shape and observation mask, and
+every evaluation names the network it is made against: a stack of optimizer
+vectors is evaluated at once, each row against its own network and computed
+apart.  The starts of a fit run in lockstep (:func:`minimize`): each is its
+own L-BFGS-B state machine, driven directly through SciPy's ``setulb``, and in
 each round the points all running starts ask for are evaluated in one kernel
 call; each start takes exactly the iterates ``scipy.optimize.minimize`` would
-take from it alone.  The kernel holds a stack of networks of one shape and
-observation mask, and each row is evaluated against its own network, so
-:func:`fit_networks` runs the starts of several fits in one lockstep, each
-fit ending as it would alone; :func:`fit` is its one-network case.
+take from it alone.  So :func:`fit_networks` runs the starts of several fits
+in one lockstep, each fit ending as it would alone; :func:`fit` is its
+one-network case.
 Parameters are validated (as :class:`LsmParams`) only for the result, not per
 evaluation.  Starts compete on their L-BFGS-B log-likelihood; the winning
 start, if it stops short of the gradient tolerance, is finished by Newton steps
@@ -36,7 +37,6 @@ out and factors the Hessian once, and each of its steps is a solve with that
 one factorization.
 """
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -232,16 +232,15 @@ class _Objective:
     gradient.  The optimizer vector is ``(z_d, z_r, alpha)``, the
     :func:`pack_params` layout up to b, with beta at the gauge value 1 and the
     node effects at the node weights; its slices are the parameters, and no
-    :class:`LsmParams` is built.  :meth:`edge_terms` evaluates a stack of such
-    vectors, each row against its own network, in one pass of whole-stack
-    array operations; every other method is its one-row case or builds on
-    it.  :meth:`loss` gives ``(-ll, -gradient)`` per row for :func:`minimize`,
-    with ``_BIG`` or zeros in place of non-finite values.  :meth:`at`,
-    :meth:`hessian` and :meth:`gauge_basis` serve the polish and the result on
-    a one-network kernel, which :meth:`network` takes from a stack.
+    :class:`LsmParams` is built.  Every evaluation names its network:
+    :meth:`edge_terms` evaluates a stack of such vectors, row ``k`` against
+    network ``which[k]``, in one pass of whole-stack array operations, and
+    every other evaluation is its one-row case or builds on it.
+    :meth:`loss` gives ``(-ll, -gradient)`` per row for :func:`minimize`,
+    with ``_BIG`` or zeros in place of non-finite values.  :meth:`at` and
+    :meth:`hessian` serve the polish and the result at one vector of network
+    ``j``; :meth:`gauge_basis` depends on no network.
     """
-
-    _PER_NETWORK = ("nets", "w", "s", "se2", "c")
 
     def __init__(self, nets, dim):
         nets = list(nets)
@@ -266,15 +265,6 @@ class _Objective:
         self.nzd = self.n_d * dim
         self.nz = self.nzd + self.n_r * dim
 
-    def network(self, j):
-        """The one-network kernel of network ``j``, sharing this stack's arrays."""
-        if len(self.nets) == 1:
-            return self
-        one = copy.copy(self)
-        for name in self._PER_NETWORK:
-            setattr(one, name, getattr(self, name)[j : j + 1])
-        return one
-
     def _rows(self, which):
         """The per-network arrays for rows from networks ``which`` (one index per row).
 
@@ -285,11 +275,9 @@ class _Objective:
         arrays = self.w, self.s, self.se2, self.c
         if len(self.nets) == 1:
             return arrays
-        if which is None:
-            raise ValueError("rows of a kernel over several networks need their network indices")
         return tuple(a.take(which, axis=0) for a in arrays)
 
-    def edge_terms(self, xs, which=None, beta=1.0):
+    def edge_terms(self, xs, which, beta=1.0):
         """The edge terms at each row of ``xs``, a ``(K, nz + 1)`` stack of optimizer vectors.
 
         Row ``k`` is evaluated against network ``which[k]``.  Returns the edge
@@ -324,48 +312,27 @@ class _Objective:
         g[:, nz] = e.reshape(k, -1).sum(axis=1)
         return ll, g, e, d2, c
 
-    def evaluate(self, z_d, z_r, alpha, beta, delta, gamma):
-        """(ll, gradient in :func:`pack_params` order, b included), on a one-network kernel."""
-        net = self.nets[0]
-        x = np.concatenate([z_d.ravel(), z_r.ravel(), [alpha]])
-        ll, g, e, d2, c = self.edge_terms(x[None, :], beta=beta)
-        ll = ll[0]
-        sd, sr = _floored(net.donor_se), _floored(net.recipient_se)
-        r_d = net.donor_weight - delta
-        r_r = net.recipient_weight - gamma
-        ll += c[0, 1]
-        ll += -0.5 * np.sum((r_d / sd) ** 2)
-        ll += c[0, 2]
-        ll += -0.5 * np.sum((r_r / sr) ** 2)
-        g_b = beta * (-(e[0] * d2[0]).sum())
-        return float(ll), np.concatenate([g[0], [g_b], r_d / (sd * sd), r_r / (sr * sr)])
-
-    def _split(self, x):
-        nzd, nz = self.nzd, self.nz
-        z_d = x[:nzd].reshape(self.n_d, self.dim)
-        z_r = x[nzd:nz].reshape(self.n_r, self.dim)
-        return z_d, z_r, float(x[nz])
-
-    def values(self, xs, which=None):
+    def values(self, xs, which):
         """(ll ``(K,)``, gradient ``(K, nz + 1)``) at each row of ``xs``, non-finite values kept.
 
-        This is :meth:`evaluate` at beta 1 with the node effects at the node
-        weights, cut to what the optimizer carries.  There the node residuals
-        are exactly 0, so their terms are left out, as are the b slot and the
-        node slots of the gradient; both share :meth:`edge_terms` and add the
-        constants in the same order, so both give the same bits.
+        This is :func:`log_likelihood` and its gradient at beta 1 with the
+        node effects at the node weights, cut to what the optimizer carries.
+        There the node residuals are exactly 0, so their terms are left out,
+        as are the b slot and the node slots of the gradient; both share
+        :meth:`edge_terms` and add the constants in the same order, so both
+        give the same bits.
         """
         ll, g, _, _, c = self.edge_terms(xs, which)
         ll += c[:, 1]
         ll += c[:, 2]
         return ll, g
 
-    def at(self, x):
-        """(ll, gradient over ``x``) at one optimizer vector ``x``: :meth:`values` of one row."""
-        ll, g = self.values(x[None, :])
+    def at(self, x, j):
+        """(ll, gradient over ``x``) at one optimizer vector of network ``j``: :meth:`values`."""
+        ll, g = self.values(x[None, :], [j])
         return float(ll[0]), g[0]
 
-    def loss(self, xs, which=None):
+    def loss(self, xs, which):
         """(-ll, -gradient) at each row of ``xs``, the values :func:`minimize` descends.
 
         A row whose ll is not finite gets ``_BIG``, and one whose gradient
@@ -398,20 +365,21 @@ class _Objective:
         basis[:nz] = moves.reshape(len(moves), nz).T
         return np.linalg.qr(basis)[0]
 
-    def hessian(self, x):
-        """Exact Hessian of the log-likelihood over ``x = (z_d, z_r, alpha)``, one network.
+    def hessian(self, x, j):
+        """Exact Hessian of network ``j``'s log-likelihood over ``x = (z_d, z_r, alpha)``.
 
         The node effects couple to nothing (their Hessian is the diagonal
         -1/se^2) and beta is held at 1, so neither has a row.  The matrix is
         exactly symmetric.
         """
-        z_d, z_r, alpha = self._split(x)
         n_d, n_r, dim, nzd, nz = self.n_d, self.n_r, self.dim, self.nzd, self.nz
-        se2 = self.se2[0]
+        z_d = x[:nzd].reshape(n_d, dim)
+        z_r = x[nzd:nz].reshape(n_r, dim)
+        alpha, se2 = float(x[nz]), self.se2[j]
         u = z_d[:, None, :] - z_r[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", u, u)
         c = np.where(self.mask, 1.0 / se2, 0.0)
-        e = np.where(self.mask, (self.w[0] - (alpha - d2)) / se2, 0.0)
+        e = np.where(self.mask, (self.w[j] - (alpha - d2)) / se2, 0.0)
         v = np.sqrt(c)[:, :, None] * u
         cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
         eye = np.eye(dim)
@@ -435,10 +403,20 @@ class _Objective:
 
 
 def _evaluate(params, net):
+    """(ll, gradient in :func:`pack_params` order, b included) of ``params`` on ``net``."""
     _check_dims(params, net)
-    return _Objective([net], params.dim).evaluate(
-        params.z_d, params.z_r, params.alpha, params.beta, params.delta, params.gamma
-    )
+    x = np.concatenate([params.z_d.ravel(), params.z_r.ravel(), [params.alpha]])
+    ll, g, e, d2, c = _Objective([net], params.dim).edge_terms(x[None, :], [0], params.beta)
+    ll = ll[0]
+    sd, sr = _floored(net.donor_se), _floored(net.recipient_se)
+    r_d = net.donor_weight - params.delta
+    r_r = net.recipient_weight - params.gamma
+    ll += c[0, 1]
+    ll += -0.5 * np.sum((r_d / sd) ** 2)
+    ll += c[0, 2]
+    ll += -0.5 * np.sum((r_r / sr) ** 2)
+    g_b = params.beta * (-(e[0] * d2[0]).sum())
+    return float(ll), np.concatenate([g[0], [g_b], r_d / (sd * sd), r_r / (sr * sr)])
 
 
 def log_likelihood(params, net):
@@ -514,7 +492,7 @@ class LbfgsResult:
         return int(self.iterations.sum())
 
 
-def minimize(objective, x0, max_iter, grad_tol, networks=None):
+def minimize(objective, x0, max_iter, grad_tol, networks):
     """L-BFGS-B from each row of ``x0``, all starts in lockstep on one kernel.
 
     Each start is its own L-BFGS-B state machine, driven straight through
@@ -529,7 +507,7 @@ def minimize(objective, x0, max_iter, grad_tol, networks=None):
     takes exactly the iterates it would take alone under
     ``scipy.optimize.minimize``, and returns the same x, fun, jac and
     iteration count.  ``networks`` gives, per start, the index of the network
-    of ``objective`` it descends on; a one-network kernel needs none.
+    of ``objective`` it descends on.
     """
     x = np.array(x0, dtype=float)  # setulb updates each row in place
     n_starts, n = x.shape
@@ -572,8 +550,7 @@ def minimize(objective, x0, max_iter, grad_tol, networks=None):
         moved = ~np.all(xs == seen_x[running], axis=1)
         fresh, xs = running[moved], xs[moved]
         if fresh.size:
-            f[fresh], seen_g[fresh] = objective.loss(
-                xs, None if networks is None else networks[fresh])
+            f[fresh], seen_g[fresh] = objective.loss(xs, networks[fresh])
             seen_x[fresh] = xs
             nfev[fresh] += 1
         g[running] = seen_g[running]
@@ -609,15 +586,16 @@ def _full_params(x, net, dim):
     return unpack_params(vec, net.n_d, net.n_r, dim)
 
 
-def _polish(objective, x):
+def _polish(objective, x, j):
     """Newton steps on the gradient itself, with the exact Hessian factored once.
 
     Near the optimum the objective changes by less than machine epsilon per
     step, so line-search methods stall with gradient norms around 1e-6; the
     gradient is still computed accurately, so root-finding on it tightens the
-    stationarity a few more orders of magnitude.  ``x`` is the optimizer
-    vector ``(z_d, z_r, alpha)`` of ``objective``, the :class:`_Objective`
-    that also served L-BFGS-B; the gradient and Hessian come from it alone.
+    stationarity a few more orders of magnitude.  ``x`` is an optimizer
+    vector ``(z_d, z_r, alpha)`` of network ``j`` of ``objective``, the
+    :class:`_Objective` that also served L-BFGS-B; the gradient and Hessian
+    come from it alone.
 
     The likelihood is flat along the translation and rotation directions, so
     the Hessian ``H`` of :meth:`_Objective.hessian` is singular there.  With
@@ -630,11 +608,11 @@ def _polish(objective, x):
     gradient norm; the first that does not ends the polish, and an exactly
     singular or non-finite system leaves ``x`` as it is.
     """
-    g = objective.at(x)[1]
+    g = objective.at(x, j)[1]
     gnorm = np.max(np.abs(g))
     if gnorm == 0.0:
         return x
-    h = objective.hessian(x)
+    h = objective.hessian(x, j)
     q = objective.gauge_basis(x)
     h -= np.max(np.abs(np.diag(h))) * (q @ q.T)
     if not np.all(np.isfinite(h)):
@@ -650,7 +628,7 @@ def _polish(objective, x):
         x_new = x - lu_solve(lu, g - q @ (q.T @ g), check_finite=False)
         if not np.all(np.isfinite(x_new)):
             break
-        g_new = objective.at(x_new)[1]
+        g_new = objective.at(x_new, j)[1]
         gnorm_new = np.max(np.abs(g_new))
         if not np.all(np.isfinite(g_new)) or gnorm_new >= gnorm:
             break
@@ -671,8 +649,8 @@ def _overflow_error(objective, j):
                     "of squared weight/stderr ratios overflows, so no fit can start")
 
 
-def _finish(objective, config, res, rows):
-    """The :class:`FitResult` of a one-network ``objective`` from its starts' rows of ``res``.
+def _finish(objective, j, config, res, rows):
+    """The :class:`FitResult` of network ``j`` of ``objective`` from its starts' rows of ``res``.
 
     The start with the lowest L-BFGS-B value wins, ties within 1e-12 going to
     the lowest restart index and diverged starts skipped; it alone is
@@ -687,10 +665,10 @@ def _finish(objective, config, res, rows):
         return FitError("all optimizer restarts diverged")
     x = res.x[rows[best]]
     if np.max(np.abs(res.jac[rows[best]])) > config.grad_tol:
-        x = _polish(objective, x)
-    ll, g = objective.at(x)
+        x = _polish(objective, x, j)
+    ll, g = objective.at(x, j)
     gnorm = float(np.max(np.abs(g)))
-    return FitResult(params=_full_params(x, objective.nets[0], config.dim), log_likelihood=ll,
+    return FitResult(params=_full_params(x, objective.nets[j], config.dim), log_likelihood=ll,
                      iterations=int(res.iterations[rows[best]]), grad_norm=gnorm,
                      restart_index=best, converged=gnorm <= config.grad_tol)
 
@@ -704,9 +682,10 @@ def fit_networks(nets, config, inits=None):
     :class:`FitResult` that :func:`fit` would give it alone, bit for bit, or
     the :class:`FitError` that :func:`fit` would raise for it, which is
     returned in its place and leaves the other networks' results as they
-    are.  The starts of every network run in one :func:`minimize` call on
-    one :class:`_Objective` over the stack, each round's points of all
-    networks evaluated in one kernel call.
+    are; no networks give ``[]``.  The starts of every network run in one
+    :func:`minimize` call on one :class:`_Objective` over the stack, each
+    round's points of all networks evaluated in one kernel call, and each
+    network's winner is polished and evaluated on that kernel by its index.
     """
     nets = list(nets)
     inits = [None] * len(nets) if inits is None else list(inits)
@@ -717,6 +696,8 @@ def fit_networks(nets, config, inits=None):
             _check_dims(init, net)
             if init.dim != config.dim:
                 raise ValueError("init latent dimension does not match config.dim")
+    if not nets:
+        return []
     objective = _Objective(nets, config.dim)
     outcomes = [_overflow_error(objective, j) for j in range(len(nets))]
     live = [j for j, error in enumerate(outcomes) if error is None]
@@ -727,7 +708,7 @@ def fit_networks(nets, config, inits=None):
     res = minimize(objective, [x for points in starts for x in points], config.max_iter,
                    config.grad_tol, owner)
     for j in live:
-        outcomes[j] = _finish(objective.network(j), config, res, np.flatnonzero(owner == j))
+        outcomes[j] = _finish(objective, j, config, res, np.flatnonzero(owner == j))
     return outcomes
 
 
@@ -748,13 +729,11 @@ def fit(net, config, init=None):
     result has ``beta == 1`` and positions in that gauge; an ``init`` is
     mapped into it.  The node effects have a closed form, the observed node
     weights: the result's delta/gamma are copies of them, and an ``init``'s
-    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha).  All
-    starts run in lockstep in one :func:`minimize` call, L-BFGS-B driven
-    directly, each start with its own state; one :class:`_Objective` serves
-    every start, each round's points evaluated as one stack, and then the
-    polish and the reported log-likelihood and gradient norm.
-    :class:`LsmParams` are built only for the result.  This is the
-    one-network case of :func:`fit_networks`.
+    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha).  This
+    is the one-network case of :func:`fit_networks`: all starts run in
+    lockstep in one :func:`minimize` call, and one :class:`_Objective` serves
+    them, the polish and the reported log-likelihood and gradient norm;
+    :class:`LsmParams` are built only for the result.
     """
     [outcome] = fit_networks([net], config, [init])
     if isinstance(outcome, FitError):

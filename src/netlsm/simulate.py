@@ -226,15 +226,17 @@ def _report(n_reps, per_rep, failures):
 def run_blocks(configs, fit_config, n_reps):
     """:func:`run_replicates` of each block of ``configs``, one report per block.
 
-    The blocks must share one seed and one network shape (else
-    ``ValueError``), so that replicate ``k`` of every block has the seed
-    ``seed + k`` and one :class:`~netlsm.model.FitConfig`: for each
-    replicate seed, the blocks' networks are fit together in one lockstep by
-    :func:`~netlsm.model.fit_networks`, which gives each the result its own
-    fit would.  A lockstep holds at most ``len(configs) * (restarts + 1)``
-    starts, whatever ``n_reps`` is.
+    There must be at least one block, and the blocks must share one seed and
+    one network shape (else ``ValueError``), so that replicate ``k`` of every
+    block has the seed ``seed + k`` and one :class:`~netlsm.model.FitConfig`:
+    for each replicate seed, the blocks' networks are fit together in one
+    lockstep by :func:`~netlsm.model.fit_networks`, which gives each the
+    result its own fit would.  A lockstep holds at most ``len(configs) *
+    (restarts + 1)`` starts, whatever ``n_reps`` is.
     """
     configs = list(configs)
+    if not configs:
+        raise ValueError("run_blocks needs at least one block")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if len({(c.seed, c.n_d, c.n_r) for c in configs}) != 1:

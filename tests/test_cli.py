@@ -615,6 +615,25 @@ class TestManifestRerun:
         self._rerun_exits_2(tmp_path, capsys, path, "unknown key(s) n_dd, restart",
                             command="simulate-network")
 
+    @pytest.mark.parametrize("out", [5, []], ids=["int", "list"])
+    def test_manifest_out_of_the_wrong_type_exits_2(self, tmp_path, capsys, monkeypatch, out):
+        # unchecked, os.path.join raised a TypeError traceback and the run exited 1
+        first = tmp_path / "one"
+        assert run(["simulate-network", "--n-d", 5, "--n-r", 5, "--out", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["out"] = out
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-network", "--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: manifest out={out!r} is not a string or null" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_removed_identity_refinement_key_exits_2(self, tmp_path, capsys):
         # an old manifest asking for the identity refinement must not run the plain study
         path = self._pipeline_manifest(tmp_path, identity_refinement=True)

@@ -215,7 +215,7 @@ def fd_hessian(objective, x):
         xp, xm = x.copy(), x.copy()
         xp[k] += eps
         xm[k] -= eps
-        h[:, k] = (objective.at(xp)[1] - objective.at(xm)[1]) / (2.0 * eps)
+        h[:, k] = (objective.at(xp, 0)[1] - objective.at(xm, 0)[1]) / (2.0 * eps)
     return h
 
 
@@ -287,7 +287,7 @@ class TestHessian:
         net = with_tiny_se(random_network(rng, n_d, n_r, mask_frac=0.3), rng, tiny)
         objective = _Objective([net], dim)
         x = coupled(random_params(rng, n_d, n_r, dim))
-        h = objective.hessian(x)
+        h = objective.hessian(x, 0)
         assert h.shape == (x.size, x.size) and x.size == (n_d + n_r) * dim + 1
         assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
         fd = fd_hessian(objective, x)
@@ -302,7 +302,7 @@ class TestHessian:
         p = gauged(random_params(rng, n_d, n_r, dim), net)
         objective = _Objective([net], dim)
         x = coupled(p)
-        h = objective.hessian(x)
+        h = objective.hessian(x, 0)
         assert np.array_equal(h, ref_log_likelihood_hessian(p, net)[: x.size, : x.size])
         assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
         fd = fd_hessian(objective, x)
@@ -321,14 +321,14 @@ class TestHessian:
             p = gauged(random_params(rng, n_d, n_r, dim), net)
             x = coupled(p)
             ref = ref_log_likelihood_hessian(p, net)
-            assert np.array_equal(objective.hessian(x), ref[: x.size, : x.size])
+            assert np.array_equal(objective.hessian(x, 0), ref[: x.size, : x.size])
 
     def test_gauge_directions_are_null(self):
         # a common translation of all positions leaves the likelihood unchanged
         rng = substream(5, "hess-gauge")
         n_d, n_r, dim = 6, 4, 2
         net = random_network(rng, n_d, n_r, mask_frac=0.2)
-        h = _Objective([net], dim).hessian(coupled(random_params(rng, n_d, n_r, dim)))
+        h = _Objective([net], dim).hessian(coupled(random_params(rng, n_d, n_r, dim)), 0)
         for axis in range(dim):
             t = np.zeros(h.shape[0])
             t[axis : (n_d + n_r) * dim : dim] = 1.0
@@ -406,7 +406,7 @@ def coupled(p):
 def objective_row(objective):
     """``objective.loss`` on one vector: the callable ``scipy.optimize.minimize(..., jac=True)`` takes."""
     def row(x):
-        f, g = objective.loss(x[None, :])
+        f, g = objective.loss(x[None, :], [0])
         return f[0], g[0]
     return row
 
@@ -449,18 +449,19 @@ class TestKernelOracle:
         assert not net.edge_mask.all()
         objective = _Objective([net], dim)
         xs = np.array([coupled(random_params(rng, n_d, n_r, dim)) for _ in range(4)])
-        f, g = objective.loss(xs)
-        ll, g_raw = objective.values(xs)
+        which = np.zeros(len(xs), dtype=int)
+        f, g = objective.loss(xs, which)
+        ll, g_raw = objective.values(xs, which)
         for k, x in enumerate(xs):
-            f_k, g_k = objective.loss(x[None, :])
+            f_k, g_k = objective.loss(x[None, :], [0])
             assert f[k].tobytes() == f_k[0].tobytes() and g[k].tobytes() == g_k[0].tobytes()
-            ll_k, g_raw_k = objective.at(x)
+            ll_k, g_raw_k = objective.at(x, 0)
             assert np.float64(ll_k).tobytes() == ll[k].tobytes()
             assert g_raw_k.tobytes() == g_raw[k].tobytes()
         bad = xs.copy()
         bad[2, 0] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
-            f_bad, g_bad = objective.loss(bad)
+            f_bad, g_bad = objective.loss(bad, which)
         assert f_bad[2] == _BIG and np.all(g_bad[2] == 0.0)
         keep = [0, 1, 3]
         assert f_bad[keep].tobytes() == f[keep].tobytes()
@@ -486,13 +487,13 @@ class TestKernelOracle:
         ll, g_raw = objective.values(xs, which)
         for k, (x, j) in enumerate(zip(xs, which)):
             one = _Objective([nets[j]], dim)
-            f_k, g_k = one.loss(x[None, :])
+            f_k, g_k = one.loss(x[None, :], [0])
             assert f[k].tobytes() == f_k[0].tobytes() and g[k].tobytes() == g_k[0].tobytes()
-            ll_k, g_raw_k = one.at(x)
+            ll_k, g_raw_k = one.at(x, 0)
             assert np.float64(ll_k).tobytes() == ll[k].tobytes()
             assert g_raw_k.tobytes() == g_raw[k].tobytes()
-            view_ll, view_g = objective.network(j).at(x)
-            assert view_ll == ll_k and view_g.tobytes() == g_raw_k.tobytes()
+            stack_ll, stack_g = objective.at(x, j)
+            assert stack_ll == ll_k and stack_g.tobytes() == g_raw_k.tobytes()
         bad = xs.copy()
         bad[2, 0] = 1e200  # a row of network 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -511,9 +512,6 @@ class TestKernelOracle:
         holes[1, 2] = False
         with pytest.raises(ValueError, match="share their observation mask"):
             _Objective([net, with_mask(net, holes)], 2)
-        x = coupled(random_params(rng, 5, 4, 2))
-        with pytest.raises(ValueError, match="network indices"):
-            _Objective([net, net], 2).loss(x[None, :])
 
     @pytest.mark.parametrize("recipient", [False, True])
     def test_non_finite_paths(self, recipient):
@@ -531,7 +529,7 @@ class TestKernelOracle:
             assert g.shape == x.shape and np.all(g == 0.0)
             assert np.array_equal(g, neg_grad(x))
             # the polish and the result read the raw values, not the stand-ins
-            ll, g_raw = _Objective([net], dim).at(x)
+            ll, g_raw = _Objective([net], dim).at(x, 0)
             assert not math.isfinite(ll) and not np.all(np.isfinite(g_raw))
 
 
@@ -686,9 +684,9 @@ def recording(monkeypatch, fun=None):
                                            nit=res.iterations[k]))
         return res
 
-    def recording_polish(objective, x):
+    def recording_polish(objective, x, j):
         polished.append(x.copy())
-        return _polish(objective, x)
+        return _polish(objective, x, j)
 
     monkeypatch.setattr(netlsm.model, "minimize", recording_minimize)
     monkeypatch.setattr(netlsm.model, "_polish", recording_polish)
@@ -719,7 +717,7 @@ class TestRestartSelection:
         assert res.restart_index == 1 and res.converged
         assert results[0].fun - results[1].fun > 1e-12
         objective = _Objective([net], 2)
-        ll0, ll1 = (objective.at(_polish(objective, r.x))[0] for r in results)
+        ll0, ll1 = (objective.at(_polish(objective, r.x, 0), 0)[0] for r in results)
         assert abs(ll1 - ll0) <= 1e-12
         assert res.log_likelihood == ll1
 
@@ -763,9 +761,9 @@ class TestFitNetworks:
             calls.append(minimize(*args, **kwargs))
             return calls[-1]
 
-        def counting_polish(objective, x):
-            polished.append(objective.nets[0])
-            return _polish(objective, x)
+        def counting_polish(objective, x, j):
+            polished.append(objective.nets[j])
+            return _polish(objective, x, j)
 
         nets = table1_networks(112)
         cfg = FitConfig(seed=112)
@@ -807,6 +805,11 @@ class TestFitNetworks:
         assert_same_fit(results[1], fit(nets[1], cfg, init=init))
         with pytest.raises(ValueError, match="one entry per network"):
             fit_networks(nets, cfg, [init])
+
+    def test_no_networks_give_no_results(self):
+        # the kernel was built before the empty case was seen: IndexError
+        assert fit_networks([], FitConfig()) == []
+        assert fit_networks([], FitConfig(), []) == []
 
 
 # reference log-likelihoods of the 60x60 corpus, from the earlier finite-difference polish
@@ -858,7 +861,7 @@ OPTIONS = {"maxiter": 500, "gtol": 1e-6, "ftol": 0.0, "maxcor": 20}  # as in fit
 
 def lbfgs(objective, x0, max_iter=OPTIONS["maxiter"]):
     """Where L-BFGS-B, run as ``fit`` runs it, stops from ``x0``."""
-    return minimize(objective, [x0], max_iter, OPTIONS["gtol"]).x[0]
+    return minimize(objective, [x0], max_iter, OPTIONS["gtol"], np.zeros(1, dtype=int)).x[0]
 
 
 def pipeline_network(seed):
@@ -922,7 +925,7 @@ def test_lbfgs_trajectory_matches_reference(network, config, check):
     net = network()
     objective = _Objective([net], config.dim)
     x0 = _start_points(net, config, None)
-    res = minimize(objective, x0, config.max_iter, config.grad_tol)
+    res = minimize(objective, x0, config.max_iter, config.grad_tol, np.zeros(len(x0), dtype=int))
     assert check(list(res.iterations))
     assert res.nit == sum(res.iterations)
     options = {**OPTIONS, "maxiter": config.max_iter}
@@ -945,7 +948,7 @@ def test_evaluation_limit_stops_as_scipy_stops(monkeypatch):
     net = simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed
     objective = _Objective([net], config.dim)
     x0 = _start_points(net, config, None)
-    res = minimize(objective, x0, config.max_iter, config.grad_tol)
+    res = minimize(objective, x0, config.max_iter, config.grad_tol, np.zeros(len(x0), dtype=int))
     rows = scipy_rows_match(objective, x0, res, {**OPTIONS, "maxfun": 40})
     assert all(row.nfev > 40 and row.nit < config.max_iter for row in rows)
 
@@ -992,14 +995,13 @@ def test_polish_matches_reference(seed):
     moved = []
     for x0 in _start_points(net, cfg, None):
         x = lbfgs(objective, x0)
-        polished = _polish(objective, x)
+        polished = _polish(objective, x, 0)
         ref = ref_polish(x, net, cfg.dim)
-        z_d, z_r, alpha = objective._split(polished)
-        ref_z_d, ref_z_r, ref_alpha = objective._split(ref)
-        assert np.max(np.abs(_sqdist(z_d, z_r) - _sqdist(ref_z_d, ref_z_r))) <= 1e-10
-        assert abs(alpha - ref_alpha) <= 1e-10
-        ll, g = objective.at(polished)
-        ref_ll = objective.at(ref)[0]
+        p, ref_p = _full_params(polished, net, cfg.dim), _full_params(ref, net, cfg.dim)
+        assert np.max(np.abs(_sqdist(p.z_d, p.z_r) - _sqdist(ref_p.z_d, ref_p.z_r))) <= 1e-10
+        assert abs(p.alpha - ref_p.alpha) <= 1e-10
+        ll, g = objective.at(polished, 0)
+        ref_ll = objective.at(ref, 0)[0]
         assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
         moved.append(not np.array_equal(polished, x))
         assert moved[-1] == (not np.array_equal(ref, x))
@@ -1017,8 +1019,8 @@ def test_polish_leaves_a_rejected_step_unchanged():
     objective = _Objective([net], 2)
     x0 = _start_points(net, FitConfig(dim=2, restarts=1, seed=16), None)[1]
     x = lbfgs(objective, x0, max_iter=20)
-    assert np.max(np.abs(objective.at(x)[1])) > 1e3
-    assert np.array_equal(_polish(objective, x), x)
+    assert np.max(np.abs(objective.at(x, 0)[1])) > 1e3
+    assert np.array_equal(_polish(objective, x, 0), x)
 
 
 def test_polish_stops_on_a_singular_system(monkeypatch):
@@ -1028,10 +1030,10 @@ def test_polish_stops_on_a_singular_system(monkeypatch):
     net = random_network(rng, 5, 4)
     objective = _Objective([net], 2)
     x = coupled(random_params(rng, 5, 4, 2))
-    monkeypatch.setattr(objective, "hessian", lambda x: np.zeros((x.size, x.size)))
+    monkeypatch.setattr(objective, "hessian", lambda x, j: np.zeros((x.size, x.size)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(_polish(objective, x), x)
+        assert np.array_equal(_polish(objective, x, 0), x)
 
 
 def zero_alpha_pivot(x):
@@ -1059,13 +1061,13 @@ def test_polish_leaves_a_singular_or_non_finite_system_unsolved(monkeypatch, hes
             lu_factor(hessian(x))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(hessian(x), np.ones(x.size))
-    monkeypatch.setattr(objective, "hessian", hessian)
+    monkeypatch.setattr(objective, "hessian", lambda x, j: hessian(x))
     at_calls = []
     at = objective.at
-    monkeypatch.setattr(objective, "at", lambda x: at_calls.append(1) or at(x))
+    monkeypatch.setattr(objective, "at", lambda x, j: at_calls.append(1) or at(x, j))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(_polish(objective, x), x)
+        assert np.array_equal(_polish(objective, x, 0), x)
     assert len(at_calls) == 1
 
 
@@ -1080,13 +1082,13 @@ def test_polish_factors_the_hessian_once(monkeypatch):
     calls = {"hessian": [], "gauge_basis": [], "at": []}
     for name in calls:
         method = getattr(objective, name)
-        monkeypatch.setattr(objective, name,
-                            lambda x, name=name, method=method: calls[name].append(x) or method(x))
-    polished = _polish(objective, x)
+        monkeypatch.setattr(objective, name, lambda x, *j, name=name, method=method:
+                            calls[name].append(x) or method(x, *j))
+    polished = _polish(objective, x, 0)
     assert len(calls["hessian"]) == 1 and len(calls["gauge_basis"]) == 1
     assert np.array_equal(calls["hessian"][0], x) and np.array_equal(calls["gauge_basis"][0], x)
     assert len(calls["at"]) >= 3  # the start, then one per step tried
-    assert np.max(np.abs(objective.at(polished)[1])) <= 1e-9
+    assert np.max(np.abs(objective.at(polished, 0)[1])) <= 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1100,15 +1102,15 @@ def test_gauge_basis(dim):
     truth = LsmParams(p.z_d, p.z_r, p.alpha, 1.0, p.delta, p.gamma)
     objective = _Objective([noiseless_network(truth, se=0.1)], dim)
     x = coupled(truth)
-    assert np.max(np.abs(objective.at(x)[1])) <= 1e-10
+    assert np.max(np.abs(objective.at(x, 0)[1])) <= 1e-10
     q = objective.gauge_basis(x)
     assert q.shape == (x.size, dim + dim * (dim - 1) // 2)
     assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-12
     assert np.all(q[-1] == 0.0)
-    h = objective.hessian(x)
+    h = objective.hessian(x, 0)
     assert np.linalg.norm(h @ q) <= 1e-10 * np.linalg.norm(h)
     moved = x + 0.3 * rng.standard_normal(x.size)
-    q, g = objective.gauge_basis(moved), objective.at(moved)[1]
+    q, g = objective.gauge_basis(moved), objective.at(moved, 0)[1]
     assert np.max(np.abs(q.T @ g)) <= 1e-10 * np.linalg.norm(g)
 
 

@@ -69,16 +69,21 @@ def test_two_runs_write_the_same_bytes(tmp_path, monkeypatch, capsys):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # restored after the test
     monkeypatch.setattr(sys, "path", list(sys.path))  # run() prepends src
-    net = random_network(substream(3, "paired"), 6, 5)
-    monkeypatch.setattr(paired_fits, "corpus",
-                        lambda: [("tiny/s3", net, FitConfig(dim=2, restarts=1, seed=3))])
+    # a lone fit, and a lockstep group of two networks fit in one fit_networks call
+    nets = [random_network(substream(seed, "paired"), 6, 5) for seed in (3, 4)]
+    config = FitConfig(dim=2, restarts=1, seed=3)
+    monkeypatch.setattr(paired_fits, "corpus", lambda: [
+        (["tiny/s3"], nets[:1], config), (["pair/s3", "pair/s4"], nets, config)])
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
         assert paired_fits.main(["run", "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    [record] = json.loads(paths[0].read_text())["fits"]
-    assert set(record) == {"id", "log_likelihood", "restart_index", "converged",
-                           "iterations", "grad_norm"}
+    records = json.loads(paths[0].read_text())["fits"]
+    assert [r["id"] for r in records] == ["tiny/s3", "pair/s3", "pair/s4"]
+    assert all(set(r) == {"id", "log_likelihood", "restart_index", "converged",
+                          "iterations", "grad_norm"} for r in records)
+    # the lockstep fit of a network records what its lone fit records
+    assert {**records[1], "id": "tiny/s3"} == records[0]
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 2 and all(line.startswith("tiny/s3: ") and line.endswith(" s)")
-                                 for line in out)
+    assert len(out) == 6 and all(line.endswith(" s)") for line in out)
+    assert [line.split(":")[0] for line in out[:3]] == ["tiny/s3", "pair/s3", "pair/s4"]

@@ -116,6 +116,11 @@ class TestReplicates:
         with pytest.raises(ValueError, match="share their seed and network shape"):
             run_blocks([SimConfig(), other], FitConfig(), 1)
 
+    def test_no_blocks_are_refused(self):
+        # unchecked, the shared-seed check misreported the empty list
+        with pytest.raises(ValueError, match="at least one block"):
+            run_blocks([], FitConfig(), 1)
+
 
 class TestConfigValidation:
     def test_bad_sigma(self):
