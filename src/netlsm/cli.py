@@ -403,14 +403,14 @@ def main(argv=None):
     for key in _REQUIRED.get(args.command, ()):
         if cfg[key] is None:
             parser.error(f"--{key.replace('_', '-')} is required (directly or via --config)")
-    if out is None:
+    if not out:
         parser.error("--out is required (directly or via --config)")
     t0 = _time.perf_counter()
     try:
         if cfg["seed"] < 0:  # one message for every command, not numpy's SeedSequence one
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         artifacts, converged, failed = _RUNNERS[args.command](cfg, out)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, ConvergenceError) as exc:

@@ -459,6 +459,26 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--out", "F"],
+    ["simulate-network", "--out", "F/sub"],
+    ["fit", "--net", "F", "--out", "x"],
+    ["coxph", "--data", "D", "--out", "x"],
+], ids=["out-is-a-file", "out-under-a-file", "net-is-a-file", "data-is-a-directory"])
+def test_path_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # unchecked, each ended in an OSError traceback (FileExistsError,
+    # NotADirectoryError or IsADirectoryError) and exit 1
+    (tmp_path / "F").write_text("a file\n")
+    (tmp_path / "D").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "F").read_text() == "a file\n"
+
+
 class TestTable1:
     def test_single_rep(self, tmp_path):
         out = tmp_path / "t1"
@@ -633,6 +653,26 @@ class TestManifestRerun:
         assert f"error: manifest out={out!r} is not a string or null" in err
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("form", ["flag", "manifest"])
+    def test_empty_out_exits_2(self, tmp_path_factory, tmp_path, capsys, monkeypatch, form):
+        # unchecked, the run wrote its artifacts into the working directory and exited 0
+        argv = ["simulate-network", "--n-d", "4", "--n-r", "4"]
+        if form == "flag":
+            argv += ["--out", ""]
+        else:
+            first = tmp_path_factory.mktemp("first")
+            assert run(argv + ["--out", first]) == 0
+            manifest = json.loads((first / "manifest.json").read_text())
+            manifest["out"] = ""
+            (first / "manifest.json").write_text(json.dumps(manifest))
+            argv = ["simulate-network", "--config", str(first / "manifest.json")]
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: --out is required (directly or via --config)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_removed_identity_refinement_key_exits_2(self, tmp_path, capsys):
         # an old manifest asking for the identity refinement must not run the plain study
