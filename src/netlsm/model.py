@@ -140,6 +140,8 @@ class FitConfig:
             raise ValueError("max_iter must be >= 1")
         if not (self.grad_tol > 0):
             raise ValueError("grad_tol must be > 0")
+        if not math.isfinite(self.grad_tol):
+            raise ValueError("grad_tol must be finite")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
 
@@ -557,23 +559,17 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
     return LbfgsResult(x=x, fun=f, jac=g, iterations=iterations)
 
 
-def _start_points(net, config, init):
+def _start_points(net, config):
     """The initial optimizer vectors ``(z_d, z_r, alpha)``, one per start, start 0 first.
 
-    Start 0 is the ``init`` or else the classical-scaling positions of
-    :func:`mds_init`, with alpha in closed form for them: the mean over
-    observed edges of ``w + ||z_d - z_r||^2``.  An ``init`` enters the gauge
-    as ``(sqrt(beta) z_d, sqrt(beta) z_r, alpha)``, which leaves its distance
-    terms unchanged; its node effects are ignored.  Restarts are random.
+    Start 0 is the classical-scaling positions of :func:`mds_init`, with
+    alpha in closed form for them: the mean over observed edges of ``w +
+    ||z_d - z_r||^2``.  Restarts are random.
     """
     nz = (net.n_d + net.n_r) * config.dim
-    if init is not None:
-        scale = math.sqrt(init.beta)
-        starts = [np.concatenate([scale * init.z_d.ravel(), scale * init.z_r.ravel(), [init.alpha]])]
-    else:
-        z_d0, z_r0 = mds_init(net, config.dim)
-        alpha0 = np.mean((net.edge_weight + _sqdist(z_d0, z_r0))[net.edge_mask])
-        starts = [np.concatenate([z_d0.ravel(), z_r0.ravel(), [alpha0]])]
+    z_d0, z_r0 = mds_init(net, config.dim)
+    alpha0 = np.mean((net.edge_weight + _sqdist(z_d0, z_r0))[net.edge_mask])
+    starts = [np.concatenate([z_d0.ravel(), z_r0.ravel(), [alpha0]])]
     for k in range(config.restarts):
         rng = substream(config.seed, "lsm-restart", str(k))
         starts.append(0.5 * rng.standard_normal(nz + 1))
@@ -582,8 +578,10 @@ def _start_points(net, config, init):
 
 def _full_params(x, net, dim):
     """:class:`LsmParams` at optimizer vector ``x``: beta 1, node effects at their MLE."""
-    vec = np.concatenate([x, [0.0], net.donor_weight, net.recipient_weight])
-    return unpack_params(vec, net.n_d, net.n_r, dim)
+    nzd, nz = net.n_d * dim, (net.n_d + net.n_r) * dim
+    z_d, z_r = x[:nzd].reshape(net.n_d, dim).copy(), x[nzd:nz].reshape(net.n_r, dim).copy()
+    return LsmParams(z_d, z_r, float(x[nz]), 1.0, net.donor_weight.copy(),
+                     net.recipient_weight.copy())
 
 
 def _polish(objective, x, j):
@@ -673,29 +671,20 @@ def _finish(objective, j, config, res, rows):
                      restart_index=best, converged=gnorm <= config.grad_tol)
 
 
-def fit_networks(nets, config, inits=None):
+def fit_networks(nets, config):
     """:func:`fit` of each network of ``nets``, all in one lockstep.
 
     The networks must share their shape and observation mask (else
-    ``ValueError``); ``inits``, if given, holds one ``init`` or None per
-    network.  Each network gets the starts, the winner, the polish and the
-    :class:`FitResult` that :func:`fit` would give it alone, bit for bit, or
-    the :class:`FitError` that :func:`fit` would raise for it, which is
-    returned in its place and leaves the other networks' results as they
+    ``ValueError``).  Each network gets the starts, the winner, the polish
+    and the :class:`FitResult` that :func:`fit` would give it alone, bit for
+    bit, or the :class:`FitError` that :func:`fit` would raise for it, which
+    is returned in its place and leaves the other networks' results as they
     are; no networks give ``[]``.  The starts of every network run in one
     :func:`minimize` call on one :class:`_Objective` over the stack, each
     round's points of all networks evaluated in one kernel call, and each
     network's winner is polished and evaluated on that kernel by its index.
     """
     nets = list(nets)
-    inits = [None] * len(nets) if inits is None else list(inits)
-    if len(inits) != len(nets):
-        raise ValueError("inits must hold one entry per network")
-    for net, init in zip(nets, inits):
-        if init is not None:
-            _check_dims(init, net)
-            if init.dim != config.dim:
-                raise ValueError("init latent dimension does not match config.dim")
     if not nets:
         return []
     objective = _Objective(nets, config.dim)
@@ -703,7 +692,7 @@ def fit_networks(nets, config, inits=None):
     live = [j for j, error in enumerate(outcomes) if error is None]
     if not live:
         return outcomes
-    starts = [_start_points(nets[j], config, inits[j]) for j in live]
+    starts = [_start_points(nets[j], config) for j in live]
     owner = np.repeat(live, [len(points) for points in starts])
     res = minimize(objective, [x for points in starts for x in points], config.max_iter,
                    config.grad_tol, owner)
@@ -712,30 +701,29 @@ def fit_networks(nets, config, inits=None):
     return outcomes
 
 
-def fit(net, config, init=None):
+def fit(net, config):
     """Maximum likelihood fit via L-BFGS-B from a classical-scaling start + random restarts.
 
-    The first start is ``init`` if given, else the classical scaling of the
-    edge weights (:func:`mds_init`, see :func:`_start_points`); the
-    ``config.restarts`` further starts are random.  The start whose L-BFGS-B
-    result has the highest log-likelihood wins, ties within 1e-12 going to the
-    lowest restart index; it alone is polished, if it stopped short of
+    The first start is the classical scaling of the edge weights
+    (:func:`mds_init`, see :func:`_start_points`); the ``config.restarts``
+    further starts are random.  The start whose L-BFGS-B result has the
+    highest log-likelihood wins, ties within 1e-12 going to the lowest
+    restart index; it alone is polished, if it stopped short of
     ``config.grad_tol``.
     Restarts whose objective becomes non-finite are discarded; if all diverge
     a :class:`FitError` is raised, as it is before any start when the sum of
     (weight / stderr)^2 over the edges overflows, naming the largest ratio's edge.
 
     Beta is held at 1, the gauge that fixes the position scale, so the
-    result has ``beta == 1`` and positions in that gauge; an ``init`` is
-    mapped into it.  The node effects have a closed form, the observed node
-    weights: the result's delta/gamma are copies of them, and an ``init``'s
-    delta/gamma are ignored.  L-BFGS-B carries only (z_d, z_r, alpha).  This
-    is the one-network case of :func:`fit_networks`: all starts run in
-    lockstep in one :func:`minimize` call, and one :class:`_Objective` serves
-    them, the polish and the reported log-likelihood and gradient norm;
-    :class:`LsmParams` are built only for the result.
+    result has ``beta == 1`` and positions in that gauge.  The node effects
+    have a closed form, the observed node weights: the result's delta/gamma
+    are copies of them.  L-BFGS-B carries only (z_d, z_r, alpha).  This is
+    the one-network case of :func:`fit_networks`: all starts run in lockstep
+    in one :func:`minimize` call, and one :class:`_Objective` serves them,
+    the polish and the reported log-likelihood and gradient norm; the one
+    :class:`LsmParams` a fit builds is its result.
     """
-    [outcome] = fit_networks([net], config, [init])
+    [outcome] = fit_networks([net], config)
     if isinstance(outcome, FitError):
         raise outcome
     return outcome

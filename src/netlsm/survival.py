@@ -327,7 +327,8 @@ def cox_fit(x, time, event, lam, columns=None):
     ``x`` is converted to CSR, and every iteration runs the sparse
     :func:`_risk_set_stats`.  The fit has converged when the largest penalized
     score entry is at most 1e-8 in absolute value, within 100 iterations.  A
-    column without a nonzero entry raises ``ValueError``.  Standard errors are
+    penalty ``lam`` that is negative, NaN or infinite, or a column without a
+    nonzero entry, raises ``ValueError``.  Standard errors are
     square roots of the diagonal of the inverse penalized observed information
     at the optimum.  ``columns`` may carry the design metadata so the fitted
     model can be turned into a network.
@@ -337,6 +338,8 @@ def cox_fit(x, time, event, lam, columns=None):
     event = np.asarray(event, dtype=bool)
     if not lam >= 0:
         raise ValueError(f"penalty must be non-negative, got {lam}")
+    if not math.isfinite(lam):
+        raise ValueError(f"penalty must be finite, got {lam}")
     n, p = x.shape
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")

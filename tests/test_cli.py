@@ -89,9 +89,9 @@ class TestFit:
     def test_one_fit_per_dimension(self, net_dir, tmp_path, monkeypatch):
         dims = []
 
-        def counting_fit(net, config, init=None):
+        def counting_fit(net, config):
             dims.append(config.dim)
-            return fit(net, config, init)
+            return fit(net, config)
 
         monkeypatch.setattr(netlsm.metrics, "fit", counting_fit)
         out = tmp_path / "grid"
@@ -115,8 +115,8 @@ class TestFit:
         selected = json.loads((tmp_path / "all" / "metrics.json").read_text())["selected_dim"]
         other = 3 - selected
 
-        def short_fit(net, config, init=None):
-            result = fit(net, config, init)
+        def short_fit(net, config):
+            result = fit(net, config)
             return replace(result, converged=False) if config.dim == other else result
 
         monkeypatch.setattr(netlsm.metrics, "fit", short_fit)
@@ -479,6 +479,34 @@ def test_path_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert (tmp_path / "F").read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--alpha={}"],
+    ["simulate-network", "--beta={}"],
+    ["simulate-network", "--sigma-w={}"],
+    ["simulate-network", "--sigma-node={}"],
+    ["fit", "--net", "NET", "--grad-tol={}"],
+    ["eval", "--train-net", "NET", "--test-net", "NET", "--methods", "raw", "--grad-tol={}"],
+    ["table1", "--reps", 1, "--restarts", 0, "--grad-tol={}"],
+    ["coxph", "--data", "DATA", "--lam={}"],
+    ["pipeline", "--seeds", 1, "--n", 400, "--min-count", 3, "--lam={}"],
+    ["coxph", "--data", "DATA", "--tune", "--lambda-grid=1,{}"],
+], ids=["alpha", "beta", "sigma-w", "sigma-node", "fit-grad-tol", "eval-grad-tol",
+        "table1-grad-tol", "coxph-lam", "pipeline-lam", "coxph-lambda-grid"])
+def test_a_non_finite_number_exits_2(net_dir, data_dir, tmp_path, capsys, argv, value):
+    # unchecked, an infinite grad_tol called every fit converged at its start,
+    # and an infinite penalty gave NaN coefficients and stderrs of 2.2e-308;
+    # the --opt=value form keeps argparse from reading -inf as an option
+    paths = {"NET": net_dir, "DATA": data_dir / "train.csv"}
+    argv = [paths.get(a, a) for a in argv]
+    argv = [a.format(value) if isinstance(a, str) else a for a in argv]
+    out = tmp_path / "x"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestTable1:
     def test_single_rep(self, tmp_path):
         out = tmp_path / "t1"
@@ -501,10 +529,10 @@ class TestTable1:
         sim_module = importlib.import_module("netlsm.simulate")
         real = sim_module.fit_networks
 
-        def rep_1_raises(nets, config, inits=None):
+        def rep_1_raises(nets, config):
             if config.seed == 1:
                 return [FitError("all optimizer restarts diverged") for _ in nets]
-            return real(nets, config, inits)
+            return real(nets, config)
 
         monkeypatch.setattr(sim_module, "fit_networks", rep_1_raises)
         out = tmp_path / "t1"
@@ -522,10 +550,10 @@ class TestTable1:
         sim_module = importlib.import_module("netlsm.simulate")
         real = sim_module.fit_networks
 
-        def rep_1_raises(nets, config, inits=None):
+        def rep_1_raises(nets, config):
             if config.seed == 1:
                 raise ValueError("bad replicate")
-            return real(nets, config, inits)
+            return real(nets, config)
 
         monkeypatch.setattr(sim_module, "fit_networks", rep_1_raises)
         out = tmp_path / "t1"
@@ -536,7 +564,7 @@ class TestTable1:
 
     def test_every_replicate_raising_exits_1(self, tmp_path, monkeypatch, capsys):
         # a block with no replicate left still writes its failures, not a traceback
-        def raises(nets, config, inits=None):
+        def raises(nets, config):
             return [FitError("all optimizer restarts diverged") for _ in nets]
 
         monkeypatch.setattr(importlib.import_module("netlsm.simulate"), "fit_networks", raises)

@@ -534,17 +534,6 @@ class TestKernelOracle:
 
 
 class TestFit:
-    def test_init_at_truth_stays(self):
-        # the fit reports the truth mapped into the gauge beta = 1
-        truth = random_params(substream(5, "truth"), 6, 5, 2)
-        net = noiseless_network(truth, se=1e-3)
-        res = fit(net, FitConfig(dim=2, restarts=0), init=truth)
-        assert res.converged
-        scale = math.sqrt(truth.beta)
-        gauge = LsmParams(scale * truth.z_d, scale * truth.z_r, truth.alpha, 1.0,
-                          truth.delta, truth.gamma)
-        assert np.max(np.abs(pack_params(res.params) - pack_params(gauge))) <= 1e-8
-
     def test_low_noise_recovers_positions(self):
         sim = simulate(SimConfig(seed=11))
         cfg = FitConfig(dim=2, restarts=1, seed=11)
@@ -566,11 +555,12 @@ class TestFit:
         assert np.array_equal(pack_params(a.params), pack_params(b.params))
 
     def test_never_worse_than_init(self):
-        rng = substream(8, "start")
-        net = random_network(rng, 6, 5)
-        p0 = random_params(rng, 6, 5, 2)
-        res = fit(net, FitConfig(dim=2, restarts=0), init=p0)
-        assert res.log_likelihood >= log_likelihood(p0, net) - 1e-9
+        # the fit ends no lower than its own classical-scaling start
+        net = random_network(substream(8, "start"), 6, 5)
+        cfg = FitConfig(dim=2, restarts=0)
+        res = fit(net, cfg)
+        start_ll = _Objective([net], cfg.dim).at(_start_points(net, cfg)[0], 0)[0]
+        assert res.log_likelihood >= start_ll - 1e-9
 
     def test_restart_dominance(self):
         # extra restarts can only match or beat the classical-scaling start alone
@@ -580,20 +570,17 @@ class TestFit:
         assert more.log_likelihood >= base.log_likelihood - 1e-9
 
     def test_beta_positive_and_frozen(self):
-        # beta is held at the gauge value 1, also from an init with another beta
-        rng = substream(10, "beta")
-        net = random_network(rng, 5, 5)
+        # beta is held at the gauge value 1
+        net = random_network(substream(10, "beta"), 5, 5)
         res = fit(net, FitConfig(dim=2, restarts=1, seed=0))
         assert res.params.beta == 1.0
-        p0 = random_params(rng, 5, 5, 2)
-        assert p0.beta != 1.0
-        assert fit(net, FitConfig(dim=2, restarts=0), init=p0).params.beta == 1.0
 
-    def test_init_dim_mismatch(self):
-        net = random_network(substream(11, "mm"), 4, 4)
-        p = random_params(substream(11, "mm2"), 4, 4, 3)
-        with pytest.raises(ValueError, match="dimension"):
-            fit(net, FitConfig(dim=2, restarts=0), init=p)
+    @pytest.mark.parametrize("grad_tol,message", [(0.0, "> 0"), (-1.0, "> 0"), (math.nan, "> 0"),
+                                                  (-math.inf, "> 0"), (math.inf, "finite")])
+    def test_config_refuses_a_grad_tol_not_positive_and_finite(self, grad_tol, message):
+        # an infinite tolerance stopped L-BFGS-B at once and called every start converged
+        with pytest.raises(ValueError, match=f"grad_tol must be {message}"):
+            FitConfig(grad_tol=grad_tol)
 
     def test_result_serialization_fields(self):
         net = random_network(substream(12, "json"), 4, 4)
@@ -613,19 +600,21 @@ class TestClosedFormNodeEffects:
         assert np.array_equal(res.params.gamma, net.recipient_weight)
         assert not np.shares_memory(res.params.delta, net.donor_weight)
 
-    def test_init_node_effects_are_ignored(self):
-        rng = substream(16, "node-init")
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_result_params_are_the_padded_vector_unpacked(self, dim):
+        # the result is x with b = 0 and the node weights put after it, unpacked,
+        # and it shares no memory with x or the network
+        rng = substream(16, "full-params")
         net = random_network(rng, 6, 5)
-        p0 = random_params(rng, 6, 5, 2)
-        assert not np.array_equal(p0.delta, net.donor_weight)
-        at_weights = LsmParams(p0.z_d, p0.z_r, p0.alpha, p0.beta,
-                               net.donor_weight, net.recipient_weight)
-        cfg = FitConfig(dim=2, restarts=0)
-        res = fit(net, cfg, init=p0)
-        assert np.array_equal(res.params.delta, net.donor_weight)
-        assert np.array_equal(res.params.gamma, net.recipient_weight)
-        assert np.array_equal(pack_params(res.params),
-                              pack_params(fit(net, cfg, init=at_weights).params))
+        x = rng.standard_normal((net.n_d + net.n_r) * dim + 1)
+        p = _full_params(x, net, dim)
+        ref = unpack_params(np.concatenate([x, [0.0], net.donor_weight, net.recipient_weight]),
+                            net.n_d, net.n_r, dim)
+        assert pack_params(p).tobytes() == pack_params(ref).tobytes()
+        assert type(p.alpha) is float and p.beta == 1.0 and p.dim == dim
+        for a in (p.z_d, p.z_r, p.delta, p.gamma):
+            assert not any(np.shares_memory(a, b)
+                           for b in (x, net.donor_weight, net.recipient_weight))
 
     def test_one_minimize_per_fit(self, monkeypatch):
         # seed 10 of the 60x60 corpus stops short of grad_tol on both starts;
@@ -654,7 +643,7 @@ class TestClosedFormNodeEffects:
         net = random_network(substream(17, "starts"), n_d, n_r)
         cfg = FitConfig(dim=dim, restarts=3, seed=9)
         nz = (n_d + n_r) * dim
-        starts = _start_points(net, cfg, None)
+        starts = _start_points(net, cfg)
         assert len(starts) == 4
         assert starts[0].size == nz + 1
         for k, vec in enumerate(starts[1:]):
@@ -796,20 +785,9 @@ class TestFitNetworks:
         for res, alone in zip([results[0], results[2]], fit_networks([nets[0], nets[2]], cfg)):
             assert_same_fit(res, alone)
 
-    def test_inits_are_per_network(self):
-        nets = table1_networks(5)[:2]
-        cfg = FitConfig(restarts=1, seed=5)
-        init = fit(nets[1], cfg).params
-        results = fit_networks(nets, cfg, [None, init])
-        assert_same_fit(results[0], fit(nets[0], cfg))
-        assert_same_fit(results[1], fit(nets[1], cfg, init=init))
-        with pytest.raises(ValueError, match="one entry per network"):
-            fit_networks(nets, cfg, [init])
-
     def test_no_networks_give_no_results(self):
         # the kernel was built before the empty case was seen: IndexError
         assert fit_networks([], FitConfig()) == []
-        assert fit_networks([], FitConfig(), []) == []
 
 
 # reference log-likelihoods of the 60x60 corpus, from the earlier finite-difference polish
@@ -924,7 +902,7 @@ def test_lbfgs_trajectory_matches_reference(network, config, check):
     # iteration count; and that run takes the reference objective's iterates
     net = network()
     objective = _Objective([net], config.dim)
-    x0 = _start_points(net, config, None)
+    x0 = _start_points(net, config)
     res = minimize(objective, x0, config.max_iter, config.grad_tol, np.zeros(len(x0), dtype=int))
     assert check(list(res.iterations))
     assert res.nit == sum(res.iterations)
@@ -947,7 +925,7 @@ def test_evaluation_limit_stops_as_scipy_stops(monkeypatch):
     config = FitConfig(dim=2, restarts=1, seed=10)
     net = simulate(SimConfig(n_d=60, n_r=60, seed=10)).observed
     objective = _Objective([net], config.dim)
-    x0 = _start_points(net, config, None)
+    x0 = _start_points(net, config)
     res = minimize(objective, x0, config.max_iter, config.grad_tol, np.zeros(len(x0), dtype=int))
     rows = scipy_rows_match(objective, x0, res, {**OPTIONS, "maxfun": 40})
     assert all(row.nfev > 40 and row.nit < config.max_iter for row in rows)
@@ -993,7 +971,7 @@ def test_polish_matches_reference(seed):
     cfg = FitConfig(dim=2, restarts=1, seed=seed)
     objective = _Objective([net], cfg.dim)
     moved = []
-    for x0 in _start_points(net, cfg, None):
+    for x0 in _start_points(net, cfg):
         x = lbfgs(objective, x0)
         polished = _polish(objective, x, 0)
         ref = ref_polish(x, net, cfg.dim)
@@ -1017,7 +995,7 @@ def test_polish_leaves_a_rejected_step_unchanged():
     # it was given
     net = simulate(SimConfig(n_d=60, n_r=60, seed=16)).observed
     objective = _Objective([net], 2)
-    x0 = _start_points(net, FitConfig(dim=2, restarts=1, seed=16), None)[1]
+    x0 = _start_points(net, FitConfig(dim=2, restarts=1, seed=16))[1]
     x = lbfgs(objective, x0, max_iter=20)
     assert np.max(np.abs(objective.at(x, 0)[1])) > 1e3
     assert np.array_equal(_polish(objective, x, 0), x)
@@ -1077,7 +1055,7 @@ def test_polish_factors_the_hessian_once(monkeypatch):
     # solved with the Hessian and gauge basis of its starting point
     net = simulate(SimConfig(n_d=60, n_r=60, seed=14)).observed
     objective = _Objective([net], 2)
-    (x0,) = _start_points(net, FitConfig(dim=2, restarts=0, seed=14), None)
+    (x0,) = _start_points(net, FitConfig(dim=2, restarts=0, seed=14))
     x = lbfgs(objective, x0)
     calls = {"hessian": [], "gauge_basis": [], "at": []}
     for name in calls:

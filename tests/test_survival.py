@@ -320,9 +320,11 @@ class TestCoxFit:
         with pytest.raises(ValueError):
             cox_fit(x, np.arange(1.0, 5.0), np.ones(4, bool), 1.0)
 
-    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, -math.inf, math.inf])
     def test_rejects_negative_or_nan_penalty(self, lam):
-        with pytest.raises(ValueError, match="penalty must be non-negative"):
+        # an infinite penalty gave NaN coefficients and stderrs of 2.2e-308
+        message = "finite, got inf" if lam == math.inf else f"non-negative, got {lam}"
+        with pytest.raises(ValueError, match=f"penalty must be {message}$"):
             cox_fit(np.eye(2), np.array([1.0, 2.0]), np.ones(2, bool), lam)
 
     def test_rejects_explicitly_stored_zero_column(self):
