@@ -34,6 +34,7 @@ from .survival import (
     ConvergenceError,
     SurvivalGenConfig,
     TransplantDataset,
+    check_penalty,
     cox_fit,
     design_matrix,
     extract_network,
@@ -159,6 +160,7 @@ def run_table1(cfg, out):
 
 
 def run_coxph(cfg, out):
+    check_penalty(cfg["lam"])  # even when --tune replaces it: the manifest records it
     data = TransplantDataset.from_csv(cfg["data"])
     x, columns = design_matrix(data, cfg["min_count"])
     lam = cfg["lam"]

@@ -11,7 +11,7 @@ targets weigh more.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -79,12 +79,7 @@ class EvalReport:
     n_pairs: int
 
     def to_dict(self):
-        return {
-            "rmse": self.rmse,
-            "mean_log_prob": self.mean_log_prob,
-            "sign_accuracy": self.sign_accuracy,
-            "n_pairs": self.n_pairs,
-        }
+        return asdict(self)
 
 
 def _check_lengths(*vecs):

@@ -9,7 +9,7 @@ lockstep (:func:`run_blocks`).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,12 @@ TRUTH_STD = math.sqrt(0.5)  # of each planted position coordinate and node effec
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One synthetic network: its shape, planted parameters, noise and seed.
+
+    ``alpha``, ``beta``, ``sigma_w`` and ``sigma_node`` must be finite, and
+    the last three > 0; a bad value raises ``ValueError`` naming the field.
+    """
+
     n_d: int = 20
     n_r: int = 20
     dim: int = 2
@@ -55,13 +61,14 @@ class SimConfig:
     def __post_init__(self):
         if self.n_d < 1 or self.n_r < 1:
             raise ValueError("node counts must be >= 1")
-        for name in ("sigma_w", "sigma_node"):
+        for name in ("sigma_w", "sigma_node", "beta"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0")
+        for name in ("alpha", "beta", "sigma_w", "sigma_node"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.edge_mean_convention not in _CONVENTIONS:
             raise ValueError(f"edge_mean_convention must be one of {_CONVENTIONS}")
-        if not (self.beta > 0):
-            raise ValueError("beta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,6 @@ def _r2(pred, target):
     return float(1.0 - ss_res / ss_tot)
 
 
-QUANTITIES = ("w", "z_d", "z_r", "delta", "gamma", "alpha")
-
-
 @dataclass(frozen=True)
 class ReplicateReport:
     """Mean +/- standard error of RMSE / R^2 per quantity across replicates."""
@@ -157,15 +161,7 @@ class ReplicateReport:
     failures: tuple
 
     def to_dict(self):
-        return {
-            "n_reps": self.n_reps,
-            "rmse_mean": self.rmse_mean,
-            "rmse_se": self.rmse_se,
-            "r2_mean": self.r2_mean,
-            "r2_se": self.r2_se,
-            "per_replicate": list(self.per_replicate),
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def _replicate_metrics(config, sim, result, rep_seed):
@@ -178,49 +174,30 @@ def _replicate_metrics(config, sim, result, rep_seed):
     src = np.vstack([est.z_d, est.z_r])
     tgt = np.vstack([truth.z_d, truth.z_r])
     aligned = procrustes_align(src, tgt).aligned
-    zd_hat, zr_hat = aligned[: net.n_d], aligned[net.n_d :]
-    errors = {
-        "w": rmse(pred_w[net.edge_mask], net.edge_weight[net.edge_mask]),
-        "z_d": rmse(zd_hat, truth.z_d),
-        "z_r": rmse(zr_hat, truth.z_r),
-        "delta": rmse(est.delta, truth.delta),
-        "gamma": rmse(est.gamma, truth.gamma),
-        "alpha": abs(est.alpha - truth.alpha),
+    pairs = {  # quantity -> (estimate, truth)
+        "w": (pred_w[net.edge_mask], net.edge_weight[net.edge_mask]),
+        "z_d": (aligned[: net.n_d], truth.z_d),
+        "z_r": (aligned[net.n_d :], truth.z_r),
+        "delta": (est.delta, truth.delta),
+        "gamma": (est.gamma, truth.gamma),
     }
-    r2 = {
-        "w": _r2(pred_w[net.edge_mask], net.edge_weight[net.edge_mask]),
-        "z_d": _r2(zd_hat, truth.z_d),
-        "z_r": _r2(zr_hat, truth.z_r),
-        "delta": _r2(est.delta, truth.delta),
-        "gamma": _r2(est.gamma, truth.gamma),
-    }
+    errors = {q: rmse(*pair) for q, pair in pairs.items()}
+    errors["alpha"] = abs(est.alpha - truth.alpha)  # a scalar: no R^2
+    r2 = {q: _r2(*pair) for q, pair in pairs.items()}
     return {"seed": rep_seed, "rmse": errors, "r2": r2, "converged": result.converged}
 
 
 def _report(n_reps, per_rep, failures):
-    if not per_rep:
-        return ReplicateReport(n_reps, {}, {}, {}, {}, (), tuple(failures))
-
-    def agg(metric, name):
-        vals = np.array([r[metric][name] for r in per_rep])
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        return mean, se
-
-    rmse_mean, rmse_se, r2_mean, r2_se = {}, {}, {}, {}
-    for q in QUANTITIES:
-        rmse_mean[q], rmse_se[q] = agg("rmse", q)
-        if q != "alpha":
-            r2_mean[q], r2_se[q] = agg("r2", q)
-    return ReplicateReport(
-        n_reps=n_reps,
-        rmse_mean=rmse_mean,
-        rmse_se=rmse_se,
-        r2_mean=r2_mean,
-        r2_se=r2_se,
-        per_replicate=tuple(per_rep),
-        failures=tuple(failures),
-    )
+    """Mean and standard error across ``per_rep`` of each quantity its records carry."""
+    stats = []
+    for metric in ("rmse", "r2"):
+        mean, se = {}, {}
+        for q in per_rep[0][metric] if per_rep else ():
+            vals = np.array([r[metric][q] for r in per_rep])
+            mean[q] = float(vals.mean())
+            se[q] = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        stats += [mean, se]
+    return ReplicateReport(n_reps, *stats, tuple(per_rep), tuple(failures))
 
 
 def run_blocks(configs, fit_config, n_reps):
@@ -269,21 +246,15 @@ def run_replicates(config, fit_config, n_reps):
 
 
 def format_report_table(report, title=""):
-    """Plain-text table with RMSE and R^2 blocks, one row per quantity."""
+    """Plain-text table with RMSE and R^2 blocks, one row per quantity in the report's order."""
     lines = []
     if title:
         lines.append(title)
     if not report.per_replicate:
         return "\n".join(lines + ["no replicate succeeded"]) + "\n"
     lines.append(f"{'':6s} {'quantity':9s} {'mean':>10s} {'std err':>10s}")
-    for q in QUANTITIES:
-        lines.append(
-            f"{'RMSE' if q == QUANTITIES[0] else '':6s} {q:9s} "
-            f"{report.rmse_mean[q]:10.4f} {report.rmse_se[q]:10.4f}"
-        )
-    for i, q in enumerate(QUANTITIES[:-1]):
-        lines.append(
-            f"{'R^2' if i == 0 else '':6s} {q:9s} "
-            f"{report.r2_mean[q]:10.4f} {report.r2_se[q]:10.4f}"
-        )
+    for label, mean, se in (("RMSE", report.rmse_mean, report.rmse_se),
+                            ("R^2", report.r2_mean, report.r2_se)):
+        for i, q in enumerate(mean):
+            lines.append(f"{label if i == 0 else '':6s} {q:9s} {mean[q]:10.4f} {se[q]:10.4f}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ integer counts.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +38,7 @@ __all__ = [
     "design_matrix",
     "build_design",
     "breslow_loglik",
+    "check_penalty",
     "cox_fit",
     "tune_lambda",
     "extract_network",
@@ -321,13 +322,21 @@ def breslow_loglik(x, time, event, w):
                            np.asarray(w, dtype=float), need_hessian=False)[0]
 
 
+def check_penalty(lam):
+    """Raise ``ValueError`` unless the ridge penalty ``lam`` is non-negative and finite."""
+    if not lam >= 0:
+        raise ValueError(f"penalty must be non-negative, got {lam}")
+    if not math.isfinite(lam):
+        raise ValueError(f"penalty must be finite, got {lam}")
+
+
 def cox_fit(x, time, event, lam, columns=None):
     """Newton maximization of the ridge-penalized Breslow partial likelihood.
 
     ``x`` is converted to CSR, and every iteration runs the sparse
     :func:`_risk_set_stats`.  The fit has converged when the largest penalized
     score entry is at most 1e-8 in absolute value, within 100 iterations.  A
-    penalty ``lam`` that is negative, NaN or infinite, or a column without a
+    penalty ``lam`` that :func:`check_penalty` refuses, or a column without a
     nonzero entry, raises ``ValueError``.  Standard errors are
     square roots of the diagonal of the inverse penalized observed information
     at the optimum.  ``columns`` may carry the design metadata so the fitted
@@ -336,10 +345,7 @@ def cox_fit(x, time, event, lam, columns=None):
     x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
-    if not lam >= 0:
-        raise ValueError(f"penalty must be non-negative, got {lam}")
-    if not math.isfinite(lam):
-        raise ValueError(f"penalty must be finite, got {lam}")
+    check_penalty(lam)
     n, p = x.shape
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
@@ -390,9 +396,13 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
     on the columns that are nonzero in it; the other columns get coefficient
     0, which for lambda > 0 is their ridge optimum (their score is 0).  A
     split that leaves a fold without events is redrawn (up to 10 attempts).
+    Every grid entry goes through :func:`check_penalty` before the first fold
+    fit, so a bad entry raises ``ValueError`` before any fit runs.
     """
     if not len(lambda_grid):
         raise ValueError("lambda_grid must be non-empty")
+    for lam in lambda_grid:
+        check_penalty(lam)
     x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
@@ -639,13 +649,9 @@ class PipelineResult:
     lsm_converged: bool
 
     def to_dict(self):
-        return {
-            "c_raw": self.c_raw,
-            "c_refined": self.c_refined,
-            "deltas": self.deltas,
-            "lambda": self.lambda_used,
-            "lsm_converged": self.lsm_converged,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lambda_used")
+        return d
 
 
 def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,

@@ -1,6 +1,6 @@
 import importlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,11 @@ import netlsm.metrics
 import netlsm.model
 from netlsm._util import dump_json
 from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
+from netlsm.metrics import EvalReport
 from netlsm.model import FitConfig, FitError, fit
 from netlsm.network import load_network_dir
-from netlsm.survival import ConvergenceError
+from netlsm.simulate import ReplicateReport
+from netlsm.survival import ConvergenceError, PipelineResult
 
 
 def read(path):
@@ -480,22 +482,25 @@ def test_path_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-@pytest.mark.parametrize("argv", [
-    ["simulate-network", "--alpha={}"],
-    ["simulate-network", "--beta={}"],
-    ["simulate-network", "--sigma-w={}"],
-    ["simulate-network", "--sigma-node={}"],
-    ["fit", "--net", "NET", "--grad-tol={}"],
-    ["eval", "--train-net", "NET", "--test-net", "NET", "--methods", "raw", "--grad-tol={}"],
-    ["table1", "--reps", 1, "--restarts", 0, "--grad-tol={}"],
-    ["coxph", "--data", "DATA", "--lam={}"],
-    ["pipeline", "--seeds", 1, "--n", 400, "--min-count", 3, "--lam={}"],
-    ["coxph", "--data", "DATA", "--tune", "--lambda-grid=1,{}"],
+@pytest.mark.parametrize("argv, named", [
+    (["simulate-network", "--alpha={}"], "alpha"),
+    (["simulate-network", "--beta={}"], "beta"),
+    (["simulate-network", "--sigma-w={}"], "sigma_w"),
+    (["simulate-network", "--sigma-node={}"], "sigma_node"),
+    (["fit", "--net", "NET", "--grad-tol={}"], "grad_tol"),
+    (["eval", "--train-net", "NET", "--test-net", "NET", "--methods", "raw", "--grad-tol={}"],
+     "grad_tol"),
+    (["table1", "--reps", 1, "--restarts", 0, "--grad-tol={}"], "grad_tol"),
+    (["coxph", "--data", "DATA", "--lam={}"], "penalty"),
+    (["pipeline", "--seeds", 1, "--n", 400, "--min-count", 3, "--lam={}"], "penalty"),
+    (["coxph", "--data", "DATA", "--tune", "--lambda-grid=1,{}"], "penalty"),
+    (["coxph", "--data", "DATA", "--tune", "--lambda-grid", "0.1,1", "--lam={}"], "penalty"),
 ], ids=["alpha", "beta", "sigma-w", "sigma-node", "fit-grad-tol", "eval-grad-tol",
-        "table1-grad-tol", "coxph-lam", "pipeline-lam", "coxph-lambda-grid"])
-def test_a_non_finite_number_exits_2(net_dir, data_dir, tmp_path, capsys, argv, value):
+        "table1-grad-tol", "coxph-lam", "pipeline-lam", "coxph-lambda-grid", "coxph-tune-lam"])
+def test_a_non_finite_number_exits_2(net_dir, data_dir, tmp_path, capsys, argv, named, value):
     # unchecked, an infinite grad_tol called every fit converged at its start,
-    # and an infinite penalty gave NaN coefficients and stderrs of 2.2e-308;
+    # an infinite penalty gave NaN coefficients and stderrs of 2.2e-308, and
+    # --tune took --lam=inf into the manifest as the invalid JSON Infinity;
     # the --opt=value form keeps argparse from reading -inf as an option
     paths = {"NET": net_dir, "DATA": data_dir / "train.csv"}
     argv = [paths.get(a, a) for a in argv]
@@ -503,8 +508,32 @@ def test_a_non_finite_number_exits_2(net_dir, data_dir, tmp_path, capsys, argv, 
     out = tmp_path / "x"
     assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {named} must be ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_coxph_tune_checks_a_negative_lam(data_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["coxph", "--data", data_dir / "train.csv", "--tune", "--lambda-grid", "0.1,1",
+                "--lam=-5", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: penalty must be non-negative, got -5.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", [
+    ReplicateReport(2, {"w": 0.1}, {"w": 0.01}, {"w": 0.9}, {"w": 0.02},
+                    ({"seed": 0},), ({"seed": 1, "error": "diverged"},)),
+    EvalReport(rmse=0.5, mean_log_prob=-1.2, sign_accuracy=0.75, n_pairs=4),
+    PipelineResult(c_raw=0.6, c_refined={"lsm": 0.62}, deltas={"lsm": 0.02},
+                   lambda_used=1.0, lsm_converged=True),
+], ids=["ReplicateReport", "EvalReport", "PipelineResult"])
+def test_a_record_writes_every_field(record):
+    # pipeline.json has always called the ridge strength "lambda"
+    key = {"lambda_used": "lambda"}
+    d = record.to_dict()
+    assert sorted(d) == sorted(key.get(f.name, f.name) for f in fields(record))
+    for f in fields(record):
+        assert d[key.get(f.name, f.name)] == getattr(record, f.name)
 
 
 class TestTable1:

@@ -80,10 +80,13 @@ class TestReplicates:
         assert all(v <= 1.0 + 1e-12 for v in single_rep.r2_mean.values())
 
     def test_report_shape(self, single_rep):
-        assert set(single_rep.rmse_mean) == {"w", "z_d", "z_r", "delta", "gamma", "alpha"}
-        assert set(single_rep.r2_mean) == {"w", "z_d", "z_r", "delta", "gamma"}
+        quantities = ["w", "z_d", "z_r", "delta", "gamma", "alpha"]
+        assert list(single_rep.rmse_mean) == list(single_rep.rmse_se) == quantities
+        assert list(single_rep.r2_mean) == list(single_rep.r2_se) == quantities[:-1]
         text = format_report_table(single_rep, title="t")
-        assert "RMSE" in text and "R^2" in text and "alpha" in text
+        rows = text.splitlines()[2:]  # below the title and the header
+        assert [row[:6].rstrip() for row in rows] == ["RMSE"] + [""] * 5 + ["R^2"] + [""] * 4
+        assert [row[7:16].rstrip() for row in rows] == quantities + quantities[:-1]
         d = single_rep.to_dict()
         assert d["n_reps"] == 1 and len(d["per_replicate"]) == 1
 

@@ -420,6 +420,26 @@ class TestTuneLambda:
         assert tune_lambda(sp.csr_matrix(x), t, e, [0.1, 10.0], seed=3) == \
             tune_lambda(x, t, e, [0.1, 10.0], seed=3)
 
+    @pytest.mark.parametrize("grid, message", [
+        ([1.0, 2.0, math.inf], "finite, got inf"),
+        ([1.0, -5.0], "non-negative, got -5.0"),
+        ([math.nan, 1.0], "non-negative, got nan"),
+    ])
+    def test_bad_grid_entry_raises_before_any_fit(self, monkeypatch, grid, message):
+        # a bad entry late in the grid was refused only after the fold fits of
+        # every entry before it
+        calls = []
+        real = netlsm.survival.cox_fit
+        monkeypatch.setattr(netlsm.survival, "cox_fit",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        rng = substream(4, "tune")
+        x, t, e = rng.standard_normal((30, 2)), rng.exponential(1.0, 30), np.ones(30, bool)
+        with pytest.raises(ValueError, match=f"penalty must be {message}$"):
+            tune_lambda(x, t, e, grid)
+        assert calls == []
+        tune_lambda(x, t, e, [1.0])
+        assert len(calls) == 2  # the counter sees the fold fits
+
     def test_degenerate_grid(self):
         rng = substream(4, "tune")
         x = rng.standard_normal((30, 2))

@@ -17,12 +17,13 @@ two parts into ``--out``:
   fits) is printed but not recorded, so two runs of one checkout write
   byte-identical files, which ``cmp`` can check.
 - ``cli/<name>/``: ``netlsm.cli.main`` for each command of the acceptance
-  test's determinism criterion (all seven commands, at its fixed seeds) and
-  for ``pipeline --seeds 2`` and ``table1 --reps 2`` at the CLI defaults:
-  two seeds, four restarts, and each seed's four blocks fit in one
-  lockstep.  The paths a command is given are relative to ``cli/``, so that
-  the manifests of two runs hold the same config.  ``cli/exit_codes.json``
-  records each exit code.
+  test's determinism criterion (all seven commands, at its fixed seeds),
+  for ``coxph --tune`` on the same data (the cross-validated lambda and the
+  network fit at it), and for ``pipeline --seeds 2`` and ``table1 --reps 2``
+  at the CLI defaults: two seeds, four restarts, and each seed's four blocks
+  fit in one lockstep.  The paths a command is given are relative to
+  ``cli/``, so that the manifests of two runs hold the same config.
+  ``cli/exit_codes.json`` records each exit code.
 
 ``compare`` walks both directories, prints every difference and a summary,
 and exits 1 on any difference:
@@ -74,6 +75,7 @@ COMMANDS = (
               "--restarts", "0", "--seed", "3"]),
     ("table1", ["table1", "--reps", "1", "--restarts", "0"]),
     ("coxph", ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--lam", "1.0"]),
+    ("coxph-tune", ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--tune"]),
     ("pipeline", ["pipeline", "--seeds", "1", "--n", "1000", "--min-count", "5",
                   "--restarts", "0"]),
     ("pipeline-defaults", ["pipeline", "--seeds", "2"]),
