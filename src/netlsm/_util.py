@@ -41,31 +41,34 @@ FLOAT_FMT = "%.17g"  # round-trip exact for IEEE doubles
 
 
 def read_csv(path, error):
-    """The header of the CSV file at ``path``, and an iterator of ``(line, row)`` per data row.
+    """``(header, lines, columns)`` of the CSV file at ``path``.
 
-    ``line`` is the file line that ends the row.  Blank lines (whitespace and
-    commas only) are skipped.  An empty file, or a row whose field count
-    differs from the header's, raises ``error`` naming ``path`` and the line.
-    A UTF-8 byte-order mark, as spreadsheet exports write, is dropped.  The
-    file is read and closed before this returns.
+    ``lines`` holds the file line that ends each data row, and ``columns[k]``
+    every data row's ``k``-th cell, as read.  Blank lines (whitespace and
+    commas only) are skipped.  Every row is split and its field count checked before
+    this returns, so an empty file, or a row whose field count differs from
+    the header's, raises ``error`` naming ``path`` and the line before a
+    caller sees any cell.  A UTF-8 byte-order mark, as spreadsheet exports
+    write, is dropped.  The file is read and closed before this returns.
     """
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(io.StringIO(f.read(), newline=""))
     header = next(reader, None)
     if header is None:
         raise error(f"{path}: empty file")
-
-    def rows():
-        for row in reader:
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise error(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield reader.line_num, row
-
-    return header, rows()
+    n = len(header)
+    # the cells go into one flat list and each row's list is dropped: the
+    # garbage collector rescans every live list, so keeping 160000 rows' lists
+    # made a 400x400 network load in ~1.3 s, against ~0.55 s this way
+    lines, cells = [], []
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        if len(row) != n:
+            raise error(f"{path}:{reader.line_num}: expected {n} fields, got {len(row)}")
+        lines.append(reader.line_num)
+        cells += row
+    return header, lines, [cells[k::n] for k in range(n)]
 
 
 def parse_float(text, what, error, path, line):
@@ -77,6 +80,18 @@ def parse_float(text, what, error, path, line):
     if not math.isfinite(v):
         raise error(f"{path}:{line}: non-finite {what}")
     return v
+
+
+def _floats(cells, positive=False):
+    """``cells`` as a float array, or None if one is malformed, not finite or,
+    with ``positive``, not above 0."""
+    try:
+        a = np.array(list(map(float, cells)))
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(a)) or (positive and not np.all(a > 0)):
+        return None
+    return a
 
 
 def csv_text(path, header, rows):

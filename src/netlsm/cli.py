@@ -62,10 +62,9 @@ def _sim_config(cfg):
 
 def run_simulate_network(cfg, out):
     sim = simulate(_sim_config(cfg))
-    save_network(sim.observed, out)
-    truth = sim.truth.to_dict()
-    dump_json(truth, os.path.join(out, "truth.json"))
-    return ["edges.csv", "donor_nodes.csv", "recipient_nodes.csv", "truth.json"], True, False
+    files = save_network(sim.observed, out)
+    dump_json(sim.truth.to_dict(), os.path.join(out, "truth.json"))
+    return files + ["truth.json"], True, False
 
 
 def run_simulate_transplants(cfg, out):
@@ -168,14 +167,9 @@ def run_coxph(cfg, out):
         lam = tune_lambda(x, data.time, data.event, cfg["lambda_grid"], seed=cfg["seed"])
     model = cox_fit(x, data.time, data.event, lam, columns=columns)
     # the network first: a label it cannot write stops coxph before any file is written
-    save_network(extract_network(model), os.path.join(out, "network"))
+    files = save_network(extract_network(model), os.path.join(out, "network"))
     dump_json(model.to_dict(), os.path.join(out, "coxph.json"))
-    return [
-        "coxph.json",
-        "network/edges.csv",
-        "network/donor_nodes.csv",
-        "network/recipient_nodes.csv",
-    ], model.converged, False
+    return ["coxph.json"] + [f"network/{f}" for f in files], model.converged, False
 
 
 def run_pipeline(cfg, out):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from ._util import FLOAT_FMT, parse_float, read_csv, substream, write_csv
+from ._util import FLOAT_FMT, _floats, parse_float, read_csv, substream, write_csv
 from .metrics import refine
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``survival.fit``.
@@ -114,37 +114,42 @@ class TransplantDataset:
         """Read the layout :meth:`to_csv` writes; covariates are the "x..." columns.
 
         Malformed content raises ``ValueError`` naming the file and, for a
-        bad row, its line: a missing required column, a row whose field count
-        differs from the header's, a number that does not parse or is not
-        finite, an ``event`` other than 0 or 1, and a file without data rows.
-        Blank lines are skipped.  Type labels are stripped of surrounding
-        whitespace, as the cells of the network files are.
+        bad row, its line: a row whose field count differs from the header's
+        (found before any other fault, see :func:`read_csv`), a missing
+        required column, a repeated column name, a file without data rows, a
+        number that does not parse or is not finite, and an ``event`` other
+        than 0 or 1.  Blank lines are skipped.  Type labels are stripped of
+        surrounding whitespace, as the cells of the network files are.  Each
+        column is parsed and checked at once; only when a check fails are the
+        rows walked, to name the first faulty one.
         """
-        header, rows = read_csv(path, ValueError)
+        header, lines, columns = read_csv(path, ValueError)
         missing = [c for c in _CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        col = {h: k for k, h in enumerate(header)}
-        xcols = [k for k, h in enumerate(header) if h.startswith("x")]
-        covariates, donor_type, recipient_type, time, event = [], [], [], [], []
-        for line, row in rows:
-            covariates.extend(parse_float(row[k], header[k], ValueError, path, line)
-                              for k in xcols)
-            time.append(parse_float(row[col["time"]], "time", ValueError, path, line))
-            flag = row[col["event"]]
-            if flag not in ("0", "1"):
-                raise ValueError(f"{path}:{line}: event must be 0 or 1, got {flag!r}")
-            event.append(flag == "1")
-            donor_type.append(row[col["donor_type"]].strip())
-            recipient_type.append(row[col["recipient_type"]].strip())
-        if not time:
+        repeated = list(dict.fromkeys(h for h in header if header.count(h) > 1))
+        if repeated:
+            raise ValueError(f"{path}: repeated column(s) {', '.join(repeated)}")
+        if not lines:
             raise ValueError(f"{path}: no data rows")
+        col = dict(zip(header, columns))
+        xnames = [h for h in header if h.startswith("x")]
+        covariates = [_floats(col[h]) for h in xnames]
+        time, event = _floats(col["time"]), col["event"]
+        if any(x is None for x in covariates) or time is None or not set(event) <= {"0", "1"}:
+            # the first fault in file order: a row's covariates, then its time and event
+            for k, line in enumerate(lines):
+                for h in xnames:
+                    parse_float(col[h][k], h, ValueError, path, line)
+                parse_float(col["time"][k], "time", ValueError, path, line)
+                if event[k] not in ("0", "1"):
+                    raise ValueError(f"{path}:{line}: event must be 0 or 1, got {event[k]!r}")
         return cls(
-            covariates=np.array(covariates, dtype=float).reshape(len(time), len(xcols)),
-            donor_type=np.array(donor_type),
-            recipient_type=np.array(recipient_type),
-            time=np.array(time),
-            event=np.array(event),
+            covariates=np.reshape(covariates, (len(xnames), len(lines))).T.copy(),
+            donor_type=np.array(list(map(str.strip, col["donor_type"]))),
+            recipient_type=np.array(list(map(str.strip, col["recipient_type"]))),
+            time=time,
+            event=np.array(event) == "1",
         )
 
 

@@ -665,6 +665,10 @@ GOOD_CSV = "id,time,event,donor_type,recipient_type,x1\n0,1.5,1,A,x,0.25\n1,2.0,
     (GOOD_CSV.replace("-1", "nan"), r"t\.csv:3: non-finite x1"),
     (GOOD_CSV.replace("2.0,0", "2.0,yes"), r"t\.csv:3: event must be 0 or 1, got 'yes'"),
     ("id,time,event,donor_type,recipient_type\n", r"t\.csv: no data rows"),
+    # every row's field count is checked before any value
+    (GOOD_CSV.replace("2.0", "soon") + "2,3.0,1,A\n", r"t\.csv:4: expected 6 fields, got 4"),
+    ("id,time,event,donor_type,recipient_type,time\n0,1.5,1,A,x,9\n1,2.0,0,B,y,8\n",
+     r"t\.csv: repeated column\(s\) time$"),
 ])
 def test_from_csv_rejects_malformed_rows(tmp_path, text, message):
     path = tmp_path / "t.csv"

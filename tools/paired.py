@@ -11,11 +11,12 @@ were; a fit that is meant to move is listed by the change that moves it:
 (default: the ``src/`` of the checkout holding this file).  It then writes
 two parts into ``--out``:
 
-- ``fits.json``: one record per fit of the corpus below.  A lone fit runs
-  through ``fit``, and the networks of a lockstep group through one
-  ``fit_networks`` call.  Each fit's wall time (a lockstep group's, for its
-  fits) is printed but not recorded, so two runs of one checkout write
-  byte-identical files, which ``cmp`` can check.
+- ``fits.json``: one record per fit of the corpus below.  Each corpus entry,
+  a lone fit or a lockstep group, runs through one ``fit_networks`` call, of
+  which ``fit`` is the one-network case; a ``FitError`` is recorded in place
+  of its result.  Each fit's wall time (a lockstep group's, for its fits) is
+  printed but not recorded, so two runs of one checkout write byte-identical
+  files, which ``cmp`` can check.
 - ``cli/<name>/``: ``netlsm.cli.main`` for each command of the acceptance
   test's determinism criterion (all seven commands, at its fixed seeds),
   for ``coxph --tune`` on the same data (the cross-validated lambda and the
@@ -136,18 +137,12 @@ def run(src, out):
     src, out = Path(src).resolve(), Path(out).resolve()
     sys.path.insert(0, str(src))
     from netlsm.cli import main
-    from netlsm.model import FitError, fit, fit_networks
+    from netlsm.model import FitError, fit_networks
 
     records = []
     for fit_ids, nets, config in corpus():
         start = time.perf_counter()
-        if len(nets) > 1:
-            outcomes = fit_networks(nets, config)
-        else:
-            try:
-                outcomes = [fit(nets[0], config)]
-            except FitError as exc:
-                outcomes = [exc]
+        outcomes = fit_networks(nets, config)
         seconds = time.perf_counter() - start
         for fit_id, res in zip(fit_ids, outcomes):
             if isinstance(res, FitError):
