@@ -121,24 +121,15 @@ def write_csv(path, header, rows):
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    """``json.dumps``' hook for what it cannot encode: a numpy array or scalar as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj, path=None):
     """Canonical JSON text (sorted keys, repr-exact floats); optionally write it."""
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
     if path is not None:
         write_text_atomic(path, text)
     return text

@@ -231,7 +231,9 @@ class _Objective:
     their squares and the ``log(2 pi se^2)`` sums) is computed once, when the
     object is built, with a leading network axis; each evaluation shares the
     squared distances, eta and the residuals between the value and the
-    gradient.  The optimizer vector is ``(z_d, z_r, alpha)``, the
+    gradient.  The mask is read only when the object is built: an unobserved
+    pair is weight 0 at infinite variance, so its weighted residual is 0 with
+    no mask test.  The optimizer vector is ``(z_d, z_r, alpha)``, the
     :func:`pack_params` layout up to b, with beta at the gauge value 1 and the
     node effects at the node weights; its slices are the parameters, and no
     :class:`LsmParams` is built.  Every evaluation names its network:
@@ -253,11 +255,12 @@ class _Objective:
                 raise ValueError("networks of one kernel must share their shape")
             if not np.array_equal(net.edge_mask, m):
                 raise ValueError("networks of one kernel must share their observation mask")
-        self.nets, self.dim, self.mask = nets, dim, m
+        self.nets, self.dim = nets, dim
         self.n_d, self.n_r = first.n_d, first.n_r
-        self.w = np.stack([net.edge_weight for net in nets])
+        # the weight is zeroed too: it may be NaN there, and NaN / inf is NaN
+        self.w = np.where(m, np.stack([net.edge_weight for net in nets]), 0.0)
         se = _floored(np.stack([net.edge_se for net in nets]))
-        self.s, self.se2 = np.ascontiguousarray(se[:, m]), se * se
+        self.s, self.se2 = np.ascontiguousarray(se[:, m]), np.where(m, se * se, np.inf)
         # flat indices of the observed pairs, or None when every pair is observed
         self.observed = None if m.all() else np.flatnonzero(m)
         c_edge = -0.5 * np.sum(np.log(2.0 * np.pi * self.s * self.s), axis=1)
@@ -286,12 +289,13 @@ class _Objective:
         log-likelihoods ``(K,)``, their gradients over the rows ``(K, nz +
         1)``, the weighted residuals ``e`` and squared distances ``d2`` ``(K,
         n_d, n_r)``, and the rows' constants ``(K, 3)`` of the edge, donor and
-        recipient terms; ``beta`` is the slope the distances enter with.  Each
-        row gets the bits it would get alone on a one-network kernel: the
-        reductions run over C-contiguous rows (the observed residuals are
-        taken from the flat view, not by a boolean mask, whose result is laid
-        out otherwise, and the floored errors of the observed edges are kept
-        C-contiguous), and a non-finite row touches no other.
+        recipient terms; ``beta`` is the slope the distances enter with.  An
+        unobserved pair's ``e`` is 0, and the ll sums observed residuals
+        alone.  Each row gets the bits it would get alone on a one-network
+        kernel: the reductions run over C-contiguous rows (the observed
+        residuals are taken from the flat view, not by a boolean mask, whose
+        result is laid out otherwise, and the floored errors of the observed
+        edges are kept C-contiguous), and a non-finite row touches no other.
         """
         nzd, nz = self.nzd, self.nz
         w, s, se2, c = self._rows(which)
@@ -305,8 +309,6 @@ class _Objective:
             observed = np.take(observed, self.observed, axis=1)
         ll = c[:, 0] - 0.5 * np.sum((observed / s) ** 2, axis=1)
         e = resid / se2
-        if self.observed is not None:
-            e = np.where(self.mask, e, 0.0)
         g = np.empty((k, nz + 1))
         g[:, :nzd] = (-2.0 * beta * (e.sum(axis=2)[..., None] * z_d - e @ z_r)).reshape(k, -1)
         g[:, nzd:nz] = (2.0 * beta * (e.transpose(0, 2, 1) @ z_d
@@ -372,16 +374,12 @@ class _Objective:
 
         The node effects couple to nothing (their Hessian is the diagonal
         -1/se^2) and beta is held at 1, so neither has a row.  The matrix is
-        exactly symmetric.
+        exactly symmetric.  It builds on the edge pass, :meth:`edge_terms`.
         """
         n_d, n_r, dim, nzd, nz = self.n_d, self.n_r, self.dim, self.nzd, self.nz
-        z_d = x[:nzd].reshape(n_d, dim)
-        z_r = x[nzd:nz].reshape(n_r, dim)
-        alpha, se2 = float(x[nz]), self.se2[j]
-        u = z_d[:, None, :] - z_r[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", u, u)
-        c = np.where(self.mask, 1.0 / se2, 0.0)
-        e = np.where(self.mask, (self.w[j] - (alpha - d2)) / se2, 0.0)
+        e = self.edge_terms(x[None, :], [j])[2][0]
+        c = 1.0 / self.se2[j]
+        u = x[:nzd].reshape(n_d, 1, dim) - x[nzd:nz].reshape(1, n_r, dim)
         v = np.sqrt(c)[:, :, None] * u
         cuu = v[:, :, :, None] * v[:, :, None, :]  # c_ij u_ij u_ij^T, (n_d, n_r, dim, dim)
         eye = np.eye(dim)
@@ -636,12 +634,12 @@ def _polish(objective, x, j):
 
 def _overflow_error(objective, j):
     """Network ``j``'s :class:`FitError` if its sum of (weight / stderr)^2 overflows, else None."""
-    net, mask = objective.nets[j], objective.mask
+    net = objective.nets[j]
     with np.errstate(over="ignore"):  # an overflow makes every start diverge
-        ratio = np.abs(objective.w[j][mask] / objective.s[j])
+        ratio = np.abs(objective.w[j][net.edge_mask] / objective.s[j])
         if math.isfinite(np.sum(ratio * ratio)):
             return None
-    i, k = np.argwhere(mask)[np.argmax(ratio)]
+    i, k = np.argwhere(net.edge_mask)[np.argmax(ratio)]
     return FitError(f"edge {net.donor_labels[i]},{net.recipient_labels[k]} has weight "
                     f"{net.edge_weight[i, k]:g} and stderr {net.edge_se[i, k]:g}: the sum "
                     "of squared weight/stderr ratios overflows, so no fit can start")

@@ -116,12 +116,14 @@ class TransplantDataset:
         Malformed content raises ``ValueError`` naming the file and, for a
         bad row, its line: a row whose field count differs from the header's
         (found before any other fault, see :func:`read_csv`), a missing
-        required column, a repeated column name, a file without data rows, a
-        number that does not parse or is not finite, and an ``event`` other
-        than 0 or 1.  Blank lines are skipped.  Type labels are stripped of
-        surrounding whitespace, as the cells of the network files are.  Each
-        column is parsed and checked at once; only when a check fails are the
-        rows walked, to name the first faulty one.
+        required column, a repeated column name, covariate columns other than
+        ``x1, ..., xp`` in that order, a file without data rows, a number that
+        does not parse or is not finite, a time not above 0, an ``event``
+        other than 0 or 1, and a file where no row has event 1.  Blank lines
+        are skipped.  Type labels are stripped of surrounding whitespace, as
+        the cells of the network files are.  Each column is parsed and checked
+        at once; only when a check fails are the rows walked, to name the
+        first faulty one.
         """
         header, lines, columns = read_csv(path, ValueError)
         missing = [c for c in _CSV_COLUMNS if c not in header]
@@ -130,20 +132,27 @@ class TransplantDataset:
         repeated = list(dict.fromkeys(h for h in header if header.count(h) > 1))
         if repeated:
             raise ValueError(f"{path}: repeated column(s) {', '.join(repeated)}")
+        xnames = [h for h in header if h.startswith("x")]
+        expected = [f"x{k + 1}" for k in range(len(xnames))]
+        if xnames != expected:
+            raise ValueError(f"{path}: covariate columns must be {','.join(expected)}, "
+                             f"got {','.join(xnames)}")
         if not lines:
             raise ValueError(f"{path}: no data rows")
         col = dict(zip(header, columns))
-        xnames = [h for h in header if h.startswith("x")]
         covariates = [_floats(col[h]) for h in xnames]
-        time, event = _floats(col["time"]), col["event"]
+        time, event = _floats(col["time"], positive=True), col["event"]
         if any(x is None for x in covariates) or time is None or not set(event) <= {"0", "1"}:
             # the first fault in file order: a row's covariates, then its time and event
             for k, line in enumerate(lines):
                 for h in xnames:
                     parse_float(col[h][k], h, ValueError, path, line)
-                parse_float(col["time"][k], "time", ValueError, path, line)
+                if parse_float(col["time"][k], "time", ValueError, path, line) <= 0:
+                    raise ValueError(f"{path}:{line}: non-positive time")
                 if event[k] not in ("0", "1"):
                     raise ValueError(f"{path}:{line}: event must be 0 or 1, got {event[k]!r}")
+        if "1" not in event:
+            raise ValueError(f"{path}: no row has event 1")
         return cls(
             covariates=np.reshape(covariates, (len(xnames), len(lines))).T.copy(),
             donor_type=np.array(list(map(str.strip, col["donor_type"]))),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -512,6 +513,25 @@ class TestKernelOracle:
         holes[1, 2] = False
         with pytest.raises(ValueError, match="share their observation mask"):
             _Objective([net, with_mask(net, holes)], 2)
+
+    def test_unobserved_cells_are_never_read(self):
+        # the weights and stderrs at unobserved pairs may be anything, NaN
+        # included: the fit, its polish and the log-likelihood give the same bits
+        net = simulate(SimConfig(n_d=12, n_r=10, seed=3)).observed
+        mask = substream(3, "kernel-unobserved").random((12, 10)) >= 0.3
+        placeholders = with_mask(net, mask)
+        nans = replace(placeholders, edge_weight=np.where(mask, net.edge_weight, np.nan),
+                       edge_se=np.where(mask, net.edge_se, np.nan))
+        cfg = FitConfig(dim=2, restarts=1, seed=3)
+
+        def bits(res):
+            return (np.float64(res.log_likelihood).tobytes(), res.iterations, res.restart_index,
+                    res.params.z_d.tobytes(), res.params.z_r.tobytes(),
+                    np.float64(res.params.alpha).tobytes())
+
+        a = fit(placeholders, cfg)
+        assert bits(a) == bits(fit(nans, cfg))
+        assert log_likelihood(a.params, placeholders) == log_likelihood(a.params, nans)
 
     @pytest.mark.parametrize("recipient", [False, True])
     def test_non_finite_paths(self, recipient):

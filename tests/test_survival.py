@@ -669,6 +669,9 @@ GOOD_CSV = "id,time,event,donor_type,recipient_type,x1\n0,1.5,1,A,x,0.25\n1,2.0,
     (GOOD_CSV.replace("2.0", "soon") + "2,3.0,1,A\n", r"t\.csv:4: expected 6 fields, got 4"),
     ("id,time,event,donor_type,recipient_type,time\n0,1.5,1,A,x,9\n1,2.0,0,B,y,8\n",
      r"t\.csv: repeated column\(s\) time$"),
+    (GOOD_CSV.replace("2.0", "0"), r"t\.csv:3: non-positive time$"),
+    (GOOD_CSV.replace("1.5,1", "1.5,0"), r"t\.csv: no row has event 1$"),
+    (GOOD_CSV.replace(",x1\n", ",x2\n"), r"t\.csv: covariate columns must be x1, got x2$"),
 ])
 def test_from_csv_rejects_malformed_rows(tmp_path, text, message):
     path = tmp_path / "t.csv"

@@ -38,7 +38,7 @@ and exits 1 on any difference:
   must hold the same JSON apart from ``duration_s`` and ``out``; a config
   key present on one side only is reported by name.
 
-The corpus (115 fits, about 8 s on one core):
+The corpus (125 fits, about 8 s on one core):
 
 - 60x60 networks, seeds 0-29, ``restarts=1``;
 - table1-like 20x20 networks, sigma_w 0.15 and 1.5, pair-term-only and
@@ -48,6 +48,9 @@ The corpus (115 fits, about 8 s on one core):
 - 30x25 networks at dims 1 and 3, seeds 0-4, ``restarts=1``;
 - 30x25 networks at dim 2 with about 20% of pairs unobserved, seeds 0-4,
   ``restarts=1``;
+- masked lockstep groups: the train and test networks of each of those
+  seeds' ``simulate_train_test``, given that seed's mask and fit in one
+  ``fit_networks`` call, ``restarts=1``;
 - lockstep groups: the four table1 block networks of seeds 0-4, each seed's
   four in one ``fit_networks`` call, ``restarts=4``.
 """
@@ -90,7 +93,13 @@ def corpus():
     """Yield ``(fit ids, networks, FitConfig)`` for each lone fit or lockstep group."""
     from netlsm._util import substream
     from netlsm.model import FitConfig
-    from netlsm.simulate import FULL_COMPATIBILITY, PAIR_TERM_ONLY, SimConfig, simulate
+    from netlsm.simulate import (
+        FULL_COMPATIBILITY,
+        PAIR_TERM_ONLY,
+        SimConfig,
+        simulate,
+        simulate_train_test,
+    )
     from netlsm.survival import (
         SurvivalGenConfig,
         cox_fit,
@@ -121,6 +130,10 @@ def corpus():
         net = simulate(SimConfig(n_d=30, n_r=25, seed=seed)).observed
         mask = substream(seed, "paired-fits-mask").random((30, 25)) >= 0.2
         yield ([f"masked/s{seed}"], [dataclasses.replace(net, edge_mask=mask)],
+               FitConfig(dim=2, restarts=1, seed=seed))
+        _, train, test = simulate_train_test(SimConfig(n_d=30, n_r=25, seed=seed))
+        yield ([f"masked-lockstep/{split}/s{seed}" for split in ("train", "test")],
+               [dataclasses.replace(n, edge_mask=mask) for n in (train, test)],
                FitConfig(dim=2, restarts=1, seed=seed))
     blocks = [(sigma_w, convention) for sigma_w in (0.15, 1.5)
               for convention in (PAIR_TERM_ONLY, FULL_COMPATIBILITY)]
