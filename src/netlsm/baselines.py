@@ -5,6 +5,7 @@ transform of the weights (to make them non-negative), factorizes V ~ F S G^T
 by multiplicative updates, and maps the reconstruction back by the logit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,10 @@ class NmtfConfig:
             raise ValueError("rank must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not self.tol >= 0:
+            raise ValueError("tol must be >= 0")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
 
 
 @dataclass(frozen=True)
@@ -97,22 +102,32 @@ def nmtf_refine(weights, config):
     s = rng.uniform(size=(k, k))
     g = rng.uniform(size=(n_r, k))
 
+    # The products of these small 2-D factors are taken with ndarray.dot, which
+    # makes the BLAS calls of @ (gemm, or syrk for a^T a) at half its per-call
+    # cost; tests pin every sweep's bits to the @ loop.
+    vt = v.T
+
     def objective():
-        r = v - f @ s @ g.T
-        return float(np.sum(r * r))
+        r = f.dot(s).dot(g.T)
+        np.subtract(v, r, out=r)
+        return float(np.square(r, out=r).sum())
+
+    def update(factor, numerator, denominator):
+        # factor *= numerator / (denominator + eps), the temporaries reused
+        denominator += _EPS
+        numerator /= denominator
+        factor *= numerator
 
     prev = objective()
     history = [prev]
     it = 0
     converged = False
     for it in range(1, config.max_iter + 1):
-        sg = s @ g.T
-        f *= (v @ sg.T) / (f @ (sg @ sg.T) + _EPS)
-        fs = f @ s
-        g *= (v.T @ fs) / (g @ (fs.T @ fs) + _EPS)
-        ftf = f.T @ f
-        gtg = g.T @ g
-        s *= (f.T @ v @ g) / (ftf @ s @ gtg + _EPS)
+        sg = s.dot(g.T)
+        update(f, v.dot(sg.T), f.dot(sg.dot(sg.T)))
+        fs = f.dot(s)
+        update(g, vt.dot(fs), g.dot(fs.T.dot(fs)))
+        update(s, f.T.dot(v).dot(g), f.T.dot(f).dot(s).dot(g.T.dot(g)))
         cur = objective()
         history.append(cur)
         if abs(prev - cur) <= config.tol * max(prev, _EPS):

@@ -189,14 +189,14 @@ def _sqdist(z_d, z_r):
     # warning.
     dim = z_d.shape[-1]
     sums = [None, None]  # even axes, odd axes
-    for k in range(dim):
-        u = z_d[..., :, None, k] - z_r[..., None, :, k]
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        for k in range(dim):
+            u = z_d[..., :, None, k] - z_r[..., None, :, k]
             u *= u
-        if sums[k % 2] is None:
-            sums[k % 2] = u
-        else:
-            sums[k % 2] += u
+            if sums[k % 2] is None:
+                sums[k % 2] = u
+            else:
+                sums[k % 2] += u
     if dim > 1:
         sums[0] += sums[1]
     return sums[0]
@@ -303,16 +303,24 @@ class _Objective:
         z_d = xs[:, :nzd].reshape(k, self.n_d, self.dim)
         z_r = xs[:, nzd:nz].reshape(k, self.n_r, self.dim)
         d2 = _sqdist(z_d, z_r)
-        resid = w - (xs[:, nz, None, None] - beta * d2)
-        observed = resid.reshape(k, -1)
+        # one buffer holds eta, then the residual, then the weighted residual e
+        e = np.subtract(xs[:, nz, None, None], d2 if beta == 1.0 else beta * d2)
+        np.subtract(w, e, out=e)
+        observed = e.reshape(k, -1)
         if self.observed is not None:
             observed = np.take(observed, self.observed, axis=1)
-        ll = c[:, 0] - 0.5 * np.sum((observed / s) ** 2, axis=1)
-        e = resid / se2
+        scaled = observed / s
+        ll = c[:, 0] - 0.5 * np.square(scaled, out=scaled).sum(axis=1)
+        np.divide(e, se2, out=e)
         g = np.empty((k, nz + 1))
-        g[:, :nzd] = (-2.0 * beta * (e.sum(axis=2)[..., None] * z_d - e @ z_r)).reshape(k, -1)
-        g[:, nzd:nz] = (2.0 * beta * (e.transpose(0, 2, 1) @ z_d
-                                      - e.sum(axis=1)[..., None] * z_r)).reshape(k, -1)
+        # the position blocks of g, as (K, n, dim) views; each is written once
+        g_d, g_r = g[:, :nzd].reshape(z_d.shape), g[:, nzd:nz].reshape(z_r.shape)
+        pull = e.sum(axis=2)[..., None] * z_d
+        pull -= e @ z_r
+        np.multiply(pull, -2.0 * beta, out=g_d)
+        pull = e.transpose(0, 2, 1) @ z_d
+        pull -= e.sum(axis=1)[..., None] * z_r
+        np.multiply(pull, 2.0 * beta, out=g_r)
         g[:, nz] = e.reshape(k, -1).sum(axis=1)
         return ll, g, e, d2, c
 
@@ -345,7 +353,8 @@ class _Objective:
         """
         ll, g = self.values(xs, which)
         np.negative(g, out=g)
-        g[~np.all(np.isfinite(g), axis=1)] = 0.0
+        if not np.isfinite(g).all():  # one test of the stack, the rows only when it fails
+            g[~np.isfinite(g).all(axis=1)] = 0.0
         return np.where(np.isfinite(ll), -ll, _BIG), g
 
     def gauge_basis(self, x):
@@ -515,8 +524,7 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
     # gradient, which setulb may overwrite in place, so seen_g keeps it
     f, g, seen_g = np.zeros(n_starts), np.zeros((n_starts, n)), np.zeros((n_starts, n))
     seen_x = np.full((n_starts, n), np.nan)  # the last point evaluated
-    nfev = np.zeros(n_starts, dtype=int)
-    iterations = np.zeros(n_starts, dtype=int)
+    nfev, iterations = [0] * n_starts, [0] * n_starts  # per start, Python ints
     lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)  # no bounds
     wa = np.zeros((n_starts, 2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR * _MAXCOR + 8 * _MAXCOR))
     iwa = np.zeros((n_starts, 3 * n), np.int32)
@@ -543,18 +551,20 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
 
     running = np.arange(n_starts)
     while True:
-        running = running[[advance(k) for k in running]]
+        running = running[[advance(k) for k in running.tolist()]]
         if not running.size:
             break
         xs = x[running]
-        moved = ~np.all(xs == seen_x[running], axis=1)
-        fresh, xs = running[moved], xs[moved]
+        fresh = running[(xs != seen_x[running]).any(axis=1)]
         if fresh.size:
+            if fresh.size < running.size:
+                xs = x[fresh]
             f[fresh], seen_g[fresh] = objective.loss(xs, networks[fresh])
             seen_x[fresh] = xs
-            nfev[fresh] += 1
+            for k in fresh.tolist():
+                nfev[k] += 1
         g[running] = seen_g[running]
-    return LbfgsResult(x=x, fun=f, jac=g, iterations=iterations)
+    return LbfgsResult(x=x, fun=f, jac=g, iterations=np.array(iterations))
 
 
 def _start_points(net, config):

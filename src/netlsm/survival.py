@@ -289,51 +289,98 @@ def _nonzero_columns(x):
 
 
 def _rev_cumsum(a):
-    return np.cumsum(a[::-1], axis=0)[::-1]
+    """Reverse cumulative sums over the first axis, in place: ``a[k]`` becomes ``a[k:].sum(0)``"""
+    np.cumsum(a[::-1], axis=0, out=a[::-1])
+    return a
 
 
-def _risk_set_stats(x, time, event, w, need_hessian):
-    """Breslow partial log-likelihood, score, and (optionally) information.
+@dataclass(frozen=True)
+class _RiskSets:
+    """What :func:`_risk_set_stats` needs of the records, built once by :func:`_risk_sets`."""
 
-    ``x`` is a CSR matrix (anything else is converted to one).  Records are
-    grouped into event-time segments: segment k holds the records with
-    ``T_k <= time < T_{k+1}`` over the sorted distinct event times T, so the
-    risk set of T_k is segments k, k+1, ...  One sparse product sums
-    ``r x`` (r = exp(x w)) per segment, and reverse cumulative sums over the
-    segments give every risk-set sum.  The information's Sum_e S2_e/S0_e term
-    collapses to a single weighted Gram matrix via
-    Sum_e S2_e/S0_e = Sum_j r_j a_j x_j x_j^T with
-    a_j = Sum_{events e with t_e <= t_j} 1/S0_e.
+    x: sp.csr_matrix  # the design, (n, p)
+    xt: sp.csr_matrix  # its transpose, (p, n)
+    xt_event: np.ndarray  # x^T event, the score's first term
+    events: np.ndarray  # indices of the records with an event
+    seg: np.ndarray  # each record's segment; m (past the last) if before every event
+    at_risk: np.ndarray  # indices of the records with seg < m
+    d: np.ndarray  # events per segment, (m,)
+    counts: np.ndarray  # nonzeros per record
+    bins: np.ndarray  # each nonzero's (segment, column) bin of S1, seg * p + column
+
+
+def _risk_sets(x, time, event):
+    """The event-time segments of the records and what depends on them alone.
+
+    Segment k holds the records with ``T_k <= time < T_{k+1}`` over the
+    sorted distinct event times T, so the risk set of T_k is segments k, k+1,
+    ...  Nothing here depends on the coefficients, so a fit builds it once
+    and every :func:`_risk_set_stats` call reads it.  ``x`` is converted to
+    CSR.
     """
     x = sp.csr_matrix(x, dtype=float)
-    n = x.shape[0]
+    n, p = x.shape
+    event_times = np.unique(time[event])
+    m = event_times.size
+    seg = np.searchsorted(event_times, time, side="right") - 1
+    seg[seg < 0] = m  # before every event: in no risk set
+    counts = np.diff(x.indptr).astype(np.intp)
+    bins = np.repeat(seg, counts) * p + x.indices  # bin m * p + column: before every event
+    return _RiskSets(
+        x=x,
+        xt=x.T.tocsr(),
+        xt_event=x.T @ event.astype(float),
+        events=np.flatnonzero(event),
+        seg=seg,
+        at_risk=np.flatnonzero(seg < m),
+        d=np.bincount(seg[event], minlength=m),  # tied events share their risk set
+        counts=counts,
+        bins=bins.astype(np.int32) if (m + 1) * p < 2**31 else bins,  # int32 takes half
+    )
+
+
+def _risk_set_stats(risk_sets, w, need_hessian):
+    """Breslow partial log-likelihood, score, and (optionally) information at ``w``.
+
+    ``risk_sets`` is the :func:`_risk_sets` of the records; only the work
+    that depends on ``w`` is done here.  One ``np.bincount`` over the
+    nonzeros sums ``r x`` (r = exp(x w)) per segment, and reverse cumulative
+    sums over the segments, taken in place, give every risk-set sum.  The
+    information's Sum_e S2_e/S0_e term collapses to a single weighted Gram
+    matrix via Sum_e S2_e/S0_e = Sum_j r_j a_j x_j x_j^T with
+    a_j = Sum_{events e with t_e <= t_j} 1/S0_e.
+    """
+    rs = risk_sets
+    x, d = rs.x, rs.d
+    m, p = d.size, x.shape[1]
     lp = x @ w
     shift = lp.max()
     r = np.exp(lp - shift)
-    event_times = np.unique(time[event])
-    m = event_times.size
-    seg = np.searchsorted(event_times, time, side="right") - 1  # -1: before every event
-    at_risk = np.flatnonzero(seg >= 0)
-    d = np.bincount(seg[event], minlength=m)  # tied events share their risk set
-    s0 = _rev_cumsum(np.bincount(seg[at_risk], weights=r[at_risk], minlength=m))
-    segment_sums = sp.csr_matrix((r[at_risk], (seg[at_risk], at_risk)), shape=(m, n))
-    xbar = _rev_cumsum((segment_sums @ x).toarray()) / s0[:, None]
-    ll = float(lp[event].sum() - d @ np.log(s0) - d.sum() * shift)
-    grad = x.T @ event.astype(float) - d @ xbar
+    # segment m, the records before every event, is binned and dropped
+    s0 = _rev_cumsum(np.bincount(rs.seg, weights=r, minlength=m + 1)[:m])
+    s1 = np.bincount(rs.bins, weights=np.repeat(r, rs.counts) * x.data, minlength=(m + 1) * p)
+    xbar = _rev_cumsum(s1[: m * p].reshape(m, p))
+    xbar /= s0[:, None]
+    ll = float(lp[rs.events].sum() - d @ np.log(s0) - d.sum() * shift)
+    grad = rs.xt_event - d @ xbar
     info = None
     if need_hessian:
         a = np.cumsum(d / s0)
-        v = np.zeros(n)
-        v[at_risk] = r[at_risk] * a[seg[at_risk]]
-        xb = xbar * np.sqrt(d)[:, None]  # the d_k events at T_k share xbar_k
-        info = (x.T @ x.multiply(v[:, None])).toarray() - xb.T @ xb
+        at_risk = rs.at_risk
+        v = np.zeros(x.shape[0])
+        v[at_risk] = r[at_risk] * a[rs.seg[at_risk]]
+        vx = sp.csr_matrix((np.repeat(v, rs.counts) * x.data, x.indices, x.indptr),
+                           shape=x.shape)
+        xb = xbar  # scaled in place: the score, its last reader, is taken
+        xb *= np.sqrt(d)[:, None]  # the d_k events at T_k share xbar_k
+        info = (rs.xt @ vx).toarray() - xb.T @ xb
     return ll, grad, info
 
 
 def breslow_loglik(x, time, event, w):
     """Unpenalized Breslow partial log-likelihood at coefficients ``w``."""
-    return _risk_set_stats(x, np.asarray(time, dtype=float), np.asarray(event, dtype=bool),
-                           np.asarray(w, dtype=float), need_hessian=False)[0]
+    risk_sets = _risk_sets(x, np.asarray(time, dtype=float), np.asarray(event, dtype=bool))
+    return _risk_set_stats(risk_sets, np.asarray(w, dtype=float), need_hessian=False)[0]
 
 
 def check_penalty(lam):
@@ -347,14 +394,15 @@ def check_penalty(lam):
 def cox_fit(x, time, event, lam, columns=None):
     """Newton maximization of the ridge-penalized Breslow partial likelihood.
 
-    ``x`` is converted to CSR, and every iteration runs the sparse
-    :func:`_risk_set_stats`.  The fit has converged when the largest penalized
-    score entry is at most 1e-8 in absolute value, within 100 iterations.  A
-    penalty ``lam`` that :func:`check_penalty` refuses, or a column without a
-    nonzero entry, raises ``ValueError``.  Standard errors are
-    square roots of the diagonal of the inverse penalized observed information
-    at the optimum.  ``columns`` may carry the design metadata so the fitted
-    model can be turned into a network.
+    ``x`` is converted to CSR and its :func:`_risk_sets` are built once; each
+    Newton step then runs :func:`_risk_set_stats` on them, which does only
+    the work that depends on the coefficients.  The fit has converged when
+    the largest penalized score entry is at most 1e-8 in absolute value,
+    within 100 iterations.  A penalty ``lam`` that :func:`check_penalty`
+    refuses, or a column without a nonzero entry, raises ``ValueError``.
+    Standard errors are square roots of the diagonal of the inverse penalized
+    observed information at the optimum.  ``columns`` may carry the design
+    metadata so the fitted model can be turned into a network.
     """
     x = sp.csr_matrix(x, dtype=float)
     time = np.asarray(time, dtype=float)
@@ -363,8 +411,9 @@ def cox_fit(x, time, event, lam, columns=None):
     n, p = x.shape
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
+    risk_sets = _risk_sets(x, time, event)
     w = np.zeros(p)
-    ll, grad, info = _risk_set_stats(x, time, event, w, need_hessian=True)
+    ll, grad, info = _risk_set_stats(risk_sets, w, need_hessian=True)
     ll_pen = ll - 0.5 * lam * w @ w
     for _ in range(_COX_MAX_ITER):
         g_pen = grad - lam * w
@@ -380,7 +429,7 @@ def cox_fit(x, time, event, lam, columns=None):
         scale = 1.0
         for _ in range(40):
             w_new = w + scale * step
-            ll_new, grad_new, info_new = _risk_set_stats(x, time, event, w_new, True)
+            ll_new, grad_new, info_new = _risk_set_stats(risk_sets, w_new, True)
             ll_pen_new = ll_new - 0.5 * lam * w_new @ w_new
             if math.isfinite(ll_pen_new) and ll_pen_new >= ll_pen - 1e-12:
                 break
@@ -406,10 +455,12 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
     """Pick the ridge strength by 2-fold cross-validated partial likelihood.
 
     Each lambda is fit on one fold and scored by the unpenalized partial
-    log-likelihood on the other, summed over both directions.  A fold is fit
-    on the columns that are nonzero in it; the other columns get coefficient
-    0, which for lambda > 0 is their ridge optimum (their score is 0).  A
-    split that leaves a fold without events is redrawn (up to 10 attempts).
+    log-likelihood on the other, summed over both directions.  Each fold's
+    columns and its :func:`_risk_sets` for scoring are built once for the
+    whole grid.  A fold is fit on the columns that are nonzero in it; the
+    other columns get coefficient 0, which for lambda > 0 is their ridge
+    optimum (their score is 0).  A split that leaves a fold without events
+    is redrawn (up to 10 attempts).
     Every grid entry goes through :func:`check_penalty` before the first fold
     fit, so a bad entry raises ``ValueError`` before any fit runs.
     """
@@ -429,15 +480,18 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
             break
     else:
         raise ValueError("could not draw folds containing events")
+    folds = []  # per direction: the fit fold's data and columns, the scoring fold's risk sets
+    for tr, va in ((fold_a, fold_b), (fold_b, fold_a)):
+        present = _nonzero_columns(x[tr])
+        folds.append((x[tr][:, present], time[tr], event[tr], present,
+                      _risk_sets(x[va], time[va], event[va])))
     best_lam, best_score = None, -np.inf
     for lam in lambda_grid:
         score = 0.0
-        for tr, va in ((fold_a, fold_b), (fold_b, fold_a)):
-            x_tr = x[tr]
-            present = _nonzero_columns(x_tr)
+        for x_tr, time_tr, event_tr, present, scoring in folds:
             coef = np.zeros(p)
-            coef[present] = cox_fit(x_tr[:, present], time[tr], event[tr], lam).coefficients
-            score += breslow_loglik(x[va], time[va], event[va], coef)
+            coef[present] = cox_fit(x_tr, time_tr, event_tr, lam).coefficients
+            score += _risk_set_stats(scoring, coef, need_hessian=False)[0]
         if score > best_score:
             best_lam, best_score = lam, score
     return best_lam

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from netlsm import NmtfConfig, nmtf_refine, pca_refine
-from netlsm.baselines import logit, mean_impute
+from netlsm.baselines import _CLAMP, _EPS, logit, mean_impute
 from netlsm.mdsinit import logistic
 from netlsm._util import substream
 
@@ -71,7 +73,60 @@ class TestMeanImpute:
         assert np.array_equal(mean_impute(w, np.ones((3, 3), bool)), w)
 
 
+def nmtf_reference(weights, config):
+    """The plain multiplicative-update loop: every temporary allocated, as first written."""
+    v = logistic(np.asarray(weights, dtype=float))
+    n_d, n_r = v.shape
+    k = config.rank
+    rng = substream(config.seed, "nmtf-init")
+    f = rng.uniform(size=(n_d, k))
+    s = rng.uniform(size=(k, k))
+    g = rng.uniform(size=(n_r, k))
+
+    def objective():
+        r = v - f @ s @ g.T
+        return float(np.sum(r * r))
+
+    prev = objective()
+    history = [prev]
+    it = 0
+    for it in range(1, config.max_iter + 1):
+        sg = s @ g.T
+        f *= (v @ sg.T) / (f @ (sg @ sg.T) + _EPS)
+        fs = f @ s
+        g *= (v.T @ fs) / (g @ (fs.T @ fs) + _EPS)
+        ftf = f.T @ f
+        gtg = g.T @ g
+        s *= (f.T @ v @ g) / (ftf @ s @ gtg + _EPS)
+        cur = objective()
+        history.append(cur)
+        if abs(prev - cur) <= config.tol * max(prev, _EPS):
+            break
+        prev = cur
+    return logit(np.clip(f @ s @ g.T, _CLAMP, 1.0 - _CLAMP)), it, tuple(history)
+
+
 class TestNmtf:
+    @pytest.mark.parametrize("shape, rank, max_iter, tol", [
+        ((8, 8), 1, 2000, 1e-9),
+        ((8, 8), 2, 2000, 1e-9),
+        ((8, 8), 3, 2000, 1e-9),
+        ((6, 11), 1, 2000, 1e-9),
+        ((11, 6), 2, 2000, 1e-9),
+        ((9, 7), 3, 2000, 1e-9),
+        ((12, 12), 2, 40, 1e-30),  # stops at max_iter
+        ((12, 12), 2, 5000, 1e-6),  # converges
+    ])
+    def test_sweeps_updated_in_place_equal_the_plain_loop(self, shape, rank, max_iter, tol):
+        w = substream(rank, "nmtf-in-place", str(shape)).normal(size=shape)
+        cfg = NmtfConfig(rank=rank, max_iter=max_iter, tol=tol, seed=rank)
+        res = nmtf_refine(w, cfg)
+        reconstruction, iterations, history = nmtf_reference(w, cfg)
+        assert res.reconstruction.tobytes() == reconstruction.tobytes()
+        assert res.iterations == iterations
+        assert np.array(res.objective_history).tobytes() == np.array(history).tobytes()
+        assert res.converged == (iterations < max_iter)
+
     def test_rank1_recovery(self):
         rng = substream(0, "nmtf-rank1")
         f = rng.uniform(0.2, 0.9, (8, 1))
@@ -108,3 +163,14 @@ class TestNmtf:
             nmtf_refine(np.zeros((3, 4)), NmtfConfig(rank=4))
         with pytest.raises(ValueError):
             NmtfConfig(rank=0)
+
+    @pytest.mark.parametrize("tol, message", [
+        (math.nan, "tol must be >= 0"),
+        (-1e-9, "tol must be >= 0"),
+        (math.inf, "tol must be finite"),
+    ])
+    def test_config_refuses_a_tol_not_non_negative_and_finite(self, tol, message):
+        # a NaN tol never met the relative-change test, so every fit ran to max_iter
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NmtfConfig(tol=tol)
+        NmtfConfig(tol=0.0)

@@ -504,6 +504,26 @@ class TestKernelOracle:
         assert f_bad[keep].tobytes() == f[keep].tobytes()
         assert g_bad[keep].tobytes() == g[keep].tobytes()
 
+    def test_loss_zeroes_only_rows_with_a_non_finite_entry(self, monkeypatch):
+        # loss tests the whole stack once and the rows only when that fails: a
+        # row of finite entries whose sum overflows keeps its gradient, and a
+        # neighbouring row with a NaN entry is zeroed alone
+        rng = substream(0, "kernel-loss-rows")
+        objective = _Objective([random_network(rng, 4, 3)], 2)
+        n = objective.nz + 1
+        g = rng.standard_normal((3, n))
+        g[0] = np.finfo(float).max / 2  # every entry finite, the sum is not
+        g[1, 4] = np.nan
+        ll = np.array([-1.0, -2.0, math.inf])
+        monkeypatch.setattr(objective, "values", lambda xs, which: (ll.copy(), g.copy()))
+        f, g_loss = objective.loss(np.zeros((3, n)), [0, 0, 0])
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(g[0].sum())
+        assert np.array_equal(g_loss[0], -g[0])
+        assert np.all(g_loss[1] == 0.0)
+        assert np.array_equal(g_loss[2], -g[2])
+        assert f.tolist() == [1.0, 2.0, _BIG]
+
     def test_networks_of_another_shape_or_mask_are_refused(self):
         rng = substream(0, "kernel-refuse")
         net = random_network(rng, 5, 4)

@@ -20,7 +20,8 @@ from netlsm import (
 )
 from netlsm.model import RefinedEstimates
 import netlsm.survival
-from netlsm.survival import Column, _column_set, _risk_set_stats, breslow_loglik, build_design
+from netlsm.survival import (Column, _column_set, _risk_set_stats, _risk_sets, breslow_loglik,
+                             build_design)
 from netlsm._util import substream
 
 from helpers import LABELS
@@ -272,7 +273,7 @@ class TestCoxFit:
         e = rng.random(n) < 0.6
         lam = 0.5
         model = cox_fit(x, t, e, lam)
-        _, grad, _ = _risk_set_stats(x, t, e, model.coefficients, False)
+        _, grad, _ = _risk_set_stats(_risk_sets(x, t, e), model.coefficients, False)
         assert np.max(np.abs(grad - lam * model.coefficients)) <= 1e-6
 
     def test_time_scale_invariance(self):
@@ -295,7 +296,7 @@ class TestCoxFit:
         t[3] = t[7]  # force a tie group
         e = rng.random(n) < 0.6
         w = rng.standard_normal(p)
-        ll, grad, info = _risk_set_stats(x, t, e, w, True)
+        ll, grad, info = _risk_set_stats(_risk_sets(x, t, e), w, True)
         # naive double loop over events
         ll0 = 0.0
         grad0 = np.zeros(p)
@@ -358,23 +359,56 @@ class TestKernelReferences:
         for seed in range(25):
             x, t, e, w = tied_design(seed)
             ll0, g0, h0 = risk_set_stats_reference(x, t, e, w, True)
-            ll, g, h = _risk_set_stats(sp.csr_matrix(x) if as_csr else x, t, e, w, True)
+            risk_sets = _risk_sets(sp.csr_matrix(x) if as_csr else x, t, e)
+            ll, g, h = _risk_set_stats(risk_sets, w, True)
             assert abs(ll - ll0) <= 1e-12 * abs(ll0)
             assert rel_err(g, g0) <= 1e-12
             assert rel_err(h, h0) <= 1e-12
-            assert _risk_set_stats(x, t, e, w, False)[2] is None
+            assert _risk_set_stats(risk_sets, w, False)[2] is None
+
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_reused_risk_sets_equal_fresh_ones(self, as_csr):
+        # a fit builds its risk sets once and every Newton step reads them:
+        # no step may write into them (the reverse cumulative sums are taken
+        # in place), so each w gets the bits of a freshly built set
+        for seed in range(25):
+            x, t, e, _ = tied_design(seed)
+            x = sp.csr_matrix(x) if as_csr else x
+            reused = _risk_sets(x, t, e)
+            rng = substream(seed, "risk-set-reuse")
+            for _ in range(20):
+                w = 0.5 * rng.standard_normal(x.shape[1])
+                fresh = _risk_sets(x, t, e)
+                for need_hessian in (False, True):
+                    ll, g, h = _risk_set_stats(reused, w, need_hessian)
+                    ll0, g0, h0 = _risk_set_stats(fresh, w, need_hessian)
+                    assert np.float64(ll).tobytes() == np.float64(ll0).tobytes()
+                    assert g.tobytes() == g0.tobytes()
+                    if need_hessian:
+                        assert h.tobytes() == h0.tobytes()
+                    else:
+                        assert h is None and h0 is None
 
     def test_cox_fit_matches_reference_kernel(self, monkeypatch):
-        def dense_kernel(x, time, event, w, need_hessian):
+        # the fit runs end to end on the dense reference: its risk sets are
+        # the raw records, and every Newton step goes through the reference
+        steps = []
+
+        def dense_kernel(risk_sets, w, need_hessian):
+            x, time, event = risk_sets
+            steps.append(need_hessian)
             return risk_set_stats_reference(x.toarray(), time, event, w, need_hessian)
 
         for seed in range(6):
             train, _, _ = simulate_transplants(SurvivalGenConfig(seed=seed))
             x, cols = design_matrix(train, 10)
             sparse = cox_fit(x, train.time, train.event, 1.0, columns=cols)
+            steps.clear()
             with monkeypatch.context() as m:
+                m.setattr(netlsm.survival, "_risk_sets", lambda x, time, event: (x, time, event))
                 m.setattr(netlsm.survival, "_risk_set_stats", dense_kernel)
                 dense = cox_fit(x, train.time, train.event, 1.0, columns=cols)
+            assert len(steps) >= 2 and all(steps)
             assert sparse.converged and dense.converged
             np.testing.assert_allclose(sparse.coefficients, dense.coefficients, rtol=0, atol=1e-10)
 
@@ -439,6 +473,27 @@ class TestTuneLambda:
         assert calls == []
         tune_lambda(x, t, e, [1.0])
         assert len(calls) == 2  # the counter sees the fold fits
+
+    def test_scoring_risk_sets_are_built_once_per_fold(self, monkeypatch):
+        # each scoring fold's risk sets serve the whole grid; the pick equals
+        # that of scoring each lambda with a fresh breslow_loglik
+        rng = substream(5, "tune")
+        n = 60
+        x, t = rng.standard_normal((n, 3)), rng.exponential(1.0, n)
+        e = rng.random(n) < 0.7
+        grid = [0.01, 0.3, 10.0]
+        built = []
+        real = netlsm.survival._risk_sets
+        monkeypatch.setattr(netlsm.survival, "_risk_sets",
+                            lambda *a: built.append(a) or real(*a))
+        picked = tune_lambda(x, t, e, grid, seed=2)
+        assert len(built) == 2 + 2 * len(grid)  # two scoring folds, then one per fold fit
+        perm = substream(2, "cv-folds").permutation(n)
+        folds = (perm[: n // 2], perm[n // 2 :])
+        scores = [sum(breslow_loglik(x[va], t[va], e[va],
+                                     cox_fit(x[tr], t[tr], e[tr], lam).coefficients)
+                      for tr, va in (folds, folds[::-1])) for lam in grid]
+        assert picked == grid[int(np.argmax(scores))]
 
     def test_degenerate_grid(self):
         rng = substream(4, "tune")

@@ -20,9 +20,11 @@ two parts into ``--out``:
 - ``cli/<name>/``: ``netlsm.cli.main`` for each command of the acceptance
   test's determinism criterion (all seven commands, at its fixed seeds),
   for ``coxph --tune`` on the same data (the cross-validated lambda and the
-  network fit at it), and for ``pipeline --seeds 2`` and ``table1 --reps 2``
-  at the CLI defaults: two seeds, four restarts, and each seed's four blocks
-  fit in one lockstep.  The paths a command is given are relative to
+  network fit at it), for ``coxph --tune`` at pipeline scale (on
+  ``simulate-transplants --seed 0``: 4000 records per split, 12x12 types),
+  and for ``pipeline --seeds 2`` and ``table1 --reps 2`` at the CLI
+  defaults: two seeds, four restarts, and each seed's four blocks fit in one
+  lockstep.  The paths a command is given are relative to
   ``cli/``, so that the manifests of two runs hold the same config.
   ``cli/exit_codes.json`` records each exit code.
 
@@ -80,6 +82,8 @@ COMMANDS = (
     ("table1", ["table1", "--reps", "1", "--restarts", "0"]),
     ("coxph", ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--lam", "1.0"]),
     ("coxph-tune", ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--tune"]),
+    ("tx-defaults", ["simulate-transplants", "--seed", "0"]),
+    ("coxph-tune-defaults", ["coxph", "--data", "tx-defaults/train.csv", "--tune"]),
     ("pipeline", ["pipeline", "--seeds", "1", "--n", "1000", "--min-count", "5",
                   "--restarts", "0"]),
     ("pipeline-defaults", ["pipeline", "--seeds", "2"]),
