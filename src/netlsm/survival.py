@@ -303,7 +303,6 @@ class _RiskSets:
     xt_event: np.ndarray  # x^T event, the score's first term
     events: np.ndarray  # indices of the records with an event
     seg: np.ndarray  # each record's segment; m (past the last) if before every event
-    at_risk: np.ndarray  # indices of the records with seg < m
     d: np.ndarray  # events per segment, (m,)
     counts: np.ndarray  # nonzeros per record
     bins: np.ndarray  # each nonzero's (segment, column) bin of S1, seg * p + column
@@ -332,10 +331,9 @@ def _risk_sets(x, time, event):
         xt_event=x.T @ event.astype(float),
         events=np.flatnonzero(event),
         seg=seg,
-        at_risk=np.flatnonzero(seg < m),
         d=np.bincount(seg[event], minlength=m),  # tied events share their risk set
         counts=counts,
-        bins=bins.astype(np.int32) if (m + 1) * p < 2**31 else bins,  # int32 takes half
+        bins=bins,
     )
 
 
@@ -365,15 +363,13 @@ def _risk_set_stats(risk_sets, w, need_hessian):
     grad = rs.xt_event - d @ xbar
     info = None
     if need_hessian:
-        a = np.cumsum(d / s0)
-        at_risk = rs.at_risk
-        v = np.zeros(x.shape[0])
-        v[at_risk] = r[at_risk] * a[rs.seg[at_risk]]
+        a = np.zeros(m + 1)  # a[m] = 0: segment m is in no risk set
+        np.cumsum(d / s0, out=a[:m])
+        v = r * a[rs.seg]
         vx = sp.csr_matrix((np.repeat(v, rs.counts) * x.data, x.indices, x.indptr),
                            shape=x.shape)
-        xb = xbar  # scaled in place: the score, its last reader, is taken
-        xb *= np.sqrt(d)[:, None]  # the d_k events at T_k share xbar_k
-        info = (rs.xt @ vx).toarray() - xb.T @ xb
+        xbar *= np.sqrt(d)[:, None]  # the score has read xbar; the d_k events at T_k share it
+        info = (rs.xt @ vx).toarray() - xbar.T @ xbar
     return ll, grad, info
 
 
