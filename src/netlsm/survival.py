@@ -17,6 +17,7 @@ integer counts.
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,7 +66,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransplantDataset:
-    """Survival records with categorical donor/recipient types."""
+    """Survival records with categorical donor/recipient types.
+
+    The types are stored as ``str`` arrays, as :class:`CompatibilityNetwork`
+    stores its node labels, so that every later step orders and matches them
+    as strings: ``3`` and ``b"3"`` are the type ``"3"``.
+    """
 
     covariates: np.ndarray
     donor_type: np.ndarray
@@ -77,8 +83,7 @@ class TransplantDataset:
         x = np.atleast_2d(np.asarray(self.covariates, dtype=float))
         t = np.asarray(self.time, dtype=float)
         e = np.asarray(self.event, dtype=bool)
-        dt = np.asarray(self.donor_type)
-        rt = np.asarray(self.recipient_type)
+        dt, rt = (np.asarray(v).astype(str) for v in (self.donor_type, self.recipient_type))
         n = x.shape[0]
         if t.shape != (n,) or e.shape != (n,) or dt.shape != (n,) or rt.shape != (n,):
             raise ValueError("all fields must have one entry per subject")
@@ -210,34 +215,29 @@ class CoxModel:
 
 
 def _type_codes(data):
-    """String labels and per-record integer codes of the donor and recipient types.
+    """The one coding of a split's ``str`` type labels (see :class:`TransplantDataset`):
+    each side's sorted distinct labels and each record's index into them, then
+    the sorted (donor, recipient) label pairs present and each record's index."""
+    d_labels, d_code = np.unique(data.donor_type, return_inverse=True)
+    r_labels, r_code = np.unique(data.recipient_type, return_inverse=True)
+    pairs, pair_code = np.unique(d_code * r_labels.size + r_code, return_inverse=True)
+    d_labels, r_labels = d_labels.tolist(), r_labels.tolist()
+    pairs = [(d_labels[c // len(r_labels)], r_labels[c % len(r_labels)]) for c in pairs.tolist()]
+    return d_labels, d_code, r_labels, r_code, pairs, pair_code
 
-    Also returns each record's pair code, ``donor code * #recipient labels +
-    recipient code``, so that sorted pair codes follow the (donor, recipient)
-    label strings.
-    """
-    d_labels, d_code = np.unique(data.donor_type.astype(str), return_inverse=True)
-    r_labels, r_code = np.unique(data.recipient_type.astype(str), return_inverse=True)
-    return d_labels, d_code, r_labels, r_code, d_code * r_labels.size + r_code
 
+def _column_set(p, codes, min_count):
+    """The basic covariates, then each type and pair held by ``min_count`` records or more."""
+    d_labels, d_code, r_labels, r_code, pairs, pair_code = codes
 
-def _column_set(data, min_count):
-    p = data.covariates.shape[1]
-    cols = [Column("basic", f"x{k + 1}") for k in range(p)]
-    d_types, d_counts = np.unique(data.donor_type, return_counts=True)
-    r_types, r_counts = np.unique(data.recipient_type, return_counts=True)
-    for t, c in zip(d_types, d_counts):
-        if c >= min_count:
-            cols.append(Column("donor", f"don_{t}", donor=str(t)))
-    for t, c in zip(r_types, r_counts):
-        if c >= min_count:
-            cols.append(Column("recipient", f"rec_{t}", recipient=str(t)))
-    d_labels, _, r_labels, _, pair_code = _type_codes(data)
-    pairs, p_counts = np.unique(pair_code, return_counts=True)
-    for code in pairs[p_counts >= min_count]:
-        d, r = str(d_labels[code // r_labels.size]), str(r_labels[code % r_labels.size])
-        cols.append(Column("pair", f"pair_{d}_{r}", donor=d, recipient=r))
-    return tuple(cols)
+    def held(labels, code):
+        return compress(labels, np.bincount(code) >= min_count)
+
+    return tuple([Column("basic", f"x{k + 1}") for k in range(p)]
+                 + [Column("donor", f"don_{d}", donor=d) for d in held(d_labels, d_code)]
+                 + [Column("recipient", f"rec_{r}", recipient=r) for r in held(r_labels, r_code)]
+                 + [Column("pair", f"pair_{d}_{r}", donor=d, recipient=r)
+                    for d, r in held(pairs, pair_code)])
 
 
 def build_design(data, columns):
@@ -245,11 +245,14 @@ def build_design(data, columns):
 
     A record has one entry per basic covariate, plus a 1 in its donor-type,
     recipient-type and pair column where the column set has one.  Type
-    labels are matched as strings.
+    labels are stored, and so matched, as strings.
     """
-    d_labels, d_code, r_labels, r_code, pair_code = _type_codes(data)
-    pairs, pair_code = np.unique(pair_code, return_inverse=True)
-    d_labels, r_labels = d_labels.tolist(), r_labels.tolist()
+    return _design(data, _type_codes(data), columns)
+
+
+def _design(data, codes, columns):
+    """:func:`build_design` of ``data``, whose :func:`_type_codes` are ``codes``."""
+    d_labels, d_code, r_labels, r_code, pairs, pair_code = codes
     where = {(c.kind, c.donor, c.recipient): k for k, c in enumerate(columns)}
 
     def lookup(keys):  # design column per key, -1 where the column set has none
@@ -257,8 +260,7 @@ def build_design(data, columns):
 
     d_col = lookup(("donor", d, None) for d in d_labels)
     r_col = lookup(("recipient", None, r) for r in r_labels)
-    pair_col = lookup(("pair", d_labels[c // len(r_labels)], r_labels[c % len(r_labels)])
-                      for c in pairs.tolist())
+    pair_col = lookup(("pair", d, r) for d, r in pairs)
     basic = np.array([k for k, c in enumerate(columns) if c.kind == "basic"], dtype=int)
     n = data.n
     cols = np.column_stack([np.tile(basic, (n, 1)), d_col[d_code], r_col[r_code],
@@ -279,8 +281,9 @@ def design_matrix(data, min_count):
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    columns = _column_set(data, min_count)
-    return build_design(data, columns), columns
+    codes = _type_codes(data)
+    columns = _column_set(data.covariates.shape[1], codes, min_count)
+    return _design(data, codes, columns), columns
 
 
 def _nonzero_columns(x):
@@ -404,10 +407,13 @@ def cox_fit(x, time, event, lam, columns=None):
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     check_penalty(lam)
-    n, p = x.shape
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
-    risk_sets = _risk_sets(x, time, event)
+    return _newton_fit(_risk_sets(x, time, event), x.shape[1], lam, columns)
+
+
+def _newton_fit(risk_sets, p, lam, columns=None):
+    """:func:`cox_fit`'s fit of ``p`` columns, on the :func:`_risk_sets` of checked inputs."""
     w = np.zeros(p)
     ll, grad, info = _risk_set_stats(risk_sets, w, need_hessian=True)
     ll_pen = ll - 0.5 * lam * w @ w
@@ -452,11 +458,11 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
 
     Each lambda is fit on one fold and scored by the unpenalized partial
     log-likelihood on the other, summed over both directions.  Each fold's
-    columns and its :func:`_risk_sets` for scoring are built once for the
-    whole grid.  A fold is fit on the columns that are nonzero in it; the
-    other columns get coefficient 0, which for lambda > 0 is their ridge
-    optimum (their score is 0).  A split that leaves a fold without events
-    is redrawn (up to 10 attempts).
+    columns and its :func:`_risk_sets`, for fitting and for scoring, are
+    built once for the whole grid.  A fold is fit on the columns that are
+    nonzero in it; the other columns get coefficient 0, which for lambda > 0
+    is their ridge optimum (their score is 0).  A split that leaves a fold
+    without events is redrawn (up to 10 attempts).
     Every grid entry goes through :func:`check_penalty` before the first fold
     fit, so a bad entry raises ``ValueError`` before any fit runs.
     """
@@ -476,17 +482,17 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
             break
     else:
         raise ValueError("could not draw folds containing events")
-    folds = []  # per direction: the fit fold's data and columns, the scoring fold's risk sets
+    folds = []  # per direction: the fit fold's columns and risk sets, the scoring fold's
     for tr, va in ((fold_a, fold_b), (fold_b, fold_a)):
         present = _nonzero_columns(x[tr])
-        folds.append((x[tr][:, present], time[tr], event[tr], present,
+        folds.append((present, _risk_sets(x[tr][:, present], time[tr], event[tr]),
                       _risk_sets(x[va], time[va], event[va])))
     best_lam, best_score = None, -np.inf
     for lam in lambda_grid:
         score = 0.0
-        for x_tr, time_tr, event_tr, present, scoring in folds:
+        for present, fitting, scoring in folds:
             coef = np.zeros(p)
-            coef[present] = cox_fit(x_tr, time_tr, event_tr, lam).coefficients
+            coef[present] = _newton_fit(fitting, present.sum(), lam).coefficients
             score += _risk_set_stats(scoring, coef, need_hessian=False)[0]
         if score > best_score:
             best_lam, best_score = lam, score
@@ -663,8 +669,8 @@ def _sample_split(cfg, truth, rng):
         event[np.argmin(time)] = True
     return TransplantDataset(
         covariates=x,
-        donor_type=np.array([truth.donor_labels[i] for i in d_idx]),
-        recipient_type=np.array([truth.recipient_labels[j] for j in r_idx]),
+        donor_type=np.asarray(truth.donor_labels)[d_idx],
+        recipient_type=np.asarray(truth.recipient_labels)[r_idx],
         time=time,
         event=event,
     )

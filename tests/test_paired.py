@@ -93,6 +93,29 @@ def test_a_fit_difference_exits_1(tmp_path, capsys, edit, what):
     assert what in out and "1 difference(s)" in out
 
 
+def test_one_line_per_corpus_group(tmp_path, capsys):
+    # a group that converges less often, or to a worse optimum, shows on its line
+    def record(fit_id, ll, converged):
+        return {"id": fit_id, "log_likelihood": ll, "restart_index": 0, "converged": converged,
+                "iterations": 9, "grad_norm": 1e-9}
+
+    before = [record("table1/0.15/s0", -10.0, True), record("table1/1.5/s0", -20.0, True),
+              record("pipeline/s0", -30.0, False), record("pipeline/s1", -40.0, True),
+              {"id": "pipeline/s2", "error": "all optimizer restarts diverged"}]
+    after = [record("table1/0.15/s0", -9.0, True),
+             record("table1/1.5/s0", -20.0 * (1 + 5e-9), True),
+             record("pipeline/s0", -31.0, True), *before[3:]]
+    for root, fits in ((tmp_path / "a", before), (tmp_path / "b", after)):
+        write_run(root, fits, MANIFEST)
+        (root / "cli" / "exit_codes.json").write_text('{"pipeline": 0}\n')
+    assert paired.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "table1: 2 fits, converged 2 -> 2, ll 1 rose, 0 fell, 1 within 1e-08",
+        "pipeline: 3 fits, converged 1 -> 2, ll 0 rose, 1 fell, 1 within 1e-08",
+        "5 paired fits: 1 with equal ll, max relative |dll| 0.1; 3 paired files; "
+        "3 difference(s)"]
+
+
 @pytest.mark.parametrize("edit,what", [
     (lambda root, m: (root / "pipeline" / "pipeline.json").write_text('{"c_raw": 0.7}\n'),
      "cli/pipeline/pipeline.json: bytes differ"),

@@ -20,7 +20,7 @@ from netlsm import (
 )
 from netlsm.model import RefinedEstimates
 import netlsm.survival
-from netlsm.survival import (Column, _column_set, _risk_set_stats, _risk_sets, breslow_loglik,
+from netlsm.survival import (Column, _risk_set_stats, _risk_sets, breslow_loglik,
                              build_design)
 from netlsm._util import substream
 
@@ -207,7 +207,29 @@ class TestDesignMatrix:
             rng = substream(seed, "columns", labels)
             data = random_labelled(rng, int(rng.integers(1, 300)), LABEL_SETS[labels])
             for min_count in (1, 3, 8):
-                assert _column_set(data, min_count) == column_set_reference(data, min_count)
+                assert design_matrix(data, min_count)[1] == column_set_reference(data, min_count)
+
+    def test_int_and_bytes_labels_are_the_types_their_strings_name(self):
+        # a dataset stores its types as strings, so 10 and b"10" are the type
+        # "10": the same columns, in string order, and the same design bytes
+        rng = substream(0, "label-kinds")
+        n = 300
+        d, r = rng.choice(LABEL_SETS["int"], n), rng.choice(LABEL_SETS["int"], n)
+        x, time, event = rng.standard_normal((n, 2)), rng.exponential(1.0, n), rng.random(n) < 0.5
+        designs = {kind: design_matrix(TransplantDataset(x, form(d), form(r), time, event), 4)
+                   for kind, form in (("str", lambda a: a.astype(str)), ("int", lambda a: a),
+                                      ("bytes", lambda a: a.astype(bytes)))}
+        x_str, cols = designs["str"]
+        donors = [c.donor for c in cols if c.kind == "donor"]
+        assert donors == sorted(map(str, LABEL_SETS["int"])) and donors != sorted(donors, key=int)
+        for kind in ("int", "bytes"):
+            x_kind, cols_kind = designs[kind]
+            assert cols_kind == cols
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(x_kind, part), getattr(x_str, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        x_bytes, cols_bytes = designs["bytes"]
+        assert cox_fit(x_bytes, time, event, 1.0, columns=cols_bytes).converged
 
     @pytest.mark.parametrize("labels", sorted(LABEL_SETS))
     def test_design_matches_string_reference(self, labels):
@@ -463,8 +485,8 @@ class TestTuneLambda:
         # a bad entry late in the grid was refused only after the fold fits of
         # every entry before it
         calls = []
-        real = netlsm.survival.cox_fit
-        monkeypatch.setattr(netlsm.survival, "cox_fit",
+        real = netlsm.survival._newton_fit
+        monkeypatch.setattr(netlsm.survival, "_newton_fit",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         rng = substream(4, "tune")
         x, t, e = rng.standard_normal((30, 2)), rng.exponential(1.0, 30), np.ones(30, bool)
@@ -475,8 +497,8 @@ class TestTuneLambda:
         assert len(calls) == 2  # the counter sees the fold fits
 
     def test_scoring_risk_sets_are_built_once_per_fold(self, monkeypatch):
-        # each scoring fold's risk sets serve the whole grid; the pick equals
-        # that of scoring each lambda with a fresh breslow_loglik
+        # each fold's risk sets, for scoring and for fitting, serve the whole
+        # grid; the pick equals that of a fresh cox_fit and breslow_loglik per lambda
         rng = substream(5, "tune")
         n = 60
         x, t = rng.standard_normal((n, 3)), rng.exponential(1.0, n)
@@ -487,7 +509,7 @@ class TestTuneLambda:
         monkeypatch.setattr(netlsm.survival, "_risk_sets",
                             lambda *a: built.append(a) or real(*a))
         picked = tune_lambda(x, t, e, grid, seed=2)
-        assert len(built) == 2 + 2 * len(grid)  # two scoring folds, then one per fold fit
+        assert len(built) == 4  # per fold: its fitting and its scoring risk sets
         perm = substream(2, "cv-folds").permutation(n)
         folds = (perm[: n // 2], perm[n // 2 :])
         scores = [sum(breslow_loglik(x[va], t[va], e[va],

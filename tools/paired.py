@@ -28,8 +28,10 @@ two parts into ``--out``:
   ``cli/``, so that the manifests of two runs hold the same config.
   ``cli/exit_codes.json`` records each exit code.
 
-``compare`` walks both directories, prints every difference and a summary,
-and exits 1 on any difference:
+``compare`` walks both directories, prints every difference, one line per
+corpus group (its fit count, the converged count before -> after, and how
+many lls rose, fell or stayed within ``LL_RTOL``) and a summary, and exits 1
+on any difference:
 
 - either side lacks ``fits.json`` or ``cli/exit_codes.json``, or has no fit
   record, so that a comparison of nothing does not pass;
@@ -64,6 +66,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 LL_RTOL = 1e-8
@@ -190,16 +193,25 @@ def _files(root):
     return {p.relative_to(root).as_posix() for p in Path(root).rglob("*") if p.is_file()}
 
 
-def _fit_differences(dir_a, dir_b, summary):
-    """The differences between two ``fits.json`` files; ``summary`` gets their counts."""
+def _fit_differences(dir_a, dir_b, summary, groups):
+    """The differences between two ``fits.json`` files.
+
+    ``summary`` gets their counts, and ``groups`` one line per corpus group
+    (the fit id up to its first ``/``): its paired fits, converged count on
+    each side, and how many lls rose, fell (or became NaN) or stayed within
+    ``LL_RTOL``.
+    """
     a, b = ({r["id"]: r for r in json.loads(Path(d, "fits.json").read_text())["fits"]}
             for d in (dir_a, dir_b))
     bad = [f"{d}: no fit record" for d, fits in ((dir_a, a), (dir_b, b)) if not fits]
     bad += [f"{i}: only in {dir_a}" for i in a if i not in b]
     bad += [f"{i}: only in {dir_b}" for i in b if i not in a]
-    same_ll, max_rel = 0, 0.0
+    same_ll, max_rel, tally = 0, 0.0, {}
     for fit_id in (i for i in a if i in b):
         ra, rb = a[fit_id], b[fit_id]
+        counts = tally.setdefault(fit_id.split("/")[0], Counter())
+        counts.update(fits=1, before=ra.get("converged") is True,
+                      after=rb.get("converged") is True)
         for key in EXACT:
             if ra.get(key) != rb.get(key):
                 bad.append(f"{fit_id}: {key} {ra.get(key)!r} -> {rb.get(key)!r}")
@@ -208,10 +220,14 @@ def _fit_differences(dir_a, dir_b, summary):
         lla, llb = ra["log_likelihood"], rb["log_likelihood"]
         same_ll += lla == llb
         rel = abs(lla - llb) / max(abs(lla), abs(llb), 1e-300)
+        counts["within" if rel <= LL_RTOL else "rose" if llb > lla else "fell"] += 1
         if not rel <= LL_RTOL:
             bad.append(f"{fit_id}: log_likelihood {lla!r} -> {llb!r} (relative {rel:.3g})")
         if not math.isnan(rel):
             max_rel = max(max_rel, rel)
+    groups += [f"{group}: {c['fits']} fits, converged {c['before']} -> {c['after']}, "
+               f"ll {c['rose']} rose, {c['fell']} fell, {c['within']} within {LL_RTOL:g}"
+               for group, c in tally.items()]
     summary.append(f"{sum(1 for i in a if i in b)} paired fits: {same_ll} with equal ll, "
                    f"max relative |dll| {max_rel:.3g}")
     return bad
@@ -239,16 +255,16 @@ def compare(dir_a, dir_b):
            for f in REQUIRED if f not in files]
     bad += [f"{f}: only in {dir_a}" for f in sorted(files_a - files_b) if f not in REQUIRED]
     bad += [f"{f}: only in {dir_b}" for f in sorted(files_b - files_a) if f not in REQUIRED]
-    both, summary = sorted(files_a & files_b), []
+    both, summary, groups = sorted(files_a & files_b), [], []
     for rel in both:
         a, b = Path(dir_a, rel), Path(dir_b, rel)
         if rel == "fits.json":
-            bad += _fit_differences(dir_a, dir_b, summary)
+            bad += _fit_differences(dir_a, dir_b, summary, groups)
         elif Path(rel).name == "manifest.json":
             bad += _manifest_differences(rel, a, b)
         elif a.read_bytes() != b.read_bytes():
             bad.append(f"{rel}: bytes differ")
-    for line in bad:
+    for line in bad + groups:
         print(line)
     print("; ".join(summary + [f"{len(both)} paired files", f"{len(bad)} difference(s)"]))
     return 1 if bad else 0
