@@ -1,10 +1,13 @@
-"""Small shared helpers: seeded sub-streams, atomic file writes, CSV and JSON encoding."""
+"""Small shared helpers: seeded sub-streams, atomic file writes, CSV and JSON
+encoding, and a map over forked workers."""
 
 import csv
 import io
 import json
 import math
 import os
+import pickle
+import signal
 import tempfile
 import zlib
 
@@ -133,3 +136,132 @@ def dump_json(obj, path=None):
     if path is not None:
         write_text_atomic(path, text)
     return text
+
+
+def _workers():
+    """How many processes :func:`map_units` may use: the CPUs this process may
+    run on, if it can fork and runs one thread, else 1.
+
+    A process that runs threads (unpinned BLAS starts its own) is never
+    forked: the child would get only the forking thread, and any lock another
+    thread held stays held in it.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        with open("/proc/self/status", "rb") as f:
+            one_thread = b"\nThreads:\t1\n" in f.read()
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if one_thread else 1
+
+
+def map_units(fn, items):
+    """``[fn(item) for item in items]``, in item order, over :func:`_workers` processes.
+
+    The items are dealt round-robin into ``min(workers, len(items))`` groups.
+    Group 0 runs in this process; each other group runs in one forked child,
+    which pickles its results back over a pipe and always ends in
+    ``os._exit``.  ``fn`` and the items reach a child by the fork, so only
+    results and exceptions are pickled, and a float comes back with its
+    bytes.  At one worker this is the plain loop.
+
+    As the loop would, this raises the exception of the first failing item
+    in item order, with its type and message (a child's without its
+    traceback).  A child that ends without sending its results raises
+    ``RuntimeError`` naming its exit status.  Every child is reaped before
+    this returns or raises; one still running then is killed first.
+    """
+    items = list(items)
+    n = min(_workers(), len(items))
+    if n <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    children = []  # (pid, read end of its pipe) of every child not yet reaped
+    try:
+        for g in range(1, n):
+            children.append(_fork(fn, items[g::n]))
+        try:
+            for k in range(0, len(items), n):
+                results[k] = fn(items[k])
+        except Exception:
+            # a child holds an item before k unless k is 0
+            first = _gather(children, results, n) if k else None
+            if first is not None and first[0] < k:
+                raise first[1] from None
+            raise
+        first = _gather(children, results, n)
+        if first is not None:
+            raise first[1]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _fork(fn, items):
+    """Fork a child that runs ``fn`` over ``items`` (see :func:`_serve`);
+    return its pid and the read end of its pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _serve(fn, items, w)  # never returns
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _serve(fn, items, fd):
+    """A forked child's whole life: run ``fn`` over ``items`` in order until
+    one raises, write the pickled ``(results, exception or None)`` to ``fd``,
+    and ``os._exit``, so that nothing of the parent's (buffers, ``atexit``
+    handlers, a test runner) runs twice."""
+    status = 1
+    try:
+        done = []
+        try:
+            for item in items:
+                done.append(fn(item))
+        except Exception as exc:
+            _send(fd, (done, exc))
+            raise
+        _send(fd, (done, None))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _send(fd, payload):
+    # pickled whole before the first write, so that a payload that cannot be
+    # pickled sends nothing and the parent reports the exit status
+    data = pickle.dumps(payload)
+    with os.fdopen(fd, "wb") as pipe:
+        pipe.write(data)
+
+
+def _gather(children, results, n):
+    """Read and reap each child of :func:`map_units`, in group order, and put
+    its results in place; return ``(index, exception)`` of the first failing
+    item among them, or None."""
+    first = None
+    for g in range(1, n):
+        pid, pipe = children[0]
+        with pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        children.pop(0)
+        if not data:
+            raise RuntimeError(f"worker process exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} without a result")
+        done, exc = pickle.loads(data)
+        results[g : g + len(done) * n : n] = done
+        k = g + len(done) * n
+        if exc is not None and (first is None or k < first[0]):
+            first = (k, exc)
+    return first

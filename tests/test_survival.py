@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from netlsm import (
     substitute_coefficients,
     tune_lambda,
 )
-from netlsm.model import RefinedEstimates
+from netlsm.model import FitConfig, RefinedEstimates
+import netlsm._util
 import netlsm.survival
 from netlsm.survival import (Column, _risk_set_stats, _risk_sets, breslow_loglik,
                              build_design)
@@ -355,6 +357,43 @@ class TestCoxFit:
                           shape=(4, 2))
         with pytest.raises(ValueError, match="all-zero column"):
             cox_fit(x, np.arange(1.0, 5.0), np.ones(4, bool), 1.0)
+
+    @staticmethod
+    def pipeline_fit(monkeypatch, seed):
+        """The pipeline's Cox fit at CLI defaults, and the penalized ll of
+        every point its Newton loop evaluated."""
+        train, _, _ = simulate_transplants(SurvivalGenConfig(seed=seed))
+        x, columns = design_matrix(train, 10)
+        lls = []
+
+        def recorded(risk_sets, w, need_hessian):
+            out = _risk_set_stats(risk_sets, w, need_hessian)
+            lls.append(out[0] - 0.5 * w @ w)
+            return out
+
+        monkeypatch.setattr(netlsm.survival, "_risk_set_stats", recorded)
+        model = cox_fit(x, train.time, train.event, 1.0, columns=columns)
+        monkeypatch.undo()
+        return model, lls
+
+    def test_steps_within_the_ll_rounding_are_accepted(self, monkeypatch):
+        # near its optimum, a step of pipeline seed 0's fit changes the ll
+        # (about -6.6e3, an ulp of 9e-13) by less than its rounding; the
+        # absolute 1e-12 test alone rejected and halved such steps: 19 calls
+        model, lls = self.pipeline_fit(monkeypatch, 0)
+        assert model.converged
+        assert len(lls) <= 8
+
+    def test_fit_without_a_rejected_step_keeps_its_bytes(self, monkeypatch):
+        model, lls = self.pipeline_fit(monkeypatch, 1)
+        # every evaluated point was accepted under the absolute test alone
+        assert all(b >= a - 1e-12 for a, b in zip(lls, lls[1:]))
+        # at 0 the rounding band accepts only steps whose ll does not fall,
+        # which the absolute test accepts too: the rule before the band
+        monkeypatch.setattr(netlsm.survival, "_COX_LL_ROUNDING", 0.0)
+        before, _ = self.pipeline_fit(monkeypatch, 1)
+        assert model.coefficients.tobytes() == before.coefficients.tobytes()
+        assert model.std_errors.tobytes() == before.std_errors.tobytes()
 
 
 def tied_design(seed):
@@ -799,3 +838,27 @@ class TestPipeline:
         assert res.deltas["raw"] == 0.0
         with pytest.raises(ValueError, match="unknown method"):
             pipeline_end_to_end(cfg, min_count=5, methods=("ols",))
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forked_and_inline_runs_are_equal(self, monkeypatch, seed):
+        # the forked side may run while unpinned BLAS threads exist, which
+        # map_units itself never forks under
+        cfg = SurvivalGenConfig(n_per_split=1200, seed=seed)
+        monkeypatch.setattr(netlsm._util, "_workers", lambda: 1)
+        inline = pipeline_end_to_end(cfg, min_count=5)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(netlsm._util, "_workers", lambda: 2)
+        assert pipeline_end_to_end(cfg, min_count=5) == inline
+        assert forks == [1]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_error_is_the_first_method_s(self, monkeypatch):
+        # nmtf runs in the worker and pca here; both refuse dim 20 on a 12x12
+        # network, and nmtf comes first in methods
+        monkeypatch.setattr(netlsm._util, "_workers", lambda: 2)
+        cfg = SurvivalGenConfig(n_per_split=600, seed=4)
+        with pytest.raises(ValueError, match="rank must not exceed"):
+            pipeline_end_to_end(cfg, FitConfig(dim=20), min_count=5, methods=("raw", "nmtf", "pca"))
