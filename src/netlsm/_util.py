@@ -1,5 +1,5 @@
 """Small shared helpers: seeded sub-streams, atomic file writes, CSV and JSON
-encoding, and a map over forked workers."""
+encoding, and a map over one forked child."""
 
 import csv
 import io
@@ -49,28 +49,40 @@ def read_csv(path, error):
     ``lines`` holds the file line that ends each data row, and ``columns[k]``
     every data row's ``k``-th cell, as read.  Blank lines (whitespace and
     commas only) are skipped.  Every row is split and its field count checked before
-    this returns, so an empty file, or a row whose field count differs from
+    this returns, so an empty file, bytes that are not UTF-8, a field over
+    :func:`csv.field_size_limit`, or a row whose field count differs from
     the header's, raises ``error`` naming ``path`` and the line before a
     caller sees any cell.  A UTF-8 byte-order mark, as spreadsheet exports
     write, is dropped.  The file is read and closed before this returns.
     """
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(io.StringIO(f.read(), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise error(f"{path}: empty file")
-    n = len(header)
-    # the cells go into one flat list and each row's list is dropped: the
-    # garbage collector rescans every live list, so keeping 160000 rows' lists
-    # made a 400x400 network load in ~1.3 s, against ~0.55 s this way
-    lines, cells = [], []
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        if len(row) != n:
-            raise error(f"{path}:{reader.line_num}: expected {n} fields, got {len(row)}")
-        lines.append(reader.line_num)
-        cells += row
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line holding the bad byte, counted as the reader below counts
+        before = io.StringIO(data[: exc.start].decode("utf-8") + "x", newline="")
+        raise error(f"{path}:{len(before.readlines())}: not UTF-8 text "
+                    f"({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        n = len(header)
+        # the cells go into one flat list and each row's list is dropped: the
+        # garbage collector rescans every live list, so keeping 160000 rows'
+        # lists made a 400x400 network load in ~1.3 s, against ~0.55 s this way
+        lines, cells = [], []
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) != n:
+                raise error(f"{path}:{reader.line_num}: expected {n} fields, got {len(row)}")
+            lines.append(reader.line_num)
+            cells += row
+    except csv.Error as exc:  # a field over the size limit
+        raise error(f"{path}:{reader.line_num}: {exc}") from None
     return header, lines, [cells[k::n] for k in range(n)]
 
 
@@ -139,8 +151,8 @@ def dump_json(obj, path=None):
 
 
 def _workers():
-    """How many processes :func:`map_units` may use: the CPUs this process may
-    run on, if it can fork and runs one thread, else 1.
+    """The CPUs this process may run on, if it can fork and runs one thread,
+    else 1; :func:`map_units` forks only at 2 or more.
 
     A process that runs threads (unpinned BLAS starts its own) is never
     forked: the child would get only the forking thread, and any lock another
@@ -157,48 +169,44 @@ def _workers():
 
 
 def map_units(fn, items):
-    """``[fn(item) for item in items]``, in item order, over :func:`_workers` processes.
+    """``[fn(item) for item in items]``, in item order, over at most two processes.
 
-    The items are dealt round-robin into ``min(workers, len(items))`` groups.
-    Group 0 runs in this process; each other group runs in one forked child,
-    which pickles its results back over a pipe and always ends in
-    ``os._exit``.  ``fn`` and the items reach a child by the fork, so only
+    When :func:`_workers` is 2 or more and there are two items or more, item
+    0 runs in this process and items 1 onwards, in order, in one forked
+    child, which pickles its results back over a pipe and always ends in
+    ``os._exit``.  ``fn`` and the items reach the child by the fork, so only
     results and exceptions are pickled, and a float comes back with its
-    bytes.  At one worker this is the plain loop.
+    bytes.  Otherwise this is the plain loop.  One child is enough for a
+    caller whose item 0 is its longest: more would add only fork round trips
+    and contention between the CPUs.
 
     As the loop would, this raises the exception of the first failing item
-    in item order, with its type and message (a child's without its
+    in item order, with its type and message (the child's without its
     traceback).  A child that ends without sending its results raises
-    ``RuntimeError`` naming its exit status.  Every child is reaped before
-    this returns or raises; one still running then is killed first.
+    ``RuntimeError`` naming its exit status.  The child is reaped before
+    this returns or raises; if it is still running then, it is killed first.
     """
     items = list(items)
-    n = min(_workers(), len(items))
-    if n <= 1:
+    if len(items) < 2 or _workers() < 2:
         return [fn(item) for item in items]
-    results = [None] * len(items)
-    children = []  # (pid, read end of its pipe) of every child not yet reaped
+    pid, pipe = _fork(fn, items[1:])
     try:
-        for g in range(1, n):
-            children.append(_fork(fn, items[g::n]))
-        try:
-            for k in range(0, len(items), n):
-                results[k] = fn(items[k])
-        except Exception:
-            # a child holds an item before k unless k is 0
-            first = _gather(children, results, n) if k else None
-            if first is not None and first[0] < k:
-                raise first[1] from None
-            raise
-        first = _gather(children, results, n)
-        if first is not None:
-            raise first[1]
+        with pipe:
+            first = fn(items[0])
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = None
     finally:
-        for pid, pipe in children:
-            pipe.close()
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+    if not data:
+        raise RuntimeError(f"worker process exited with status "
+                           f"{os.waitstatus_to_exitcode(status)} without a result")
+    rest, exc = pickle.loads(data)
+    if exc is not None:
+        raise exc
+    return [first, *rest]
 
 
 def _fork(fn, items):
@@ -243,25 +251,3 @@ def _send(fd, payload):
     data = pickle.dumps(payload)
     with os.fdopen(fd, "wb") as pipe:
         pipe.write(data)
-
-
-def _gather(children, results, n):
-    """Read and reap each child of :func:`map_units`, in group order, and put
-    its results in place; return ``(index, exception)`` of the first failing
-    item among them, or None."""
-    first = None
-    for g in range(1, n):
-        pid, pipe = children[0]
-        with pipe:
-            data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        children.pop(0)
-        if not data:
-            raise RuntimeError(f"worker process exited with status "
-                               f"{os.waitstatus_to_exitcode(status)} without a result")
-        done, exc = pickle.loads(data)
-        results[g : g + len(done) * n : n] = done
-        k = g + len(done) * n
-        if exc is not None and (first is None or k < first[0]):
-            first = (k, exc)
-    return first

@@ -745,19 +745,20 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
     ``netlsm coxph --tune`` picks one by cross-validation (:func:`tune_lambda`).
     Every method goes through :func:`netlsm.metrics.refine` with
     ``fit_config``, whose seed also starts NMTF; ``raw`` substitutes the
-    observed network values back, which reproduces the raw C-index exactly.
+    observed network values back, which reproduces the Cox coefficients bit
+    for bit, so the raw C-index is that of a trailing ``raw`` unit.
     Once the Cox model exists the methods share nothing, so each one's
     refine, substitute and C-index is one unit of
-    :func:`netlsm._util.map_units`: on two CPUs, ``lsm`` and ``pca`` run here
-    and ``nmtf`` in a forked worker.  The result is the same either way, and
-    an error is that of the first failing method in ``methods``' order.
+    :func:`netlsm._util.map_units`: on two CPUs, the first method (``lsm``
+    by default) runs here and the rest, then ``raw``, in one forked child.
+    The result is the same either way, and an error is that of the first
+    failing method in ``methods``' order.
     """
     fit_config = fit_config or FitConfig(dim=gen_config.dim, restarts=1, seed=gen_config.seed)
     train, test, truth = simulate_transplants(gen_config)
     x_train, columns = design_matrix(train, min_count)
     x_test = build_design(test, columns)
     model = cox_fit(x_train, train.time, train.event, lam, columns=columns)
-    c_raw = c_index(x_test @ model.coefficients, test.time, test.event)
     net = extract_network(model)
 
     def unit(method):
@@ -766,7 +767,8 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
         c = c_index(x_test @ sub.coefficients, test.time, test.event)
         return c, None if result is None else result.converged
 
-    outcomes = map_units(unit, methods)
+    outcomes = map_units(unit, [*methods, "raw"])
+    c_raw = outcomes.pop()[0]
     c_ref = {m: c for m, (c, _) in zip(methods, outcomes)}
     lsm_converged = next((ok for _, ok in reversed(outcomes) if ok is not None), True)
     deltas = {m: c_ref[m] - c_raw for m in c_ref}

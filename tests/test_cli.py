@@ -1,5 +1,6 @@
 import importlib
 import json
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -479,6 +480,34 @@ def test_path_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "F").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("fault", ["long-field", "not-utf8"])
+@pytest.mark.parametrize("name", ["edges.csv", "donor_nodes.csv", "train.csv"])
+def test_an_unreadable_csv_row_exits_2_naming_its_line(net_dir, data_dir, tmp_path, capsys,
+                                                       name, fault):
+    # unchecked, a field over csv's size limit ended in a _csv.Error traceback
+    # and exit 1, and a byte that is not UTF-8 in a UnicodeDecodeError naming
+    # neither the file nor the line
+    d = tmp_path / "in"
+    shutil.copytree(data_dir if name == "train.csv" else net_dir, d)
+    lines = (d / name).read_bytes().split(b"\n")
+    cells = lines[2].split(b",")
+    k = 3 if name == "train.csv" else 0  # a type label, a node label
+    if fault == "long-field":
+        cells[k] = b'"' + b"R" * 200000 + b'"'
+    else:
+        cells[k] = b"\xff" + cells[k][1:]
+    lines[2] = b",".join(cells)
+    (d / name).write_bytes(b"\n".join(lines))
+    if name == "train.csv":
+        argv = ["coxph", "--data", d / name]
+    else:
+        argv = ["fit", "--net", d, "--restarts", 0]
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / name}:3: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

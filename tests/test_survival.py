@@ -855,8 +855,21 @@ class TestPipeline:
         assert forks == [1]
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_four_workers_fork_once(self, monkeypatch):
+        # lsm runs here, and nmtf, pca and the raw C-index in one child
+        cfg = SurvivalGenConfig(n_per_split=1200, seed=5)
+        monkeypatch.setattr(netlsm._util, "_workers", lambda: 1)
+        inline = pipeline_end_to_end(cfg, min_count=5)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(netlsm._util, "_workers", lambda: 4)
+        assert pipeline_end_to_end(cfg, min_count=5) == inline
+        assert forks == [1]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_error_is_the_first_method_s(self, monkeypatch):
-        # nmtf runs in the worker and pca here; both refuse dim 20 on a 12x12
+        # nmtf and pca run in the worker; both refuse dim 20 on a 12x12
         # network, and nmtf comes first in methods
         monkeypatch.setattr(netlsm._util, "_workers", lambda: 2)
         cfg = SurvivalGenConfig(n_per_split=600, seed=4)

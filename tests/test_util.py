@@ -1,4 +1,4 @@
-"""``_util.map_units``: the loop's results and errors, over forked workers.
+"""``_util.map_units``: the loop's results and errors, with one forked child.
 
 The worker count is the helper's one seam: a test that needs the forked path
 swaps in a fake ``_workers``.  Such a test may fork while unpinned BLAS runs
@@ -39,23 +39,24 @@ def raise_in(failing):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
-def test_results_in_item_order_dealt_round_robin(workers, n):
+def test_results_in_item_order_item_0_here_the_rest_in_one_child(workers, n):
     workers(n)
     parent = os.getpid()
     out = map_units(lambda k: (k * 0.1, os.getpid()), range(7))
     assert [v for v, _ in out] == [k * 0.1 for k in range(7)]
-    groups = min(n, 7)
-    # group 0 (items 0, n, 2n, ...) runs here, each other group in one child
-    assert [pid == parent for _, pid in out] == [k % groups == 0 for k in range(7)]
-    assert len({pid for _, pid in out}) == groups
+    # at 1 worker every item runs here; else item 0 here and the rest in one
+    # child, however many workers there are
+    assert [pid == parent for _, pid in out] == [n == 1 or k == 0 for k in range(7)]
+    assert len({pid for _, pid in out}) == min(n, 2)
     assert map_units(lambda k: k, []) == []
+    assert map_units(lambda k: os.getpid(), [0]) == [parent]
 
 
 @pytest.mark.parametrize("failing, first", [
-    ({1, 2}, 1),  # a child's item before an item of this process's
-    ({2, 3}, 2),  # this process's item before a child's
-    ({3, 5}, 3),  # a child's only
-    ({0, 1}, 0),  # this process's first item
+    ({1, 2}, 1),  # the child's first item
+    ({2, 3}, 2),  # a later item of the child's
+    ({3, 5}, 3),  # the child's, with an item before it done
+    ({0, 1}, 0),  # this process's item, before the child's
 ], ids=["child-first", "inline-first", "child-only", "item-0"])
 def test_first_failing_item_raises(workers, failing, first):
     workers(2)
@@ -67,8 +68,8 @@ def test_first_failing_item_raises(workers, failing, first):
 
 
 def test_the_earliest_failure_wins_over_the_order_children_are_read(workers):
-    # three groups: items 1, 4 and 2, 5 run in two children; item 2 fails
-    # before item 4 even though its child is read second
+    # items 1 to 5 run in the one child, however many workers there are; it
+    # stops at item 2, so item 4's error is never raised
     workers(3)
     with pytest.raises(LookupError, match="^item 2 failed$"):
         map_units(raise_in({4, 2}), range(6))
