@@ -54,17 +54,40 @@ def read_csv(path, error):
     the header's, raises ``error`` naming ``path`` and the line before a
     caller sees any cell.  A UTF-8 byte-order mark, as spreadsheet exports
     write, is dropped.  The file is read and closed before this returns.
+
+    A file that :func:`_split_unquoted` can take, as every file netlsm
+    writes is unless a label needs quotes, is split in whole-file passes;
+    any other goes through the ``csv`` reader row by row
+    (:func:`_csv_rows`), the one path that parses quotes and names a faulty
+    line.  Both give the same result, or raise the same error.
     """
+    data, text = _decoded(path, error)
+    table = _split_unquoted(data, text)
+    return _csv_rows(path, text, error) if table is None else table
+
+
+def _decoded(path, error):
+    """The bytes of the file at ``path`` and their UTF-8 text, each without a
+    leading byte-order mark, or ``error`` naming the line of a byte that is
+    not UTF-8."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the line holding the bad byte, counted as the reader below counts
+        # the line holding the bad byte, counted as the csv reader counts
         before = io.StringIO(data[: exc.start].decode("utf-8") + "x", newline="")
         raise error(f"{path}:{len(before.readlines())}: not UTF-8 text "
                     f"({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    if text.startswith("\ufeff"):
+        return memoryview(data)[3:], text[1:]
+    return data, text
+
+
+def _csv_rows(path, text, error):
+    """:func:`read_csv` of ``text``, the file at ``path``, through the
+    ``csv`` reader, one row at a time."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -86,6 +109,55 @@ def read_csv(path, error):
     return header, lines, [cells[k::n] for k in range(n)]
 
 
+def _split_unquoted(data, text):
+    """:func:`read_csv` of ``text``, whose UTF-8 bytes are ``data``, split
+    in whole-file passes; None unless every row is plain.
+
+    Plain means: no double quote, carriage return or NUL, a non-empty
+    header line, no blank data row, every data row with the header's field
+    count and no field over :func:`csv.field_size_limit` bytes.  The ``csv``
+    reader would then split each line at its commas and nothing else, and
+    data row ``r`` (from 1) would end on line ``r + 1``.  In UTF-8 the
+    bytes of a comma and a line feed encode nothing else, so their
+    positions in ``data`` bound the rows and fields; the cells are cut from
+    ``text`` by one ``str.split``.
+    """
+    if not text or '"' in text or "\r" in text or "\0" in text:
+        return None
+    b = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(b == 10)  # each row's line feed, or the end of the text
+    if b[-1] != 10:
+        ends = np.append(ends, b.size)
+    if ends[0] == 0:
+        return None  # an empty header line, which csv reads as no fields
+    commas = np.flatnonzero(b == 44)
+    rows = ends.size  # the header included
+    n = int(np.searchsorted(commas, ends[0])) + 1
+    if commas.size != rows * (n - 1):
+        return None
+    # row r's fields lie between its start - 1, its n - 1 commas (if the
+    # count is right, the r-th run of n - 1) and its end; a run that
+    # strays out of its row makes a width negative
+    bounds = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(rows, n - 1),
+                              ends))
+    widths = np.diff(bounds) - 1
+    if widths.min() < 0 or widths.max() > csv.field_size_limit():
+        return None
+    # a data row is blank only if none of its fields begins with a printable
+    # ASCII byte other than a comma; the rows that may be are checked as the
+    # csv path checks them (an empty last field at the end of the text reads
+    # the comma before it)
+    heads = b[np.minimum(bounds[1:, :-1] + 1, b.size - 1)]
+    maybe = np.flatnonzero(~((heads > 32) & (heads < 127) & (heads != 44)).any(axis=1))
+    if maybe.size:
+        lines = text.split("\n")
+        if any(not lines[r + 1].replace(",", "").strip() for r in maybe.tolist()):
+            return None
+    header, _, body = text.partition("\n")
+    cells = body.removesuffix("\n").replace("\n", ",").split(",") if rows > 1 else []
+    return header.split(","), list(range(2, rows + 1)), [cells[k::n] for k in range(n)]
+
+
 def parse_float(text, what, error, path, line):
     """``float(text)``, or ``error`` naming ``path:line`` if it is malformed or not finite."""
     try:
@@ -98,12 +170,19 @@ def parse_float(text, what, error, path, line):
 
 
 def _floats(cells, positive=False):
-    """``cells`` as a float array, or None if one is malformed, not finite or,
-    with ``positive``, not above 0."""
+    """``cells``, each stripped as ``str.strip`` strips, as a float array, or
+    None if one is malformed, not finite or, with ``positive``, not above 0.
+
+    ``float`` ignores surrounding whitespace itself, all but the separators
+    U+001C to U+001F, so the cells are stripped only if a parse fails.
+    """
     try:
-        a = np.array(list(map(float, cells)))
+        a = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return None
+        try:
+            a = np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
+        except ValueError:
+            return None
     if not np.all(np.isfinite(a)) or (positive and not np.all(a > 0)):
         return None
     return a

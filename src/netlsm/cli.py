@@ -107,7 +107,9 @@ def _evaluate(cfg, net_key, methods, dims):
     """Score each method refining ``cfg[net_key]`` on ``cfg["test_net"]`` (itself if unset).
 
     The one refinement path of ``fit`` and ``eval``; it writes nothing, and
-    returns the evaluations and whether every LSM fit converged.
+    returns the evaluations and one line per LSM fit that did not converge,
+    naming its method, its dimension, the start that won, that start's
+    L-BFGS-B iterations and its stop reason.
     """
     train = load_network_dir(cfg[net_key])
     test = load_network_dir(cfg["test_net"]) if cfg["test_net"] else train
@@ -119,26 +121,34 @@ def _evaluate(cfg, net_key, methods, dims):
     if any(m != "raw" for m in methods) and not all(1 <= d <= limit for d in dims):
         raise ValueError(f"dimensions must lie in [1, {limit}] = [1, min(n_d, n_r)], got {dims}")
     evaluations = [evaluate_refinement(train, test, m, dims, _fit_config(cfg)) for m in methods]
-    return evaluations, all(r.converged for e in evaluations for r in e.fits.values())
+    stops = []
+    for e in evaluations:
+        for dim, r in e.fits.items():
+            if not r.converged:
+                start = r.restarts[r.restart_index]
+                stops.append(f"  {e.method} at dim {dim}: winning start {r.restart_index} "
+                             f"({start.kind}) stopped after {start.iterations} L-BFGS-B "
+                             f"iteration(s): {start.stop}")
+    return evaluations, stops
 
 
 def run_fit(cfg, out):
     dims = cfg["dim_grid"] or [cfg["dim"]]
-    [evaluation], converged = _evaluate(cfg, "net", [cfg["method"]], dims)
+    [evaluation], stops = _evaluate(cfg, "net", [cfg["method"]], dims)
     artifacts = ["metrics.json"]
     if evaluation.fits:  # an LSM fit per dimension
         result = evaluation.fits[evaluation.selected_dim]
         dump_json(result.to_dict(), os.path.join(out, "model.json"))
         artifacts.append("model.json")
     dump_json(evaluation.to_dict(), os.path.join(out, "metrics.json"))
-    return artifacts, converged, False
+    return artifacts, not stops, False, *stops
 
 
 def run_eval(cfg, out):
-    evaluations, converged = _evaluate(cfg, "train_net", cfg["methods"], cfg["dim_grid"])
+    evaluations, stops = _evaluate(cfg, "train_net", cfg["methods"], cfg["dim_grid"])
     dump_json({e.method: e.to_dict() for e in evaluations}, os.path.join(out, "eval.json"))
     write_text_atomic(os.path.join(out, "eval_table.txt"), format_eval_table(evaluations))
-    return ["eval.json", "eval_table.txt"], converged, False
+    return ["eval.json", "eval_table.txt"], not stops, False, *stops
 
 
 def run_table1(cfg, out):
@@ -209,9 +219,11 @@ def run_pipeline(cfg, out):
     return ["pipeline.json"], converged, bool(failures)
 
 
-# Each runner writes its artifacts and returns (artifacts, converged, failed):
-# ``failed`` says that a seed or replicate raised (its error is recorded in the
-# artifacts), which exits 1 whatever --allow-nonconverged says.
+# Each runner writes its artifacts and returns (artifacts, converged, failed,
+# *stops): ``failed`` says that a seed or replicate raised (its error is
+# recorded in the artifacts), which exits 1 whatever --allow-nonconverged
+# says; ``stops``, from fit and eval, name each fit that did not converge and
+# why, and are printed under the warning that says so.
 _RUNNERS = {
     "simulate-network": run_simulate_network,
     "simulate-transplants": run_simulate_transplants,
@@ -405,7 +417,7 @@ def main(argv=None):
     try:
         if cfg["seed"] < 0:  # one message for every command, not numpy's SeedSequence one
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
-        artifacts, converged, failed = _RUNNERS[args.command](cfg, out)
+        artifacts, converged, failed, *stops = _RUNNERS[args.command](cfg, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -429,7 +441,7 @@ def main(argv=None):
         return 1
     if not converged and not args.allow_nonconverged:
         print("warning: not all fits converged (use --allow-nonconverged to tolerate)",
-              file=sys.stderr)
+              *stops, sep="\n", file=sys.stderr)
         return 1
     return 0
 

@@ -39,11 +39,11 @@ one factorization.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import _lbfgsb
+from scipy.optimize import _lbfgsb, _lbfgsb_py
 
 from ._util import substream
 from .mdsinit import mds_init
@@ -52,6 +52,7 @@ __all__ = [
     "LsmParams",
     "FitConfig",
     "FitResult",
+    "StartRecord",
     "RefinedEstimates",
     "FitError",
     "pair_affinity",
@@ -147,6 +148,17 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """Where one start of a fit ended under L-BFGS-B, before any polish."""
+
+    kind: str  # "mds" (start 0, classical scaling) or "random"
+    log_likelihood: float  # at the start's end point; -inf if it diverged
+    iterations: int
+    grad_norm: float  # max |gradient| there
+    stop: str  # the stop reason setulb gave, e.g. "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+
+@dataclass(frozen=True)
 class FitResult:
     params: LsmParams
     log_likelihood: float
@@ -154,6 +166,8 @@ class FitResult:
     grad_norm: float
     restart_index: int
     converged: bool
+    # one StartRecord per start, in restart order; not in to_dict() or ==
+    restarts: tuple = field(default=(), compare=False)
 
     def to_dict(self):
         d = self.params.to_dict()
@@ -494,6 +508,7 @@ class LbfgsResult:
     fun: np.ndarray  # (K,) objective values there (the last evaluated, as scipy reports)
     jac: np.ndarray  # (K, n) gradients there
     iterations: np.ndarray  # (K,) L-BFGS-B iterations
+    stops: tuple  # (K,) the stop reason of each start's final setulb task
 
     @property
     def nit(self):
@@ -516,7 +531,9 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
     takes exactly the iterates it would take alone under
     ``scipy.optimize.minimize``, and returns the same x, fun, jac and
     iteration count.  ``networks`` gives, per start, the index of the network
-    of ``objective`` it descends on.
+    of ``objective`` it descends on.  Each start's final ``setulb`` task is
+    decoded into its stop reason as scipy words it, e.g. ``"CONVERGENCE:
+    RELATIVE REDUCTION OF F <= FACTR*EPSMCH"``.
     """
     x = np.array(x0, dtype=float)  # setulb updates each row in place
     n_starts, n = x.shape
@@ -564,7 +581,9 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
             for k in fresh.tolist():
                 nfev[k] += 1
         g[running] = seen_g[running]
-    return LbfgsResult(x=x, fun=f, jac=g, iterations=np.array(iterations))
+    stops = tuple(f"{_lbfgsb_py.status_messages[status]}: {_lbfgsb_py.task_messages[reason]}"
+                  for status, reason in task.tolist())
+    return LbfgsResult(x=x, fun=f, jac=g, iterations=np.array(iterations), stops=stops)
 
 
 def _start_points(net, config):
@@ -660,13 +679,19 @@ def _finish(objective, j, config, res, rows):
 
     The start with the lowest L-BFGS-B value wins, ties within 1e-12 going to
     the lowest restart index and diverged starts skipped; it alone is
-    polished, if it stopped short of ``config.grad_tol``.
+    polished, if it stopped short of ``config.grad_tol``.  The result's
+    ``restarts`` records where every start stopped.
     """
-    best = None
-    for k, fun in enumerate(res.fun[rows]):
+    best, starts = None, []
+    for k, r in enumerate(rows):
+        fun = res.fun[r]
         diverged = not math.isfinite(fun) or fun >= _BIG / 2
         if not diverged and (best is None or fun < res.fun[rows[best]] - 1e-12):
             best = k
+        starts.append(StartRecord(kind="random" if k else "mds",
+                                  log_likelihood=-math.inf if diverged else -float(fun),
+                                  iterations=int(res.iterations[r]),
+                                  grad_norm=float(np.max(np.abs(res.jac[r]))), stop=res.stops[r]))
     if best is None:
         return FitError("all optimizer restarts diverged")
     x = res.x[rows[best]]
@@ -676,7 +701,8 @@ def _finish(objective, j, config, res, rows):
     gnorm = float(np.max(np.abs(g)))
     return FitResult(params=_full_params(x, objective.nets[j], config.dim), log_likelihood=ll,
                      iterations=int(res.iterations[rows[best]]), grad_norm=gnorm,
-                     restart_index=best, converged=gnorm <= config.grad_tol)
+                     restart_index=best, converged=gnorm <= config.grad_tol,
+                     restarts=tuple(starts))
 
 
 def fit_networks(nets, config):

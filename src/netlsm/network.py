@@ -106,7 +106,7 @@ class CompatibilityNetwork:
 
 
 def _read_columns(path, expected_header, what):
-    """``(lines, columns)`` of :func:`read_csv`, each cell stripped.  The
+    """``(lines, columns)`` of :func:`read_csv`, the cells as read.  The
     stripped header must be ``expected_header``; a file without data rows
     raises, naming ``what`` rows.
     """
@@ -117,18 +117,32 @@ def _read_columns(path, expected_header, what):
         )
     if not lines:
         raise NetworkFormatError(f"{path}: no {what} rows")
-    return lines, [list(map(str.strip, cells)) for cells in columns]
+    return lines, columns
+
+
+def _indices(index, cells):
+    """Each of ``cells``, stripped, as its value in ``index``, an int array,
+    or None if one is not a key.  The keys are stripped labels, so the cells
+    are stripped only if one is not found as read."""
+    try:
+        return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+    except KeyError:
+        try:
+            return np.fromiter(map(index.__getitem__, map(str.strip, cells)), np.intp,
+                               len(cells))
+        except KeyError:
+            return None
 
 
 # The row walks below raise the first fault in file order, each row's checks
 # in the order of the messages; the loaders call them only once a column-wise
-# check has failed.
+# check has failed.  They strip each cell they parse or quote.
 
 
 def _check_numbers(path, line, w, s, name):
-    if parse_float(s, "stderr", NetworkFormatError, path, line) <= 0:
+    if parse_float(s.strip(), "stderr", NetworkFormatError, path, line) <= 0:
         raise NetworkFormatError(f"{path}:{line}: non-positive stderr for {name}")
-    parse_float(w, "weight", NetworkFormatError, path, line)
+    parse_float(w.strip(), "weight", NetworkFormatError, path, line)
 
 
 def _raise_first_node_fault(path, lines, labels, w, s):
@@ -143,6 +157,7 @@ def _raise_first_node_fault(path, lines, labels, w, s):
 def _raise_first_edge_fault(path, lines, don, rec, w, s, d_index, r_index):
     seen = set()
     for line, a, b, wc, sc in zip(lines, don, rec, w, s):
+        a, b = a.strip(), b.strip()
         if a not in d_index:
             raise NetworkFormatError(f"{path}:{line}: unknown donor node {a!r}")
         if b not in r_index:
@@ -155,6 +170,7 @@ def _raise_first_edge_fault(path, lines, don, rec, w, s, d_index, r_index):
 
 def _load_nodes(path):
     lines, (labels, w, s) = _read_columns(path, ["node", "weight", "stderr"], "node")
+    labels = list(map(str.strip, labels))
     weights, ses = _floats(w), _floats(s, positive=True)
     if weights is None or ses is None or len(set(labels)) < len(labels):
         _raise_first_node_fault(path, lines, labels, w, s)
@@ -178,12 +194,11 @@ def load_network(edges_path, donor_nodes_path, recipient_nodes_path):
     lines, (don, rec, w, s) = _read_columns(
         edges_path, ["donor", "recipient", "weight", "stderr"], "edge"
     )
-    i, j = list(map(d_index.get, don)), list(map(r_index.get, rec))
-    weights, ses = _floats(w), _floats(s, positive=True)
+    i, j = _indices(d_index, don), _indices(r_index, rec)
     mask = np.zeros((n_d, n_r), dtype=bool)
-    if None not in i and None not in j:
-        i, j = np.array(i), np.array(j)
+    if i is not None and j is not None:
         mask[i, j] = True
+    weights, ses = _floats(w), _floats(s, positive=True)
     if weights is None or ses is None or np.count_nonzero(mask) < len(lines):
         _raise_first_edge_fault(edges_path, lines, don, rec, w, s, d_index, r_index)
     ew = np.zeros((n_d, n_r))

@@ -15,7 +15,7 @@ from netlsm.metrics import EvalReport
 from netlsm.model import FitConfig, FitError, fit
 from netlsm.network import load_network_dir
 from netlsm.simulate import ReplicateReport
-from netlsm.survival import ConvergenceError, PipelineResult
+from netlsm.survival import ConvergenceError, PipelineResult, TransplantDataset
 
 
 def read(path):
@@ -273,6 +273,20 @@ class TestTransplantsAndCox:
         labels = load_network_dir(cox / "network").donor_labels
         assert "D00" in labels and "D01" not in labels
 
+    def test_padded_names_and_cells_read_as_the_plain_file(self, data_dir, tmp_path):
+        # column names and the event cell are stripped, as network cells are:
+        # unstripped, ", " separators left every required column missing and
+        # an event " 1" was refused
+        plain, padded = data_dir / "train.csv", tmp_path / "padded.csv"
+        padded.write_text(plain.read_text().replace(",", " , "))
+        a, b = TransplantDataset.from_csv(plain), TransplantDataset.from_csv(padded)
+        for f in fields(TransplantDataset):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for name, data in (("plain", plain), ("padded", padded)):
+            assert run(["coxph", "--data", data, "--min-count", 5,
+                        "--out", tmp_path / name]) == 0
+        assert read(tmp_path / "plain" / "coxph.json") == read(tmp_path / "padded" / "coxph.json")
+
     @pytest.mark.parametrize("cell, label", [(",D00,", "D\r0"), (",R00,", "R\r0")])
     def test_carriage_return_type_label_exits_2(self, data_dir, tmp_path, capsys, cell, label):
         # a quoted carriage return reads back as part of the label, but the
@@ -339,6 +353,17 @@ class TestEval:
                                 "--restarts", 0, "--out", out] + flag) == (0 if allow else 1)
         assert json.loads((out / "manifest.json").read_text())["command"] == "eval"
         assert ("warning: not all fits converged" in capsys.readouterr().err) is not allow
+
+    def test_an_unconverged_fit_is_named_with_its_stop(self, eval_nets, tmp_path, capsys):
+        assert run(eval_nets + ["--methods", "raw,lsm", "--dim-grid", "1,2", "--max-iter", 2,
+                                "--restarts", 1, "--out", tmp_path / "ev"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "warning: not all fits converged (use --allow-nonconverged to tolerate)"
+        assert len(lines) == 3
+        for dim, line in zip((1, 2), lines[1:]):
+            assert line.startswith(f"  lsm at dim {dim}: winning start ")
+            assert line.endswith(" stopped after 2 L-BFGS-B iteration(s): "
+                                 "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
 
     @pytest.mark.parametrize("args,message", [
         (["--methods", "lsm", "--dim-grid", "9"],
@@ -482,13 +507,14 @@ def test_path_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert (tmp_path / "F").read_text() == "a file\n"
 
 
-@pytest.mark.parametrize("fault", ["long-field", "not-utf8"])
+@pytest.mark.parametrize("fault", ["long-field", "not-utf8", "unquoted-long-field"])
 @pytest.mark.parametrize("name", ["edges.csv", "donor_nodes.csv", "train.csv"])
 def test_an_unreadable_csv_row_exits_2_naming_its_line(net_dir, data_dir, tmp_path, capsys,
                                                        name, fault):
     # unchecked, a field over csv's size limit ended in a _csv.Error traceback
     # and exit 1, and a byte that is not UTF-8 in a UnicodeDecodeError naming
-    # neither the file nor the line
+    # neither the file nor the line; unquoted, the long field leaves the
+    # whole-file split for the csv reader, which names its line
     d = tmp_path / "in"
     shutil.copytree(data_dir if name == "train.csv" else net_dir, d)
     lines = (d / name).read_bytes().split(b"\n")
@@ -496,6 +522,8 @@ def test_an_unreadable_csv_row_exits_2_naming_its_line(net_dir, data_dir, tmp_pa
     k = 3 if name == "train.csv" else 0  # a type label, a node label
     if fault == "long-field":
         cells[k] = b'"' + b"R" * 200000 + b'"'
+    elif fault == "unquoted-long-field":
+        cells[k] = b"R" * 200000
     else:
         cells[k] = b"\xff" + cells[k][1:]
     lines[2] = b",".join(cells)

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +13,7 @@ from netlsm import (
     CompatibilityNetwork,
     FitConfig,
     FitError,
+    FitResult,
     LsmParams,
     fit,
     fit_networks,
@@ -892,8 +893,8 @@ def pipeline_network(seed):
 def scipy_rows_match(objective, x0, res, options):
     """Check each row of the lockstep ``res`` against scipy's L-BFGS-B from that start alone.
 
-    x, fun, jac and the iteration count must be equal bit for bit; returns
-    scipy's results.
+    x, fun, jac and the iteration count must be equal bit for bit, and the
+    stop reason must be scipy's message; returns scipy's results.
     """
     rows = []
     for k, x in enumerate(x0):
@@ -903,8 +904,33 @@ def scipy_rows_match(objective, x0, res, options):
         assert res.x[k].tobytes() == row.x.tobytes()
         assert np.float64(res.fun[k]).tobytes() == np.float64(row.fun).tobytes()
         assert res.jac[k].tobytes() == row.jac.tobytes()
+        assert res.stops[k] == row.message
         rows.append(row)
     return rows
+
+
+ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+
+def test_pipeline_fit_records_both_starts_at_the_iteration_limit():
+    result = fit(pipeline_network(0), FitConfig(dim=2, restarts=1, seed=0))
+    assert not result.converged
+    assert [(s.kind, s.iterations, s.stop) for s in result.restarts] == [
+        ("mds", 500, ITERATION_LIMIT), ("random", 500, ITERATION_LIMIT)]
+    won = result.restarts[result.restart_index]
+    assert won.log_likelihood == max(s.log_likelihood for s in result.restarts)
+    assert won.iterations == result.iterations
+
+
+def test_start_records_stay_out_of_the_model_file_and_equality():
+    net = simulate(SimConfig(n_d=60, n_r=60, seed=0)).observed
+    result = fit(net, FitConfig(dim=2, restarts=1, seed=0))
+    assert result.converged and [s.kind for s in result.restarts] == ["mds", "random"]
+    for s in result.restarts:
+        assert s.stop == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+        assert s.grad_norm > result.grad_norm  # the polish finished the winner
+    assert "restarts" not in result.to_dict()
+    assert not next(f for f in fields(FitResult) if f.name == "restarts").compare
 
 
 def sim_network(**kwargs):

@@ -116,6 +116,9 @@ EDGE_FAULTS = {
     "malformed-weight": ([GOOD, "A1,a2,zzz,0.1"], "{e}:3: malformed weight 'zzz'"),
     "nan-weight": ([GOOD, "A1,a2,NaN,0.1"], "{e}:3: non-finite weight"),
     "inf-weight": ([GOOD, "A1,a2,-inf,0.1"], "{e}:3: non-finite weight"),
+    # cells are named stripped
+    "padded-unknown-donor": ([GOOD, " B9\t,a2,0.1,0.1"], "{e}:3: unknown donor node 'B9'"),
+    "padded-malformed-weight": ([GOOD, " A1 , a2 , zzz ,0.1"], "{e}:3: malformed weight 'zzz'"),
 }
 
 # (donor node rows, message)
@@ -235,6 +238,17 @@ class TestRoundTrip:
         back = load_network_dir(tmp_path / "net")
         assert np.array_equal(net.edge_mask, back.edge_mask)
         assert networks_equal(net, back)
+
+    def test_padded_cells_read_as_the_plain_files(self, tmp_path):
+        # every cell padded, with characters float() leaves (U+001C) and ones it strips
+        net = random_network(np.random.default_rng(4), 5, 6, mask_frac=0.3)
+        save_network(net, tmp_path / "net")
+        for name in ("edges.csv", "donor_nodes.csv", "recipient_nodes.csv"):
+            path = tmp_path / "net" / name
+            lines = path.read_text(encoding="utf-8").splitlines()
+            write(path, "".join(",".join(f"\x1c {c}\t" for c in line.split(",")) + "\n"
+                                for line in lines))
+        assert networks_equal(net, load_network_dir(tmp_path / "net"))
 
     def test_creates_directory(self, tmp_path):
         net = random_network(np.random.default_rng(3), 2, 2)

@@ -1,18 +1,33 @@
-"""``_util.map_units``: the loop's results and errors, with one forked child.
+"""``_util``: ``read_csv``'s two paths, and ``map_units``' results and
+errors with one forked child.
 
-The worker count is the helper's one seam: a test that needs the forked path
-swaps in a fake ``_workers``.  Such a test may fork while unpinned BLAS runs
-its threads, which the helper itself never does; Python 3.12 warns about it.
+``read_csv`` must give, on any bytes, the result or the error of its ``csv``
+loop, ``_csv_rows``, which stays callable as the reference.
+
+The worker count is ``map_units``' one seam: a test that needs the forked
+path swaps in a fake ``_workers``.  Such a test may fork while unpinned BLAS
+runs its threads, which the helper itself never does; Python 3.12 warns
+about it.
 """
 
+import csv
+import dataclasses
 import os
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import netlsm._util
-from netlsm._util import _workers, map_units
+from netlsm import save_network
+from netlsm._util import _csv_rows, _decoded, _workers, map_units, read_csv
+from netlsm.network import load_network_dir
+from netlsm.simulate import SimConfig, simulate
+from netlsm.survival import SurvivalGenConfig, TransplantDataset, simulate_transplants
+
+from helpers import networks_equal
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -152,3 +167,76 @@ def test_a_second_thread_means_no_fork(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+class Fault(ValueError):
+    pass
+
+
+def outcome(read, path):
+    """``read(path)``'s result, or its exception's type and message."""
+    try:
+        return read(path)
+    except Fault as exc:
+        return type(exc), str(exc)
+
+
+def csv_loop(path):
+    return _csv_rows(path, _decoded(path, Fault)[1], Fault)
+
+
+PLAIN = "ab Z\x1c\t\u00e9\u00a0\u2028"  # characters the unquoted split takes
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
+
+
+@st.composite
+def tables(draw):
+    """A CSV table as bytes: random labels and numbers, blank, short and
+    long rows, an optional byte-order mark and a final line feed or not."""
+    # half the tables hold only characters the unquoted split takes
+    label = st.text(st.sampled_from(PLAIN + draw(st.sampled_from(["", ',"\r\x00']))),
+                    max_size=6)
+    n = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.lists(label, min_size=n, max_size=n)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append("".join(draw(st.lists(st.sampled_from(" ,\t\u00a0"), max_size=4))))
+        else:
+            k = n if kind == "row" else draw(st.integers(1, n + 2))
+            lines.append(",".join(draw(st.lists(st.one_of(label, NUMBER), min_size=k,
+                                                max_size=k))))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables(), st.sampled_from([8, 30, 131072]))
+@example(b"a,b\nc\nd,e,f\n", 131072)  # a short and a long row: the comma count is right
+@example(b"a,b\n\x00,1\n", 131072)  # Python 3.10's csv refuses a NUL
+def test_read_csv_is_its_csv_loop(tmp_path_factory, data, limit):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    old = csv.field_size_limit(limit)  # a small limit puts some fields over it
+    try:
+        assert outcome(lambda p: read_csv(p, Fault), path) == outcome(csv_loop, path)
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_files_netlsm_writes_are_split_without_csv(tmp_path, monkeypatch):
+    net = simulate(SimConfig(n_d=6, n_r=5, seed=1)).observed
+    net = dataclasses.replace(net, donor_labels=[f"\u00e9 {lab}" for lab in net.donor_labels],
+                              recipient_labels=[f"{lab} x" for lab in net.recipient_labels])
+    save_network(net, tmp_path / "net")
+    train = simulate_transplants(SurvivalGenConfig(n_per_split=200, seed=1))[0]
+    train.to_csv(tmp_path / "train.csv")
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    assert networks_equal(net, load_network_dir(tmp_path / "net"))
+    data = TransplantDataset.from_csv(tmp_path / "train.csv")
+    for f in dataclasses.fields(TransplantDataset):
+        assert np.array_equal(getattr(data, f.name), getattr(train, f.name))

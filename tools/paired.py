@@ -19,7 +19,8 @@ two parts into ``--out``:
   files, which ``cmp`` can check.
 - ``cli/<name>/``: ``netlsm.cli.main`` for each command of the acceptance
   test's determinism criterion (all seven commands, at its fixed seeds),
-  for ``coxph --tune`` on the same data (the cross-validated lambda and the
+  for ``fit`` on the network that ``coxph`` writes (masked, and read back
+  through the CSV loader), for ``coxph --tune`` on the same data (the cross-validated lambda and the
   network fit at it), for ``coxph --tune`` at pipeline scale (on
   ``simulate-transplants --seed 0``: 4000 records per split, 12x12 types),
   and for ``pipeline --seeds 2`` and ``table1 --reps 2`` at the CLI
@@ -84,6 +85,7 @@ COMMANDS = (
               "--restarts", "0", "--seed", "3"]),
     ("table1", ["table1", "--reps", "1", "--restarts", "0"]),
     ("coxph", ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--lam", "1.0"]),
+    ("fit-coxph", ["fit", "--net", "coxph/network", "--restarts", "0", "--seed", "3"]),
     ("coxph-tune", ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--tune"]),
     ("tx-defaults", ["simulate-transplants", "--seed", "0"]),
     ("coxph-tune-defaults", ["coxph", "--data", "tx-defaults/train.csv", "--tune"]),
