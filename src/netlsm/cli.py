@@ -303,7 +303,7 @@ def build_parser():
     _add_fit_opts(p)
     p.add_argument("--train-net")
     p.add_argument("--test-net")
-    p.add_argument("--methods", type=_list_of(str), default="raw,lsm,nmtf,pca")
+    p.add_argument("--methods", type=_list_of(str), default=",".join(METHODS))
     p.add_argument("--dim-grid", type=_list_of(int), default="1,2,3,4")
 
     p = sub.add_parser("table1", help="replicate recovery study, both noise regimes")

@@ -106,12 +106,12 @@ class CompatibilityNetwork:
 
 
 def _read_columns(path, expected_header, what):
-    """``(lines, columns)`` of :func:`read_csv`, the cells as read.  The
-    stripped header must be ``expected_header``; a file without data rows
-    raises, naming ``what`` rows.
+    """``(lines, columns)`` of :func:`read_csv`, the cells stripped.  The
+    header must be ``expected_header``; a file without data rows raises,
+    naming ``what`` rows.
     """
     header, lines, columns = read_csv(path, NetworkFormatError)
-    if [h.strip() for h in header] != expected_header:
+    if header != expected_header:
         raise NetworkFormatError(
             f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}"
         )
@@ -121,28 +121,23 @@ def _read_columns(path, expected_header, what):
 
 
 def _indices(index, cells):
-    """Each of ``cells``, stripped, as its value in ``index``, an int array,
-    or None if one is not a key.  The keys are stripped labels, so the cells
-    are stripped only if one is not found as read."""
+    """Each of ``cells`` as its value in ``index``, an int array, or None if
+    one is not a key."""
     try:
         return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
     except KeyError:
-        try:
-            return np.fromiter(map(index.__getitem__, map(str.strip, cells)), np.intp,
-                               len(cells))
-        except KeyError:
-            return None
+        return None
 
 
 # The row walks below raise the first fault in file order, each row's checks
 # in the order of the messages; the loaders call them only once a column-wise
-# check has failed.  They strip each cell they parse or quote.
+# check has failed.
 
 
 def _check_numbers(path, line, w, s, name):
-    if parse_float(s.strip(), "stderr", NetworkFormatError, path, line) <= 0:
+    if parse_float(s, "stderr", NetworkFormatError, path, line) <= 0:
         raise NetworkFormatError(f"{path}:{line}: non-positive stderr for {name}")
-    parse_float(w.strip(), "weight", NetworkFormatError, path, line)
+    parse_float(w, "weight", NetworkFormatError, path, line)
 
 
 def _raise_first_node_fault(path, lines, labels, w, s):
@@ -157,7 +152,6 @@ def _raise_first_node_fault(path, lines, labels, w, s):
 def _raise_first_edge_fault(path, lines, don, rec, w, s, d_index, r_index):
     seen = set()
     for line, a, b, wc, sc in zip(lines, don, rec, w, s):
-        a, b = a.strip(), b.strip()
         if a not in d_index:
             raise NetworkFormatError(f"{path}:{line}: unknown donor node {a!r}")
         if b not in r_index:
@@ -170,7 +164,6 @@ def _raise_first_edge_fault(path, lines, don, rec, w, s, d_index, r_index):
 
 def _load_nodes(path):
     lines, (labels, w, s) = _read_columns(path, ["node", "weight", "stderr"], "node")
-    labels = list(map(str.strip, labels))
     weights, ses = _floats(w), _floats(s, positive=True)
     if weights is None or ses is None or len(set(labels)) < len(labels):
         _raise_first_node_fault(path, lines, labels, w, s)
@@ -225,14 +218,15 @@ def save_network(net, dir_path):
     ):
         rows = [(lab, FLOAT_FMT % wv, FLOAT_FMT % sv)
                 for lab, wv, sv in zip(labels, w.tolist(), s.tolist())]
-        texts[path] = csv_text(path, ["node", "weight", "stderr"], rows)
+        texts[path] = csv_text(path, ["node", "weight", "stderr"], rows, labels)
     i, j = np.nonzero(net.edge_mask)  # row-major: donor by donor, recipients in order
     rows = [
         (net.donor_labels[a], net.recipient_labels[b], FLOAT_FMT % wv, FLOAT_FMT % sv)
         for a, b, wv, sv in zip(i.tolist(), j.tolist(), net.edge_weight[i, j].tolist(),
                                 net.edge_se[i, j].tolist())
     ]
-    texts[edges] = csv_text(edges, ["donor", "recipient", "weight", "stderr"], rows)
+    # the edge labels are the node files' labels, checked there
+    texts[edges] = csv_text(edges, ["donor", "recipient", "weight", "stderr"], rows, ())
     for path, text in texts.items():
         write_text_atomic(path, text)
     return list(_FILES)

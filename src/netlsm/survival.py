@@ -113,7 +113,7 @@ class TransplantDataset:
             [i, FLOAT_FMT % t, "1" if e else "0", d, r] + [FLOAT_FMT % v for v in x]
             for i, (t, e, d, r, x) in enumerate(zip(*columns))
         )
-        write_csv(path, header, rows)
+        write_csv(path, header, rows, columns[2] + columns[3])  # the type labels
 
     @classmethod
     def from_csv(cls, path):
@@ -126,13 +126,12 @@ class TransplantDataset:
         ``x1, ..., xp`` in that order, a file without data rows, a number that
         does not parse or is not finite, a time not above 0, an ``event``
         other than 0 or 1, and a file where no row has event 1.  Blank lines
-        are skipped.  Column names and cells are stripped of surrounding
-        whitespace, as those of the network files are.  Each column is
-        parsed and checked at once; only when a check fails are the rows
-        walked, to name the first faulty one.
+        are skipped.  Column names and cells come stripped of surrounding
+        whitespace by :func:`read_csv`, as those of the network files do.
+        Each column is parsed and checked at once; only when a check fails
+        are the rows walked, to name the first faulty one.
         """
         header, lines, columns = read_csv(path, ValueError)
-        header = [h.strip() for h in header]
         missing = [c for c in _CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -149,14 +148,12 @@ class TransplantDataset:
         col = dict(zip(header, columns))
         covariates = [_floats(col[h]) for h in xnames]
         time, event = _floats(col["time"], positive=True), col["event"]
-        if not set(event) <= {"0", "1"}:
-            event = list(map(str.strip, event))
         if any(x is None for x in covariates) or time is None or not set(event) <= {"0", "1"}:
             # the first fault in file order: a row's covariates, then its time and event
             for k, line in enumerate(lines):
                 for h in xnames:
-                    parse_float(col[h][k].strip(), h, ValueError, path, line)
-                if parse_float(col["time"][k].strip(), "time", ValueError, path, line) <= 0:
+                    parse_float(col[h][k], h, ValueError, path, line)
+                if parse_float(col["time"][k], "time", ValueError, path, line) <= 0:
                     raise ValueError(f"{path}:{line}: non-positive time")
                 if event[k] not in ("0", "1"):
                     raise ValueError(f"{path}:{line}: event must be 0 or 1, got {event[k]!r}")
@@ -164,8 +161,8 @@ class TransplantDataset:
             raise ValueError(f"{path}: no row has event 1")
         return cls(
             covariates=np.reshape(covariates, (len(xnames), len(lines))).T.copy(),
-            donor_type=np.array(list(map(str.strip, col["donor_type"]))),
-            recipient_type=np.array(list(map(str.strip, col["recipient_type"]))),
+            donor_type=np.array(col["donor_type"]),
+            recipient_type=np.array(col["recipient_type"]),
             time=time,
             event=np.array(event) == "1",
         )

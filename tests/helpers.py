@@ -7,10 +7,10 @@ from netlsm import CompatibilityNetwork, LsmParams
 from netlsm._util import substream
 
 # Node and type labels: commas, double quotes and line feeds, which a CSV file
-# must quote, mixed with any other text.  Network cells are stripped, so no
-# label starts or ends with whitespace.  Left out are "\r", which the writer
-# rejects (see _util.csv_text), and NUL, which Python 3.10's csv reader
-# rejects.
+# must quote, mixed with any other text.  read_csv strips every cell, so the
+# writer refuses a label with surrounding whitespace (see _util.csv_text), and
+# none is drawn.  Also left out are "\r", which the writer refuses too, and
+# NUL, which Python 3.10's csv reader rejects.
 LABELS = st.text(
     st.sampled_from(',"\n') | st.characters(exclude_categories=("Cs",),
                                              exclude_characters="\r\x00"),

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -8,6 +9,10 @@ from netlsm import CompatibilityNetwork, NetworkFormatError, load_network, save_
 from netlsm.network import load_network_dir
 
 from helpers import LABELS, random_network, networks_equal
+
+
+# whitespace that str.strip strips, to put around a label
+PADDING = st.text(st.sampled_from(" \t\x1c\u00a0\u2028"), max_size=2)
 
 
 def write(path, text):
@@ -239,8 +244,9 @@ class TestRoundTrip:
         assert np.array_equal(net.edge_mask, back.edge_mask)
         assert networks_equal(net, back)
 
-    def test_padded_cells_read_as_the_plain_files(self, tmp_path):
-        # every cell padded, with characters float() leaves (U+001C) and ones it strips
+    def test_padded_cells_read_as_the_plain_files(self, tmp_path, monkeypatch):
+        # every cell padded, with characters float() leaves (U+001C) and ones
+        # it strips; the files hold no quote, so they are split without csv
         net = random_network(np.random.default_rng(4), 5, 6, mask_frac=0.3)
         save_network(net, tmp_path / "net")
         for name in ("edges.csv", "donor_nodes.csv", "recipient_nodes.csv"):
@@ -248,6 +254,11 @@ class TestRoundTrip:
             lines = path.read_text(encoding="utf-8").splitlines()
             write(path, "".join(",".join(f"\x1c {c}\t" for c in line.split(",")) + "\n"
                                 for line in lines))
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
         assert networks_equal(net, load_network_dir(tmp_path / "net"))
 
     def test_creates_directory(self, tmp_path):
@@ -288,16 +299,32 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("side, fname", [("donor_labels", "donor_nodes.csv"),
                                              ("recipient_labels", "recipient_nodes.csv")])
-    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a,\rb"])
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a,\rb", " a", "a\t", "\u00a0a"])
     def test_carriage_return_label_is_rejected(self, tmp_path, label, side, fname):
-        # read back, an unquoted carriage return would end the row, so the
-        # writer refuses it, naming the file and the field, and writes no file
+        # read back, an unquoted carriage return would end the row, and
+        # surrounding whitespace would be stripped, so the writer refuses
+        # either, naming the file and the field, and writes no file
         net = random_network(np.random.default_rng(4), 2, 2)
         net = dataclasses.replace(net, **{side: ("n0", label)})
         with pytest.raises(ValueError) as exc:
             save_network(net, tmp_path)
         assert fname in str(exc.value) and repr(label) in str(exc.value)
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(PADDING, LABELS, PADDING).map("".join))
+    def test_a_label_round_trips_or_is_refused(self, tmp_path_factory, label):
+        net = random_network(np.random.default_rng(6), 1, 2)
+        net = dataclasses.replace(net, donor_labels=(label,))
+        d = tmp_path_factory.mktemp("rt")
+        try:
+            save_network(net, d)
+        except ValueError as exc:
+            assert label != label.strip() and repr(label) in str(exc)
+            assert list(d.iterdir()) == []
+        else:
+            assert label == label.strip()
+            assert networks_equal(net, load_network_dir(d))
 
 
 class TestValidation:

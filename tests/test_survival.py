@@ -768,6 +768,16 @@ class TestGenerator:
             assert np.array_equal(getattr(data, field), getattr(back, field))
 
 
+def test_to_csv_refuses_a_padded_type_label(tmp_path):
+    # read_csv strips every cell, so " D1" would read back as "D1"
+    data = TransplantDataset(covariates=np.zeros((2, 1)), donor_type=[" D1", "D2"],
+                             recipient_type=["R1", "R1"], time=[1.0, 2.0], event=[True, False])
+    with pytest.raises(ValueError) as exc:
+        data.to_csv(tmp_path / "t.csv")
+    assert "t.csv" in str(exc.value) and repr(" D1") in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 GOOD_CSV = "id,time,event,donor_type,recipient_type,x1\n0,1.5,1,A,x,0.25\n1,2.0,0,B,y,-1\n"
 
 

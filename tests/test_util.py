@@ -214,6 +214,11 @@ def tables(draw):
 @given(tables(), st.sampled_from([8, 30, 131072]))
 @example(b"a,b\nc\nd,e,f\n", 131072)  # a short and a long row: the comma count is right
 @example(b"a,b\n\x00,1\n", 131072)  # Python 3.10's csv refuses a NUL
+@example(b"a,b\n,\n1,2\n", 131072)  # a blank row of commas, nothing to strip
+@example(b"a,b\n \t, \n1,2\n", 131072)  # a blank row that strips to nothing
+@example(b" a , b \n1,2", 131072)  # a padded header
+@example(b"a,b\nx\xc2\xa0,1\n", 131072)  # a cell padded with U+00A0
+@example(b"a,b\nc d,1\n", 131072)  # an inner space, which stripping keeps
 def test_read_csv_is_its_csv_loop(tmp_path_factory, data, limit):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes(data)
