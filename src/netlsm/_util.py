@@ -197,7 +197,8 @@ def csv_text(path, header, rows, labels):
     naming ``path`` and the field: a label with surrounding whitespace, which
     :func:`read_csv` strips (the other fields are numbers), or a field
     holding a carriage return, which the writer does not quote and
-    :func:`read_csv` would take for a line end.
+    :func:`read_csv` would take for a line end, or a NUL, which Python 3.10's
+    ``csv`` reader refuses.
     """
     for label in labels:
         if label != label.strip():
@@ -208,9 +209,10 @@ def csv_text(path, header, rows, labels):
     writer.writerow(header)
     writer.writerows(rows)
     text = buf.getvalue()
-    if "\r" in text:
-        field = next(f for row in [header, *rows] for f in row if "\r" in str(f))
-        raise ValueError(f"{path}: field {field!r} holds a carriage return")
+    for char, name in (("\r", "a carriage return"), ("\0", "a NUL")):
+        if char in text:
+            field = next(f for row in [header, *rows] for f in row if char in str(f))
+            raise ValueError(f"{path}: field {field!r} holds {name}")
     return text
 
 

@@ -64,7 +64,7 @@ def run_simulate_network(cfg, out):
     sim = simulate(_sim_config(cfg))
     files = save_network(sim.observed, out)
     dump_json(sim.truth.to_dict(), os.path.join(out, "truth.json"))
-    return files + ["truth.json"], True, False
+    return files + ["truth.json"], [], False
 
 
 def run_simulate_transplants(cfg, out):
@@ -91,7 +91,7 @@ def run_simulate_transplants(cfg, out):
         },
         os.path.join(out, "truth.json"),
     )
-    return ["train.csv", "test.csv", "truth.json"], True, False
+    return ["train.csv", "test.csv", "truth.json"], [], False
 
 
 def _fit_config(cfg):
@@ -133,7 +133,7 @@ def _evaluate(cfg, net_key, methods, dims):
 
 
 def run_fit(cfg, out):
-    dims = cfg["dim_grid"] or [cfg["dim"]]
+    dims = [cfg["dim"]] if cfg["dim_grid"] is None else cfg["dim_grid"]
     [evaluation], stops = _evaluate(cfg, "net", [cfg["method"]], dims)
     artifacts = ["metrics.json"]
     if evaluation.fits:  # an LSM fit per dimension
@@ -141,14 +141,14 @@ def run_fit(cfg, out):
         dump_json(result.to_dict(), os.path.join(out, "model.json"))
         artifacts.append("model.json")
     dump_json(evaluation.to_dict(), os.path.join(out, "metrics.json"))
-    return artifacts, not stops, False, *stops
+    return artifacts, stops, False
 
 
 def run_eval(cfg, out):
     evaluations, stops = _evaluate(cfg, "train_net", cfg["methods"], cfg["dim_grid"])
     dump_json({e.method: e.to_dict() for e in evaluations}, os.path.join(out, "eval.json"))
     write_text_atomic(os.path.join(out, "eval_table.txt"), format_eval_table(evaluations))
-    return ["eval.json", "eval_table.txt"], not stops, False, *stops
+    return ["eval.json", "eval_table.txt"], stops, False
 
 
 def run_table1(cfg, out):
@@ -161,11 +161,12 @@ def run_table1(cfg, out):
     reports = run_blocks(blocks, _fit_config(cfg), cfg["reps"])
     payload = {key: report.to_dict() for key, report in zip(keys, reports)}
     tables = [format_report_table(report, title=key) for key, report in zip(keys, reports)]
-    converged = all(r["converged"] for report in reports for r in report.per_replicate)
+    stops = [f"  {key} replicate seed {r['seed']}" for key, report in zip(keys, reports)
+             for r in report.per_replicate if not r["converged"]]
     failed = any(report.failures for report in reports)
     dump_json(payload, os.path.join(out, "table1.json"))
     write_text_atomic(os.path.join(out, "table1.txt"), "\n".join(tables))
-    return ["table1.json", "table1.txt"], converged, failed
+    return ["table1.json", "table1.txt"], stops, failed
 
 
 def run_coxph(cfg, out):
@@ -179,15 +180,15 @@ def run_coxph(cfg, out):
     # the network first: a label it cannot write stops coxph before any file is written
     files = save_network(extract_network(model), os.path.join(out, "network"))
     dump_json(model.to_dict(), os.path.join(out, "coxph.json"))
-    return ["coxph.json"] + [f"network/{f}" for f in files], model.converged, False
+    stops = [] if model.converged else [f"  Cox fit at penalty {lam}"]
+    return ["coxph.json"] + [f"network/{f}" for f in files], stops, False
 
 
 def run_pipeline(cfg, out):
     if cfg["seeds"] < 1:
         raise ValueError("seeds must be >= 1")
     per_seed = []
-    failures = []
-    converged = True
+    failures, stops = [], []
     for k in range(cfg["seeds"]):
         seed = cfg["seed"] + k
         gen = SurvivalGenConfig(
@@ -202,7 +203,8 @@ def run_pipeline(cfg, out):
         except (FitError, ConvergenceError) as exc:  # any other error stops the study
             failures.append({"seed": seed, "error": str(exc)})
             continue
-        converged = converged and res.lsm_converged
+        if not res.lsm_converged:
+            stops.append(f"  seed {seed}: LSM fit")
         per_seed.append({"seed": seed, **res.to_dict()})
     methods = sorted(per_seed[0]["deltas"]) if per_seed else []
     aggregate = {
@@ -216,14 +218,14 @@ def run_pipeline(cfg, out):
         {"per_seed": per_seed, "aggregate": aggregate, "failures": failures},
         os.path.join(out, "pipeline.json"),
     )
-    return ["pipeline.json"], converged, bool(failures)
+    return ["pipeline.json"], stops, bool(failures)
 
 
-# Each runner writes its artifacts and returns (artifacts, converged, failed,
-# *stops): ``failed`` says that a seed or replicate raised (its error is
-# recorded in the artifacts), which exits 1 whatever --allow-nonconverged
-# says; ``stops``, from fit and eval, name each fit that did not converge and
-# why, and are printed under the warning that says so.
+# Each runner writes its artifacts and returns (artifacts, stops, failed):
+# ``stops`` names each fit that did not converge (fit and eval also say why),
+# one line each, printed under the warning that says so; ``failed`` says that
+# a seed or replicate raised (its error is recorded in the artifacts), which
+# exits 1 whatever --allow-nonconverged says.
 _RUNNERS = {
     "simulate-network": run_simulate_network,
     "simulate-transplants": run_simulate_transplants,
@@ -417,7 +419,7 @@ def main(argv=None):
     try:
         if cfg["seed"] < 0:  # one message for every command, not numpy's SeedSequence one
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
-        artifacts, converged, failed, *stops = _RUNNERS[args.command](cfg, out)
+        artifacts, stops, failed = _RUNNERS[args.command](cfg, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -439,7 +441,7 @@ def main(argv=None):
         print(f"error: some runs raised; their errors are under 'failures' in {out}",
               file=sys.stderr)
         return 1
-    if not converged and not args.allow_nonconverged:
+    if stops and not args.allow_nonconverged:
         print("warning: not all fits converged (use --allow-nonconverged to tolerate)",
               *stops, sep="\n", file=sys.stderr)
         return 1

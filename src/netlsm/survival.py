@@ -415,11 +415,20 @@ def cox_fit(x, time, event, lam, columns=None):
     check_penalty(lam)
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
-    return _newton_fit(_risk_sets(x, time, event), x.shape[1], lam, columns)
+    w, h, converged = _newton_fit(_risk_sets(x, time, event), x.shape[1], lam)
+    try:
+        se = np.sqrt(np.clip(np.diag(np.linalg.inv(h)), 0.0, None))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("singular information matrix at optimum") from exc
+    se = np.where(se > 0, se, np.finfo(float).tiny)
+    if columns is None:
+        columns = tuple(Column("basic", f"x{k + 1}") for k in range(w.size))
+    return CoxModel(coefficients=w, std_errors=se, penalty=float(lam),
+                    columns=columns, converged=converged)
 
 
-def _newton_fit(risk_sets, p, lam, columns=None):
-    """:func:`cox_fit`'s fit of ``p`` columns, on the :func:`_risk_sets` of checked inputs."""
+def _newton_fit(risk_sets, p, lam):
+    """:func:`cox_fit`'s Newton loop on checked inputs: ``(w, info + lam I at w, converged)``."""
     w = np.zeros(p)
     ll, grad, info = _risk_set_stats(risk_sets, w, need_hessian=True)
     ll_pen = ll - 0.5 * lam * w @ w
@@ -450,25 +459,16 @@ def _newton_fit(risk_sets, p, lam, columns=None):
         else:
             break  # no improving step; report current iterate
         w, ll_pen, grad, info = w_new, ll_pen_new, grad_new, info_new
-    converged = np.max(np.abs(grad - lam * w)) <= _COX_GRAD_TOL
-    h = info + lam * np.eye(p)
-    try:
-        cov = np.linalg.inv(h)
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular information matrix at optimum") from exc
-    se = np.where(se > 0, se, np.finfo(float).tiny)
-    if columns is None:
-        columns = tuple(Column("basic", f"x{k + 1}") for k in range(p))
-    return CoxModel(coefficients=w, std_errors=se, penalty=float(lam),
-                    columns=columns, converged=bool(converged))
+    converged = bool(np.max(np.abs(grad - lam * w)) <= _COX_GRAD_TOL)
+    return w, info + lam * np.eye(p), converged
 
 
 def tune_lambda(x, time, event, lambda_grid, seed=0):
     """Pick the ridge strength by 2-fold cross-validated partial likelihood.
 
     Each lambda is fit on one fold and scored by the unpenalized partial
-    log-likelihood on the other, summed over both directions.  Each fold's
+    log-likelihood on the other, summed over both directions; a fold fit is
+    :func:`_newton_fit` alone and keeps only its coefficients.  Each fold's
     columns and its :func:`_risk_sets`, for fitting and for scoring, are
     built once for the whole grid.  A fold is fit on the columns that are
     nonzero in it; the other columns get coefficient 0, which for lambda > 0
@@ -503,7 +503,7 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
         score = 0.0
         for present, fitting, scoring in folds:
             coef = np.zeros(p)
-            coef[present] = _newton_fit(fitting, present.sum(), lam).coefficients
+            coef[present] = _newton_fit(fitting, present.sum(), lam)[0]
             score += _risk_set_stats(scoring, coef, need_hessian=False)[0]
         if score > best_score:
             best_lam, best_score = lam, score

@@ -9,6 +9,7 @@ import pytest
 import netlsm.cli
 import netlsm.metrics
 import netlsm.model
+import netlsm.survival
 from netlsm._util import dump_json
 from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
 from netlsm.metrics import EvalReport
@@ -158,6 +159,17 @@ class TestFit:
         assert "error: argument --dim-grid" in err and "'1,x'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_empty_dim_grid_exits_2(self, net_dir, tmp_path, capsys, grid):
+        # only an absent --dim-grid falls back to --dim
+        out = tmp_path / "x"
+        assert run(["fit", "--net", net_dir, "--dim-grid", grid, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: dim_grid must be non-empty\n"
+        assert not (out / "manifest.json").exists()
+        # raw fits no dimension, as in eval
+        assert run(["fit", "--net", net_dir, "--method", "raw", "--dim-grid", grid,
+                    "--out", out]) == 0
+
 
 @pytest.fixture(scope="module")
 def diverging_net(tmp_path_factory):
@@ -215,6 +227,19 @@ class TestTransplantsAndCox:
         assert run(["coxph", "--data", data_dir / "train.csv", "--out", out]) == 1
         assert capsys.readouterr().err == "error: singular information matrix at optimum\n"
         assert not (out / "manifest.json").exists()
+
+    def test_an_unconverged_cox_fit_is_named_with_its_penalty(self, data_dir, tmp_path,
+                                                             monkeypatch, capsys):
+        # one Newton step leaves the fit short of its tolerance
+        monkeypatch.setattr(netlsm.survival, "_COX_MAX_ITER", 1)
+        out = tmp_path / "cox"
+        assert run(["coxph", "--data", data_dir / "train.csv", "--lam", 0.5,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: not all fits converged (use --allow-nonconverged to tolerate)",
+            "  Cox fit at penalty 0.5",
+        ]
+        assert json.loads((out / "coxph.json").read_text())["converged"] is False
 
     def test_coxph_tune_with_columns_absent_from_a_fold(self, tmp_path):
         # 400 records over 12x12 types at --min-count 3: some type or pair
@@ -437,6 +462,22 @@ class TestPipelineCommand:
         assert payload["failures"] == [{"seed": 1, "error": str(error)}]
         assert json.loads((out / "manifest.json").read_text())["artifacts"] == ["pipeline.json"]
 
+    def test_an_unconverged_seed_is_named(self, tmp_path, monkeypatch, capsys):
+        # seed 0's LSM fit is made to converge, seed 1's not
+        real = netlsm.cli.pipeline_end_to_end
+
+        def seed_1_stops_short(gen, *args, **kwargs):
+            return replace(real(gen, *args, **kwargs), lsm_converged=gen.seed != 1)
+
+        monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_stops_short)
+        out = tmp_path / "pipe"
+        assert run(["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
+                    "--restarts", 0, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: not all fits converged (use --allow-nonconverged to tolerate)",
+            "  seed 1: LSM fit",
+        ]
+
     def test_a_seed_that_raises_another_error_exits_2(self, tmp_path, monkeypatch, capsys):
         # only fit failures are recorded; any other error stops the study
         # before a file is written, however many seeds ran before it
@@ -608,6 +649,21 @@ class TestTable1:
             assert all(v == 0.0 for v in report["rmse_se"].values())
         text = (out / "table1.txt").read_text()
         assert "RMSE" in text and "R^2" in text
+
+    def test_an_unconverged_replicate_is_named(self, tmp_path, capsys):
+        # two L-BFGS-B iterations leave every fit short
+        out = tmp_path / "t1"
+        assert run(["table1", "--reps", 2, "--max-iter", 2, "--restarts", 0,
+                    "--out", out]) == 1
+        payload = json.loads((out / "table1.json").read_text())
+        keys = ["low_noise/pair_term_only", "low_noise/full_compatibility",
+                "high_noise/pair_term_only", "high_noise/full_compatibility"]
+        assert all(not r["converged"] for k in keys for r in payload[k]["per_replicate"])
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: not all fits converged (use --allow-nonconverged to tolerate)",
+            *(f"  {k} replicate seed {r['seed']}" for k in keys
+              for r in payload[k]["per_replicate"]),
+        ]
 
     def test_a_replicate_that_raises_exits_1(self, tmp_path, monkeypatch, capsys):
         # ``netlsm.simulate`` is the re-exported function, not the module; each

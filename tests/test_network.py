@@ -299,11 +299,13 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("side, fname", [("donor_labels", "donor_nodes.csv"),
                                              ("recipient_labels", "recipient_nodes.csv")])
-    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a,\rb", " a", "a\t", "\u00a0a"])
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a,\rb", " a", "a\t", "\u00a0a",
+                                       "a\x00b"])
     def test_carriage_return_label_is_rejected(self, tmp_path, label, side, fname):
-        # read back, an unquoted carriage return would end the row, and
-        # surrounding whitespace would be stripped, so the writer refuses
-        # either, naming the file and the field, and writes no file
+        # read back, an unquoted carriage return would end the row,
+        # surrounding whitespace would be stripped, and Python 3.10's csv
+        # refuses a NUL, so the writer refuses each, naming the file and the
+        # field, and writes no file
         net = random_network(np.random.default_rng(4), 2, 2)
         net = dataclasses.replace(net, **{side: ("n0", label)})
         with pytest.raises(ValueError) as exc:

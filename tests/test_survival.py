@@ -535,6 +535,22 @@ class TestTuneLambda:
         tune_lambda(x, t, e, [1.0])
         assert len(calls) == 2  # the counter sees the fold fits
 
+    def test_fold_fits_build_no_model(self, monkeypatch):
+        # a fold fit keeps only its coefficients: the standard errors and the
+        # model are built once, by cox_fit, not in each of the 2 * |grid| fold fits
+        models, inverses = [], []
+        real_model, real_inv = netlsm.survival.CoxModel, np.linalg.inv
+        monkeypatch.setattr(netlsm.survival, "CoxModel",
+                            lambda **k: models.append(k) or real_model(**k))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or real_inv(a))
+        rng = substream(4, "tune")
+        x, t, e = rng.standard_normal((30, 2)), rng.exponential(1.0, 30), np.ones(30, bool)
+        lam = tune_lambda(x, t, e, [0.1, 1.0, 10.0])
+        assert (len(models), len(inverses)) == (0, 0)
+        model = cox_fit(x, t, e, lam)
+        assert (len(models), len(inverses)) == (1, 1)
+        assert model.std_errors.shape == (2,) and model.columns[1] == Column("basic", "x2")
+
     def test_scoring_risk_sets_are_built_once_per_fold(self, monkeypatch):
         # each fold's risk sets, for scoring and for fitting, serve the whole
         # grid; the pick equals that of a fresh cox_fit and breslow_loglik per lambda
@@ -775,6 +791,17 @@ def test_to_csv_refuses_a_padded_type_label(tmp_path):
     with pytest.raises(ValueError) as exc:
         data.to_csv(tmp_path / "t.csv")
     assert "t.csv" in str(exc.value) and repr(" D1") in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_to_csv_refuses_a_nul_in_a_type_label(tmp_path):
+    # Python 3.10's csv reader refuses a line holding a NUL
+    data = TransplantDataset(covariates=np.zeros((2, 1)), donor_type=["D1", "D2"],
+                             recipient_type=["R1", "R\x001"], time=[1.0, 2.0],
+                             event=[True, False])
+    with pytest.raises(ValueError) as exc:
+        data.to_csv(tmp_path / "t.csv")
+    assert "t.csv" in str(exc.value) and repr("R\x001") in str(exc.value)
     assert list(tmp_path.iterdir()) == []
 
 
