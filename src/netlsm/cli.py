@@ -441,11 +441,15 @@ def main(argv=None):
         print(f"error: some runs raised; their errors are under 'failures' in {out}",
               file=sys.stderr)
         return 1
-    if stops and not args.allow_nonconverged:
-        print("warning: not all fits converged (use --allow-nonconverged to tolerate)",
+    if not stops:
+        return 0
+    if args.allow_nonconverged:
+        print("note: some fits did not converge (tolerated by --allow-nonconverged)",
               *stops, sep="\n", file=sys.stderr)
-        return 1
-    return 0
+        return 0
+    print("warning: not all fits converged (use --allow-nonconverged to tolerate)",
+          *stops, sep="\n", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import _lbfgsb, _lbfgsb_py
 
-from ._util import substream
+from ._util import scipy_extension, substream
 from .mdsinit import mds_init
 
 __all__ = [
@@ -498,6 +497,24 @@ _MAXCOR = 20  # L-BFGS-B memory: the corrections each start keeps
 _MAXLS = 20  # line-search steps at most per L-BFGS-B iteration
 _MAXFUN = 15000  # evaluations per start, counted as scipy.optimize counts them
 _FG, _NEW_X, _STOP = 3, 1, 5  # setulb task codes: evaluate at x, an iterate ended, stop
+_lbfgsb = scipy_extension("_lbfgsb")  # L-BFGS-B's C core, without scipy.optimize
+# How scipy.optimize._lbfgsb_py words a setulb task (status, reason); copied,
+# as importing that module imports the whole package.
+_STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE", 5: "STOP",
+                    6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
+_TASK_MESSAGES = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL", 402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT", 502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL", 504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX", 603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0", 704: "GTOL < 0",
+    705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX", 708: "STPMIN < 0",
+    709: "STPMAX < STPMIN", 710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0",
+    713: "INVALID NBD",
+}
 
 
 @dataclass(frozen=True)
@@ -520,7 +537,9 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
     """L-BFGS-B from each row of ``x0``, all starts in lockstep on one kernel.
 
     Each start is its own L-BFGS-B state machine, driven straight through
-    ``scipy.optimize._lbfgsb.setulb`` as ``scipy.optimize.minimize(...,
+    ``setulb`` of SciPy's compiled ``_lbfgsb``, which
+    :func:`netlsm._util.scipy_extension` loads without importing
+    :mod:`scipy.optimize`, as ``scipy.optimize.minimize(...,
     method="L-BFGS-B")`` drives it: no bounds, ``maxcor`` 20, ``ftol`` 0,
     ``gtol`` = ``grad_tol``, ``maxls`` 20, a stop after ``max_iter``
     iterations or, at the end of an iteration, after more than 15000
@@ -533,7 +552,8 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
     iteration count.  ``networks`` gives, per start, the index of the network
     of ``objective`` it descends on.  Each start's final ``setulb`` task is
     decoded into its stop reason as scipy words it, e.g. ``"CONVERGENCE:
-    RELATIVE REDUCTION OF F <= FACTR*EPSMCH"``.
+    RELATIVE REDUCTION OF F <= FACTR*EPSMCH"``, from a copy of the tables of
+    ``scipy.optimize._lbfgsb_py``.
     """
     x = np.array(x0, dtype=float)  # setulb updates each row in place
     n_starts, n = x.shape
@@ -581,7 +601,7 @@ def minimize(objective, x0, max_iter, grad_tol, networks):
             for k in fresh.tolist():
                 nfev[k] += 1
         g[running] = seen_g[running]
-    stops = tuple(f"{_lbfgsb_py.status_messages[status]}: {_lbfgsb_py.task_messages[reason]}"
+    stops = tuple(f"{_STATUS_MESSAGES[status]}: {_TASK_MESSAGES[reason]}"
                   for status, reason in task.tolist())
     return LbfgsResult(x=x, fun=f, jac=g, iterations=np.array(iterations), stops=stops)
 

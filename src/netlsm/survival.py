@@ -21,9 +21,9 @@ from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 
-from ._util import FLOAT_FMT, _floats, map_units, parse_float, read_csv, substream, write_csv
+from ._util import (FLOAT_FMT, _floats, map_units, parse_float, read_csv, scipy_extension,
+                    substream, write_csv)
 from .metrics import refine
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``survival.fit``.
@@ -54,6 +54,7 @@ __all__ = [
 _COX_GRAD_TOL = 1e-8  # on the largest penalized score entry
 _COX_LL_ROUNDING = 16 * np.finfo(float).eps  # relative to |penalized ll|
 _COX_MAX_ITER = 100
+_zeros = scipy_extension("_zeros")  # brentq's C core, without scipy.optimize
 # simulate_transplants's constants; its docstring says what each one sets
 TRUTH_STD = 0.25
 COVARIATE_COEF_STD = 0.5
@@ -672,7 +673,12 @@ def _sample_split(cfg, truth, rng):
         c = math.exp(log_c)
         return float(np.mean(c / (c + hazard))) - CENSORING_TARGET
 
-    log_c = brentq(censored_fraction, -40.0, 40.0)
+    # scipy.optimize.brentq(censored_fraction, -40.0, 40.0) is this call behind
+    # a NaN guard, which is dropped: c is finite and positive and hazard >= 0
+    # (inf included), so each c / (c + hazard) lies in [0, 1] and their mean
+    # is never NaN
+    log_c = _zeros._brentq(censored_fraction, -40.0, 40.0, 2e-12, 4 * np.finfo(float).eps, 100,
+                           (), False, True)
     t_cens = rng.exponential(math.exp(-log_c), size=n)
     time = np.minimum(t_event, t_cens)
     event = t_event <= t_cens
@@ -697,7 +703,12 @@ def simulate_transplants(cfg):
     comparable to its CoxPH standard errors: the regime refinement is meant
     for.  Survival times follow an exponential baseline hazard
     ``BASELINE_RATE`` scaled by exp(linear predictor), with independent
-    exponential censoring tuned to the censored fraction ``CENSORING_TARGET``.
+    exponential censoring tuned to the censored fraction ``CENSORING_TARGET``:
+    its rate is the root of the expected censored fraction minus the target,
+    found in log space on [-40, 40] by the C core of
+    ``scipy.optimize.brentq`` (loaded by
+    :func:`netlsm._util.scipy_extension`, so :mod:`scipy.optimize` is never
+    imported), with brentq's default tolerances, bit for bit its root.
     With ``no_structure`` the pair-affinity matrix entries are randomly
     permuted, destroying the latent geometry while keeping the marginals.
     """

@@ -390,6 +390,20 @@ class TestEval:
             assert line.endswith(" stopped after 2 L-BFGS-B iteration(s): "
                                  "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
 
+    def test_a_tolerated_fit_is_named_under_a_note(self, eval_nets, tmp_path, capsys):
+        # unchecked, a run under --allow-nonconverged said nothing of its fits
+        argv = eval_nets + ["--methods", "raw,lsm", "--dim-grid", "1,2", "--max-iter", 2,
+                            "--restarts", 1]
+        assert run(argv + ["--out", tmp_path / "warned"]) == 1
+        warned = capsys.readouterr().err.splitlines()
+        assert run(argv + ["--out", tmp_path / "noted", "--allow-nonconverged"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: some fits did not converge (tolerated by --allow-nonconverged)",
+            *warned[1:],
+        ]
+        assert len(warned) == 3
+        assert read(tmp_path / "noted" / "eval.json") == read(tmp_path / "warned" / "eval.json")
+
     @pytest.mark.parametrize("args,message", [
         (["--methods", "lsm", "--dim-grid", "9"],
          "dimensions must lie in [1, 8] = [1, min(n_d, n_r)], got [9]"),
@@ -477,6 +491,23 @@ class TestPipelineCommand:
             "warning: not all fits converged (use --allow-nonconverged to tolerate)",
             "  seed 1: LSM fit",
         ]
+
+    def test_a_tolerated_seed_is_named_under_a_note(self, tmp_path, monkeypatch, capsys):
+        real = netlsm.cli.pipeline_end_to_end
+
+        def seed_1_stops_short(gen, *args, **kwargs):
+            return replace(real(gen, *args, **kwargs), lsm_converged=gen.seed != 1)
+
+        monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_stops_short)
+        out = tmp_path / "pipe"
+        assert run(["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
+                    "--restarts", 0, "--out", out, "--allow-nonconverged"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: some fits did not converge (tolerated by --allow-nonconverged)",
+            "  seed 1: LSM fit",
+        ]
+        assert [row["lsm_converged"] for row in
+                json.loads((out / "pipeline.json").read_text())["per_seed"]] == [True, False]
 
     def test_a_seed_that_raises_another_error_exits_2(self, tmp_path, monkeypatch, capsys):
         # only fit failures are recorded; any other error stops the study

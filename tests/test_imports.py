@@ -1,5 +1,6 @@
 """Every name a ``netlsm`` module imports is used in that module, only
-``_util`` imports :mod:`csv`, and no handler swallows every error.
+``_util`` imports :mod:`csv`, no handler swallows every error, and netlsm
+starts, and runs every command, without importing :mod:`scipy.optimize`.
 
 The check parses each module with :mod:`ast`: an imported name is used when a
 ``Name`` node (the head of any attribute chain) refers to it.  Exempt are the
@@ -12,6 +13,9 @@ recorded failure.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +138,53 @@ def test_catch_all_checker_flags_handlers_that_do_not_reraise():
         "    raise\n"
     )
     assert catch_all_handlers(source) == [3, 5, 7]
+
+
+def fresh_python(code):
+    """The stdout of ``code`` run in a new interpreter that imports this checkout's netlsm."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_netlsm_starts_without_scipy_optimize():
+    # the package would add ~19 MB and ~0.15 s to every process; a later
+    # import of it shares the compiled modules netlsm loaded
+    out = fresh_python(
+        "import sys\n"
+        "import netlsm.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize import _lbfgsb, _zeros\n"
+        "print(_lbfgsb is netlsm.model._lbfgsb is scipy.optimize._lbfgsb_py._lbfgsb)\n"
+        "print(_zeros is netlsm.survival._zeros is scipy.optimize._zeros_py._zeros)\n"
+        "print(abs(scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0) - 2.0 ** 0.5) < 1e-11)\n"
+    )
+    assert out.split() == ["False", "True", "True", "True"]
+
+
+def test_no_command_imports_scipy_optimize(tmp_path):
+    # every command, run in one process, loads only the two compiled modules
+    commands = [
+        ["simulate-network", "--n-d", "8", "--n-r", "8", "--seed", "5", "--out", "a"],
+        ["simulate-network", "--n-d", "8", "--n-r", "8", "--seed", "6", "--out", "b"],
+        ["fit", "--net", "a", "--restarts", "1", "--out", "fit"],
+        ["eval", "--train-net", "a", "--test-net", "b", "--out", "eval"],
+        ["table1", "--reps", "1", "--restarts", "0", "--out", "table1"],
+        ["simulate-transplants", "--n", "1000", "--seed", "0", "--out", "tx"],
+        ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--tune", "--out", "cox"],
+        ["pipeline", "--seeds", "1", "--n", "1000", "--min-count", "5", "--restarts", "0",
+         "--out", "pipe"],
+    ]
+    out = fresh_python(
+        "import os, sys\n"
+        "from netlsm.cli import main\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv + ['--allow-nonconverged']) == 0, argv\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    assert out.split() == ["scipy.optimize._lbfgsb", "scipy.optimize._zeros"]
+    assert all((tmp_path / argv[-1] / "manifest.json").is_file() for argv in commands)

@@ -24,6 +24,8 @@ from netlsm import (
 )
 from netlsm.model import (
     _BIG,
+    _STATUS_MESSAGES,
+    _TASK_MESSAGES,
     SE_FLOOR,
     _floored,
     _full_params,
@@ -910,6 +912,12 @@ def scipy_rows_match(objective, x0, res, options):
 
 
 ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+
+def test_stop_reasons_are_worded_from_scipy_s_tables():
+    # model keeps copies, since importing _lbfgsb_py imports scipy.optimize
+    assert _STATUS_MESSAGES == scipy.optimize._lbfgsb_py.status_messages
+    assert _TASK_MESSAGES == scipy.optimize._lbfgsb_py.task_messages
 
 
 def test_pipeline_fit_records_both_starts_at_the_iteration_limit():

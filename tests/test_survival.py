@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -734,6 +735,45 @@ class TestGenerator:
         assert np.array_equal(a_train.time, b_train.time)
         assert np.array_equal(a_test.covariates, b_test.covariates)
         assert np.array_equal(a_truth.eta, b_truth.eta)
+
+    @pytest.mark.parametrize("cfg", [
+        *(SurvivalGenConfig(seed=seed) for seed in range(10)),
+        SurvivalGenConfig(n_per_split=16000, n_donor_types=30, n_recipient_types=30, seed=0),
+    ], ids=[*(f"seed{seed}" for seed in range(10)), "16000-30x30"])
+    def test_censoring_root_is_brentq_s(self, cfg, monkeypatch):
+        # the C core, called directly, against scipy.optimize.brentq at its
+        # defaults, the public call it stands for
+        from scipy.optimize import brentq
+
+        def arrays(result):
+            train, test, truth = result
+            return [a.tobytes() for split in (train, test) for a in
+                    (split.covariates, split.donor_type, split.recipient_type, split.time,
+                     split.event)] + [truth.eta.tobytes(), truth.basic_coef.tobytes()]
+
+        ours = arrays(simulate_transplants(cfg))
+        brackets = []
+
+        def public(f, a, b, *tolerances):
+            brackets.append((a, b))
+            return brentq(f, a, b)
+
+        monkeypatch.setattr(netlsm.survival, "_zeros", SimpleNamespace(_brentq=public))
+        assert arrays(simulate_transplants(cfg)) == ours
+        assert brackets == [(-40.0, 40.0)] * 2
+
+    def test_a_censoring_bracket_without_a_sign_change_raises_brentq_s_error(self,
+                                                                            monkeypatch):
+        # no censoring rate reaches a censored fraction above 1
+        from scipy.optimize import brentq
+
+        monkeypatch.setattr(netlsm.survival, "CENSORING_TARGET", 1.5)
+        with pytest.raises(ValueError) as expected:
+            brentq(lambda x: -0.5, -40.0, 40.0)
+        with pytest.raises(ValueError) as raised:
+            simulate_transplants(SurvivalGenConfig(n_per_split=50, seed=0))
+        assert str(raised.value) == str(expected.value) == (
+            "f(a) and f(b) must have different signs")
 
     def test_censoring_fraction(self):
         train, test, _ = simulate_transplants(SurvivalGenConfig(seed=0))

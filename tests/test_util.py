@@ -1,5 +1,5 @@
-"""``_util``: ``read_csv``'s two paths, and ``map_units``' results and
-errors with one forked child.
+"""``_util``: ``read_csv``'s two paths, ``map_units``' results and errors
+with one forked child, and ``scipy_extension``'s one instance per module.
 
 ``read_csv`` must give, on any bytes, the result or the error of its ``csv``
 loop, ``_csv_rows``, which stays callable as the reference.
@@ -13,6 +13,7 @@ about it.
 import csv
 import dataclasses
 import os
+import sys
 import threading
 import time
 
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import netlsm._util
 from netlsm import save_network
-from netlsm._util import _csv_rows, _decoded, _workers, map_units, read_csv
+from netlsm._util import _csv_rows, _decoded, _workers, map_units, read_csv, scipy_extension
 from netlsm.network import load_network_dir
 from netlsm.simulate import SimConfig, simulate
 from netlsm.survival import SurvivalGenConfig, TransplantDataset, simulate_transplants
@@ -167,6 +168,19 @@ def test_a_second_thread_means_no_fork(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_a_scipy_extension_is_loaded_once_under_its_own_name(monkeypatch):
+    from scipy.optimize import _zeros
+
+    assert scipy_extension("_zeros") is _zeros
+    monkeypatch.delitem(sys.modules, "scipy.optimize._zeros")
+    fresh = scipy_extension("_zeros")
+    assert fresh.__name__ == "scipy.optimize._zeros" and fresh.__file__ == _zeros.__file__
+    assert sys.modules["scipy.optimize._zeros"] is fresh
+    assert scipy_extension("_zeros") is fresh
+    with pytest.raises(ImportError, match=r"no compiled module scipy\.optimize\._nothing in "):
+        scipy_extension("_nothing")
 
 
 class Fault(ValueError):
