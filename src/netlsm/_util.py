@@ -29,22 +29,24 @@ def substream(seed, *names):
 
 
 def scipy_extension(name):
-    """The compiled module ``scipy.optimize.<name>``, without importing
-    :mod:`scipy.optimize`.
+    """The compiled module ``scipy.<name>`` (e.g. ``"optimize._lbfgsb"``,
+    ``"linalg._flapack"``), without importing its package.
 
-    The package imports linprog, HiGHS, :mod:`scipy.fft`, :mod:`scipy.special`
-    and :mod:`scipy.spatial`, about 19 MB and 0.15 s of start-up that netlsm
-    has no use for: it calls only the C routines of ``_lbfgsb`` and
-    ``_zeros``.  The module already in :data:`sys.modules` under that name is
-    returned as it is.  Otherwise the extension file is loaded from SciPy's
-    ``optimize`` directory and registered under that name, so a later
-    ``import scipy.optimize`` shares this one instance.
+    :mod:`scipy.optimize` imports linprog, HiGHS, :mod:`scipy.fft`,
+    :mod:`scipy.special` and :mod:`scipy.spatial`; it and :mod:`scipy.linalg`
+    both import SciPy's array-API layer, which pulls in :mod:`numpy.testing`
+    and :mod:`unittest`.  netlsm calls only the C routines of ``_lbfgsb``,
+    ``_zeros`` and LAPACK's ``_flapack``, so it loads those alone.  The
+    module already in :data:`sys.modules` under that name is returned as it
+    is.  Otherwise the extension file is loaded from its package's directory
+    under SciPy's and registered under that name, so a later import of the
+    package shares this one instance.
     """
-    fullname = f"scipy.optimize.{name}"
+    fullname = f"scipy.{name}"
     module = sys.modules.get(fullname)
     if module is None:
         finder = importlib.machinery.FileFinder(
-            os.path.join(os.path.dirname(scipy.__file__), "optimize"),
+            os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[:-1]),
             (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
         spec = finder.find_spec(fullname)
         if spec is None:

@@ -203,6 +203,8 @@ def run_pipeline(cfg, out):
         except (FitError, ConvergenceError) as exc:  # any other error stops the study
             failures.append({"seed": seed, "error": str(exc)})
             continue
+        if not res.cox_converged:
+            stops.append(f"  seed {seed}: Cox fit at penalty {res.lambda_used}")
         if not res.lsm_converged:
             stops.append(f"  seed {seed}: LSM fit")
         per_seed.append({"seed": seed, **res.to_dict()})

@@ -38,11 +38,9 @@ one factorization.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from ._util import scipy_extension, substream
 from .mdsinit import mds_init
@@ -497,7 +495,8 @@ _MAXCOR = 20  # L-BFGS-B memory: the corrections each start keeps
 _MAXLS = 20  # line-search steps at most per L-BFGS-B iteration
 _MAXFUN = 15000  # evaluations per start, counted as scipy.optimize counts them
 _FG, _NEW_X, _STOP = 3, 1, 5  # setulb task codes: evaluate at x, an iterate ended, stop
-_lbfgsb = scipy_extension("_lbfgsb")  # L-BFGS-B's C core, without scipy.optimize
+_lbfgsb = scipy_extension("optimize._lbfgsb")  # L-BFGS-B's C core, without scipy.optimize
+_flapack = scipy_extension("linalg._flapack")  # LAPACK for the polish, without scipy.linalg
 # How scipy.optimize._lbfgsb_py words a setulb task (status, reason); copied,
 # as importing that module imports the whole package.
 _STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE", 5: "STOP",
@@ -649,9 +648,13 @@ def _polish(objective, x, j):
     step is then one solve with that factorization,
     ``(H - s Q Q^T) step = g - Q Q^T g``: the pseudo-inverse Newton step at
     ``x``, with the gauge directions projected out, applied to the gradient
-    at the current point.  Steps are accepted only if they shrink the
+    at the current point.  The factorization and the solves are LAPACK's
+    ``dgetrf`` and ``dgetrs`` from SciPy's compiled ``_flapack``, the calls
+    ``scipy.linalg.lu_factor`` and ``lu_solve`` make, without importing
+    :mod:`scipy.linalg`.  Steps are accepted only if they shrink the
     gradient norm; the first that does not ends the polish, and an exactly
-    singular or non-finite system leaves ``x`` as it is.
+    singular system (``dgetrf`` reports a zero pivot) or a non-finite one
+    leaves ``x`` as it is.
     """
     g = objective.at(x, j)[1]
     gnorm = np.max(np.abs(g))
@@ -662,15 +665,13 @@ def _polish(objective, x, j):
     h -= np.max(np.abs(np.diag(h))) * (q @ q.T)
     if not np.all(np.isfinite(h)):
         return x
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot, checked next
-        lu = lu_factor(h, check_finite=False)
-    if not np.all(np.diag(lu[0])):
+    lu, piv, info = _flapack.dgetrf(h)
+    if info > 0:  # U[info-1, info-1] is exactly zero
         return x
     for _ in range(_POLISH_STEPS):
         if gnorm == 0.0:
             break
-        x_new = x - lu_solve(lu, g - q @ (q.T @ g), check_finite=False)
+        x_new = x - _flapack.dgetrs(lu, piv, g - q @ (q.T @ g))[0]
         if not np.all(np.isfinite(x_new)):
             break
         g_new = objective.at(x_new, j)[1]

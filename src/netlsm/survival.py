@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, replace
 from itertools import compress
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._util import (FLOAT_FMT, _floats, map_units, parse_float, read_csv, scipy_extension,
                     substream, write_csv)
@@ -54,7 +53,7 @@ __all__ = [
 _COX_GRAD_TOL = 1e-8  # on the largest penalized score entry
 _COX_LL_ROUNDING = 16 * np.finfo(float).eps  # relative to |penalized ll|
 _COX_MAX_ITER = 100
-_zeros = scipy_extension("_zeros")  # brentq's C core, without scipy.optimize
+_zeros = scipy_extension("optimize._zeros")  # brentq's C core, without scipy.optimize
 # simulate_transplants's constants; its docstring says what each one sets
 TRUTH_STD = 0.25
 COVARIATE_COEF_STD = 0.5
@@ -242,12 +241,25 @@ def _column_set(p, codes, min_count):
                     for d, r in held(pairs, pair_code)])
 
 
+def _csr(*args, **kwargs):
+    """``scipy.sparse.csr_matrix(*args, **kwargs)``.
+
+    :mod:`scipy.sparse` is imported here, on the first Cox design, rather
+    than with this module: it and its array-API layer cost every process
+    about 20 MB and 0.1–0.2 s, and the network commands build no design.
+    """
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix(*args, **kwargs)
+
+
 def build_design(data, columns):
     """Sparse CSR design matrix for ``data`` using a fixed column set.
 
     A record has one entry per basic covariate, plus a 1 in its donor-type,
     recipient-type and pair column where the column set has one.  Type
-    labels are stored, and so matched, as strings.
+    labels are stored, and so matched, as strings.  The first design built
+    in a process imports :mod:`scipy.sparse`; importing this module does not.
     """
     return _design(data, _type_codes(data), columns)
 
@@ -271,7 +283,7 @@ def _design(data, codes, columns):
                             np.ones((n, 3))])
     rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
     keep = cols >= 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, len(columns)))
+    return _csr((vals[keep], (rows[keep], cols[keep])), shape=(n, len(columns)))
 
 
 def design_matrix(data, min_count):
@@ -303,8 +315,8 @@ def _rev_cumsum(a):
 class _RiskSets:
     """What :func:`_risk_set_stats` needs of the records, built once by :func:`_risk_sets`."""
 
-    x: sp.csr_matrix  # the design, (n, p)
-    xt: sp.csr_matrix  # its transpose, (p, n)
+    x: "scipy.sparse.csr_matrix"  # the design, (n, p)
+    xt: "scipy.sparse.csr_matrix"  # its transpose, (p, n)
     xt_event: np.ndarray  # x^T event, the score's first term
     events: np.ndarray  # indices of the records with an event
     seg: np.ndarray  # each record's segment; m (past the last) if before every event
@@ -322,7 +334,7 @@ def _risk_sets(x, time, event):
     and every :func:`_risk_set_stats` call reads it.  ``x`` is converted to
     CSR.
     """
-    x = sp.csr_matrix(x, dtype=float)
+    x = _csr(x, dtype=float)
     n, p = x.shape
     event_times = np.unique(time[event])
     m = event_times.size
@@ -371,8 +383,7 @@ def _risk_set_stats(risk_sets, w, need_hessian):
         a = np.zeros(m + 1)  # a[m] = 0: segment m is in no risk set
         np.cumsum(d / s0, out=a[:m])
         v = r * a[rs.seg]
-        vx = sp.csr_matrix((np.repeat(v, rs.counts) * x.data, x.indices, x.indptr),
-                           shape=x.shape)
+        vx = _csr((np.repeat(v, rs.counts) * x.data, x.indices, x.indptr), shape=x.shape)
         xbar *= np.sqrt(d)[:, None]  # the score has read xbar; the d_k events at T_k share it
         info = (rs.xt @ vx).toarray() - xbar.T @ xbar
     return ll, grad, info
@@ -410,7 +421,7 @@ def cox_fit(x, time, event, lam, columns=None):
     observed information at the optimum.  ``columns`` may carry the design
     metadata so the fitted model can be turned into a network.
     """
-    x = sp.csr_matrix(x, dtype=float)
+    x = _csr(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     check_penalty(lam)
@@ -482,7 +493,7 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
         raise ValueError("lambda_grid must be non-empty")
     for lam in lambda_grid:
         check_penalty(lam)
-    x = sp.csr_matrix(x, dtype=float)
+    x = _csr(x, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     n, p = x.shape
@@ -739,10 +750,12 @@ class PipelineResult:
     deltas: dict  # method -> c_refined - c_raw
     lambda_used: float
     lsm_converged: bool
+    cox_converged: bool  # left out of to_dict(), so pipeline.json keeps its bytes
 
     def to_dict(self):
         d = asdict(self)
         d["lambda"] = d.pop("lambda_used")
+        d.pop("cox_converged")
         return d
 
 
@@ -763,7 +776,9 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
     :func:`netlsm._util.map_units`: on two CPUs, the first method (``lsm``
     by default) runs here and the rest, then ``raw``, in one forked child.
     The result is the same either way, and an error is that of the first
-    failing method in ``methods``' order.
+    failing method in ``methods``' order.  ``lsm_converged`` and
+    ``cox_converged`` say whether the LSM refinement and the Cox fit
+    converged.
     """
     fit_config = fit_config or FitConfig(dim=gen_config.dim, restarts=1, seed=gen_config.seed)
     train, test, truth = simulate_transplants(gen_config)
@@ -789,4 +804,5 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
         deltas=deltas,
         lambda_used=float(lam),
         lsm_converged=lsm_converged,
+        cox_converged=model.converged,
     )

@@ -509,6 +509,24 @@ class TestPipelineCommand:
         assert [row["lsm_converged"] for row in
                 json.loads((out / "pipeline.json").read_text())["per_seed"]] == [True, False]
 
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_an_unconverged_cox_fit_is_named_with_its_seed(self, tmp_path, monkeypatch, capsys,
+                                                          allow):
+        # one Newton step leaves the seed's Cox fit short of its tolerance;
+        # pipeline.json records no Cox status, so only these lines tell
+        monkeypatch.setattr(netlsm.survival, "_COX_MAX_ITER", 1)
+        out = tmp_path / "pipe"
+        assert run(["pipeline", "--seeds", 1, "--seed", 3, "--n", 1000, "--min-count", 5,
+                    "--restarts", 0, "--out", out] + ["--allow-nonconverged"] * allow) == int(
+                        not allow)
+        assert capsys.readouterr().err.splitlines() == [
+            "note: some fits did not converge (tolerated by --allow-nonconverged)" if allow else
+            "warning: not all fits converged (use --allow-nonconverged to tolerate)",
+            "  seed 3: Cox fit at penalty 1.0",
+        ]
+        (row,) = json.loads((out / "pipeline.json").read_text())["per_seed"]
+        assert "cox_converged" not in row and row["lsm_converged"] is True
+
     def test_a_seed_that_raises_another_error_exits_2(self, tmp_path, monkeypatch, capsys):
         # only fit failures are recorded; any other error stops the study
         # before a file is written, however many seeds ran before it
@@ -654,14 +672,17 @@ def test_coxph_tune_checks_a_negative_lam(data_dir, tmp_path, capsys):
                     ({"seed": 0},), ({"seed": 1, "error": "diverged"},)),
     EvalReport(rmse=0.5, mean_log_prob=-1.2, sign_accuracy=0.75, n_pairs=4),
     PipelineResult(c_raw=0.6, c_refined={"lsm": 0.62}, deltas={"lsm": 0.02},
-                   lambda_used=1.0, lsm_converged=True),
+                   lambda_used=1.0, lsm_converged=True, cox_converged=False),
 ], ids=["ReplicateReport", "EvalReport", "PipelineResult"])
 def test_a_record_writes_every_field(record):
-    # pipeline.json has always called the ridge strength "lambda"
+    # pipeline.json has always called the ridge strength "lambda", and keeps
+    # its bytes without the Cox fit's status (the CLI names that fit instead)
     key = {"lambda_used": "lambda"}
+    unwritten = {"cox_converged"}
     d = record.to_dict()
-    assert sorted(d) == sorted(key.get(f.name, f.name) for f in fields(record))
-    for f in fields(record):
+    written = [f for f in fields(record) if f.name not in unwritten]
+    assert sorted(d) == sorted(key.get(f.name, f.name) for f in written)
+    for f in written:
         assert d[key.get(f.name, f.name)] == getattr(record, f.name)
 
 

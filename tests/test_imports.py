@@ -9,7 +9,8 @@ package re-exports in ``__init__.py`` and import statements marked
 transplant files share one reader, one float parser and one writer.  A
 handler that catches everything (bare, ``Exception`` or ``BaseException``)
 must re-raise, so that bad input surfaces as the error it is, not as a
-recorded failure.
+recorded failure.  A command loads :mod:`scipy.sparse` only if it builds a
+Cox design, and none loads :mod:`scipy.linalg`.
 """
 
 import ast
@@ -149,42 +150,63 @@ def fresh_python(code):
     return proc.stdout
 
 
+# Python layers of SciPy and numpy that no LSM command needs: scipy.optimize,
+# and what scipy.linalg and scipy.sparse share, the array-API layer and the
+# numpy.testing (unittest) it imports
+UNNEEDED = ["scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy._lib._array_api",
+            "numpy.testing"]
+
+
 def test_netlsm_starts_without_scipy_optimize():
-    # the package would add ~19 MB and ~0.15 s to every process; a later
-    # import of it shares the compiled modules netlsm loaded
+    # those packages would add ~45 MB and ~0.35 s to every process; a later
+    # import of them shares the compiled modules netlsm loaded
     out = fresh_python(
         "import sys\n"
         "import netlsm.cli\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        f"print(*[m in sys.modules for m in {UNNEEDED!r}])\n"
         "import scipy.optimize\n"
         "from scipy.optimize import _lbfgsb, _zeros\n"
         "print(_lbfgsb is netlsm.model._lbfgsb is scipy.optimize._lbfgsb_py._lbfgsb)\n"
         "print(_zeros is netlsm.survival._zeros is scipy.optimize._zeros_py._zeros)\n"
         "print(abs(scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0) - 2.0 ** 0.5) < 1e-11)\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack._flapack is netlsm.model._flapack)\n"
+        "print(scipy.linalg.lu_factor([[2.0, 1.0], [1.0, 3.0]])[1].tolist() == [0, 1])\n"
     )
-    assert out.split() == ["False", "True", "True", "True"]
+    assert out.split() == ["False"] * len(UNNEEDED) + ["True"] * 5
+
+
+# every command, run in order in one process, and the SciPy packages loaded
+# once it has run: the network commands build no Cox design, so they load
+# neither scipy.sparse nor scipy.linalg; the first Cox design (pipeline's)
+# loads scipy.sparse; nothing loads scipy.linalg or scipy.optimize, only the
+# compiled modules netlsm calls
+COMMANDS = [
+    (["simulate-network", "--n-d", "8", "--n-r", "8", "--seed", "5", "--out", "a"], []),
+    (["simulate-network", "--n-d", "8", "--n-r", "8", "--seed", "6", "--out", "b"], []),
+    (["fit", "--net", "a", "--restarts", "1", "--out", "fit"], []),
+    (["eval", "--train-net", "a", "--test-net", "b", "--out", "eval"], []),
+    (["table1", "--reps", "1", "--restarts", "0", "--out", "table1"], []),
+    (["simulate-transplants", "--n", "1000", "--seed", "0", "--out", "tx"], []),
+    (["pipeline", "--seeds", "1", "--n", "1000", "--min-count", "5", "--restarts", "0",
+      "--out", "pipe"], ["scipy.sparse"]),
+    (["coxph", "--data", "tx/train.csv", "--min-count", "5", "--tune", "--out", "cox"],
+     ["scipy.sparse"]),
+]
 
 
 def test_no_command_imports_scipy_optimize(tmp_path):
-    # every command, run in one process, loads only the two compiled modules
-    commands = [
-        ["simulate-network", "--n-d", "8", "--n-r", "8", "--seed", "5", "--out", "a"],
-        ["simulate-network", "--n-d", "8", "--n-r", "8", "--seed", "6", "--out", "b"],
-        ["fit", "--net", "a", "--restarts", "1", "--out", "fit"],
-        ["eval", "--train-net", "a", "--test-net", "b", "--out", "eval"],
-        ["table1", "--reps", "1", "--restarts", "0", "--out", "table1"],
-        ["simulate-transplants", "--n", "1000", "--seed", "0", "--out", "tx"],
-        ["coxph", "--data", "tx/train.csv", "--min-count", "5", "--tune", "--out", "cox"],
-        ["pipeline", "--seeds", "1", "--n", "1000", "--min-count", "5", "--restarts", "0",
-         "--out", "pipe"],
-    ]
     out = fresh_python(
         "import os, sys\n"
         "from netlsm.cli import main\n"
         f"os.chdir({str(tmp_path)!r})\n"
-        f"for argv in {commands!r}:\n"
+        f"for argv in {[argv for argv, _ in COMMANDS]!r}:\n"
         "    assert main(argv + ['--allow-nonconverged']) == 0, argv\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        "    print(argv[0], *[m for m in ['scipy.sparse', 'scipy.linalg'] if m in sys.modules],\n"
+        "          *sorted(m for m in sys.modules if m.startswith('scipy.optimize')), sep=',')\n"
     )
-    assert out.split() == ["scipy.optimize._lbfgsb", "scipy.optimize._zeros"]
-    assert all((tmp_path / argv[-1] / "manifest.json").is_file() for argv in commands)
+    assert [line.split(",") for line in out.splitlines()] == [
+        [argv[0], *packages, "scipy.optimize._lbfgsb", "scipy.optimize._zeros"]
+        for argv, packages in COMMANDS
+    ]
+    assert all((tmp_path / argv[-1] / "manifest.json").is_file() for argv, _ in COMMANDS)

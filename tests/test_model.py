@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 import scipy.optimize
 from scipy.stats import ortho_group
 
@@ -27,6 +27,7 @@ from netlsm.model import (
     _STATUS_MESSAGES,
     _TASK_MESSAGES,
     SE_FLOOR,
+    _flapack,
     _floored,
     _full_params,
     _Objective,
@@ -1101,14 +1102,18 @@ def zero_alpha_pivot(x):
     lambda x: np.full((x.size, x.size), np.nan),
 ], ids=["zero-pivot", "nan"])
 def test_polish_leaves_a_singular_or_non_finite_system_unsolved(monkeypatch, hessian):
-    # lu_factor only warns on an exactly singular matrix (np.linalg.solve
-    # raised), so the polish checks the pivots itself; no step is taken, the
-    # gradient is read once and no warning escapes
+    # dgetrf reports an exactly singular matrix only in its info (where
+    # np.linalg.solve raised and lu_factor warns), so the polish reads info
+    # itself; nothing is solved, no step is taken, the gradient is read once
+    # and no warning escapes
+    import netlsm.model
+
     rng = substream(8, "polish-zero-pivot")
     net = random_network(rng, 5, 4)
     objective = _Objective([net], 2)
     x = coupled(random_params(rng, 5, 4, 2))
     if hessian is zero_alpha_pivot:
+        assert _flapack.dgetrf(hessian(x))[2] > 0
         with pytest.warns(LinAlgWarning):
             lu_factor(hessian(x))
         with pytest.raises(np.linalg.LinAlgError):
@@ -1117,10 +1122,60 @@ def test_polish_leaves_a_singular_or_non_finite_system_unsolved(monkeypatch, hes
     at_calls = []
     at = objective.at
     monkeypatch.setattr(objective, "at", lambda x, j: at_calls.append(1) or at(x, j))
+    solves = []
+    monkeypatch.setattr(netlsm.model, "_flapack", SimpleNamespace(
+        dgetrf=_flapack.dgetrf, dgetrs=lambda *a: solves.append(1) or _flapack.dgetrs(*a)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(_polish(objective, x, 0), x)
-    assert len(at_calls) == 1
+    assert len(at_calls) == 1 and solves == []
+
+
+def polish_system(n):
+    """A system ``(H - s Q Q^T, g - Q Q^T g)`` of size n as the polish builds
+    it: H random and symmetric, but at n = 81 the Hessian of a 20x20 network
+    in two dimensions (40 positions and alpha) at its classical-scaling start."""
+    rng = substream(n, "polish-lapack")
+    if n != 81:
+        a = rng.standard_normal((n, n))
+        h, q = -(a @ a.T) / n, np.linalg.qr(rng.standard_normal((n, 3)))[0]
+    else:
+        net = simulate(SimConfig(n_d=20, n_r=20, seed=3)).observed
+        objective = _Objective([net], 2)
+        x = _start_points(net, FitConfig(dim=2, restarts=0, seed=3))[0]
+        h, q = objective.hessian(x, 0), objective.gauge_basis(x)
+    h -= np.max(np.abs(np.diag(h))) * (q @ q.T)
+    g = rng.standard_normal(n)
+    return h, g - q @ (q.T @ g)
+
+
+@pytest.mark.parametrize("n", [10, 33, 81, 128, 250])
+def test_the_polish_s_lapack_calls_are_lu_factor_s_and_lu_solve_s(n):
+    # dgetrf and dgetrs as the polish calls them give the bytes that
+    # scipy.linalg.lu_factor and lu_solve give, as the polish called them
+    h, rhs = polish_system(n)
+    lu, piv, info = _flapack.dgetrf(h)
+    ref_lu, ref_piv = lu_factor(h, check_finite=False)
+    assert info == 0
+    assert lu.dtype == ref_lu.dtype and lu.shape == ref_lu.shape
+    assert lu.tobytes() == ref_lu.tobytes()
+    assert piv.dtype == ref_piv.dtype and piv.tobytes() == ref_piv.tobytes()
+    step = _flapack.dgetrs(lu, piv, rhs)[0]
+    ref_step = lu_solve((ref_lu, ref_piv), rhs, check_finite=False)
+    assert step.dtype == ref_step.dtype and step.tobytes() == ref_step.tobytes()
+    assert np.array_equal(h, polish_system(n)[0])  # neither call wrote to h
+
+
+@pytest.mark.parametrize("matrix", ["zero-pivot", "regular"])
+def test_dgetrf_reports_a_zero_pivot_exactly_when_lu_factor_warns(matrix):
+    x = np.zeros(11)
+    h = zero_alpha_pivot(x) if matrix == "zero-pivot" else -np.eye(x.size)
+    info = _flapack.dgetrf(h)[2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lu_factor(h)
+    warned = any(issubclass(w.category, LinAlgWarning) for w in caught)
+    assert (info > 0) == warned == (matrix == "zero-pivot")
 
 
 def test_polish_factors_the_hessian_once(monkeypatch):

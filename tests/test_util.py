@@ -173,14 +173,24 @@ def test_a_second_thread_means_no_fork(monkeypatch):
 def test_a_scipy_extension_is_loaded_once_under_its_own_name(monkeypatch):
     from scipy.optimize import _zeros
 
-    assert scipy_extension("_zeros") is _zeros
+    assert scipy_extension("optimize._zeros") is _zeros
     monkeypatch.delitem(sys.modules, "scipy.optimize._zeros")
-    fresh = scipy_extension("_zeros")
+    fresh = scipy_extension("optimize._zeros")
     assert fresh.__name__ == "scipy.optimize._zeros" and fresh.__file__ == _zeros.__file__
     assert sys.modules["scipy.optimize._zeros"] is fresh
-    assert scipy_extension("_zeros") is fresh
+    assert scipy_extension("optimize._zeros") is fresh
     with pytest.raises(ImportError, match=r"no compiled module scipy\.optimize\._nothing in "):
-        scipy_extension("_nothing")
+        scipy_extension("optimize._nothing")
+    # the module's package directory comes from its dotted name
+    from scipy.linalg import _flapack
+
+    assert scipy_extension("linalg._flapack") is _flapack
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    fresh = scipy_extension("linalg._flapack")
+    assert fresh.__name__ == "scipy.linalg._flapack" and fresh.__file__ == _flapack.__file__
+    assert sys.modules["scipy.linalg._flapack"] is fresh
+    with pytest.raises(ImportError, match=r"no compiled module scipy\.linalg\._zeros in "):
+        scipy_extension("linalg._zeros")
 
 
 class Fault(ValueError):
