@@ -125,10 +125,7 @@ def _evaluate(cfg, net_key, methods, dims):
     for e in evaluations:
         for dim, r in e.fits.items():
             if not r.converged:
-                start = r.restarts[r.restart_index]
-                stops.append(f"  {e.method} at dim {dim}: winning start {r.restart_index} "
-                             f"({start.kind}) stopped after {start.iterations} L-BFGS-B "
-                             f"iteration(s): {start.stop}")
+                stops.append(f"  {e.method} at dim {dim}: {r.stop_summary()}")
     return evaluations, stops
 
 
@@ -180,7 +177,7 @@ def run_coxph(cfg, out):
     # the network first: a label it cannot write stops coxph before any file is written
     files = save_network(extract_network(model), os.path.join(out, "network"))
     dump_json(model.to_dict(), os.path.join(out, "coxph.json"))
-    stops = [] if model.converged else [f"  Cox fit at penalty {lam}"]
+    stops = [] if model.converged else [f"  Cox fit at penalty {lam}: {model.newton}"]
     return ["coxph.json"] + [f"network/{f}" for f in files], stops, False
 
 
@@ -204,9 +201,9 @@ def run_pipeline(cfg, out):
             failures.append({"seed": seed, "error": str(exc)})
             continue
         if not res.cox_converged:
-            stops.append(f"  seed {seed}: Cox fit at penalty {res.lambda_used}")
+            stops.append(f"  seed {seed}: Cox fit at penalty {res.lambda_used}: {res.cox_newton}")
         if not res.lsm_converged:
-            stops.append(f"  seed {seed}: LSM fit")
+            stops.append(f"  seed {seed}: LSM fit at dim {cfg['dim']}: {res.lsm_stop}")
         per_seed.append({"seed": seed, **res.to_dict()})
     methods = sorted(per_seed[0]["deltas"]) if per_seed else []
     aggregate = {
@@ -224,10 +221,10 @@ def run_pipeline(cfg, out):
 
 
 # Each runner writes its artifacts and returns (artifacts, stops, failed):
-# ``stops`` names each fit that did not converge (fit and eval also say why),
-# one line each, printed under the warning that says so; ``failed`` says that
-# a seed or replicate raised (its error is recorded in the artifacts), which
-# exits 1 whatever --allow-nonconverged says.
+# ``stops`` names each fit that did not converge (all but table1 also say how
+# it ended), one line each, printed under the warning that says so;
+# ``failed`` says that a seed or replicate raised (its error is recorded in
+# the artifacts), which exits 1 whatever --allow-nonconverged says.
 _RUNNERS = {
     "simulate-network": run_simulate_network,
     "simulate-transplants": run_simulate_transplants,

@@ -172,6 +172,13 @@ class FitResult:
         d["converged"] = self.converged
         return d
 
+    def stop_summary(self):
+        """How the winning start ended, e.g. ``"winning start 1 (random) stopped
+        after 500 L-BFGS-B iteration(s): STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"``."""
+        start = self.restarts[self.restart_index]
+        return (f"winning start {self.restart_index} ({start.kind}) stopped after "
+                f"{start.iterations} L-BFGS-B iteration(s): {start.stop}")
+
 
 @dataclass(frozen=True)
 class RefinedEstimates:

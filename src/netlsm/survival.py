@@ -9,14 +9,17 @@ negated refined estimates back into the CoxPH coefficient vector; compare
 test-set concordance before and after.
 
 The survival kernels scale with the number of records and nonzeros.  The
-design is a sparse CSR matrix (basic covariates plus at most three one-hot
-entries per record), and the Cox risk-set sums run over event-time segments
-on it.  The concordance index is sort-based, O(n log^2 n), with exact
-integer counts.
+design is a :class:`Design`, a compressed sparse row matrix (basic
+covariates plus at most three one-hot entries per record), and the Cox
+risk-set sums run over event-time segments on it.  Its products,
+transpose and dense form are the compiled ``_sparsetools`` kernels that
+:mod:`scipy.sparse` runs for them, called directly, so the results are
+bit for bit those of :mod:`scipy.sparse`, which is never imported.  The
+concordance index is sort-based, O(n log^2 n), with exact integer counts.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import compress
 
 import numpy as np
@@ -35,6 +38,8 @@ __all__ = [
     "TransplantDataset",
     "CoxModel",
     "ConvergenceError",
+    "Design",
+    "NewtonReport",
     "design_matrix",
     "build_design",
     "breslow_loglik",
@@ -54,6 +59,8 @@ _COX_GRAD_TOL = 1e-8  # on the largest penalized score entry
 _COX_LL_ROUNDING = 16 * np.finfo(float).eps  # relative to |penalized ll|
 _COX_MAX_ITER = 100
 _zeros = scipy_extension("optimize._zeros")  # brentq's C core, without scipy.optimize
+# scipy.sparse's compiled CSR kernels, without scipy.sparse
+_sparsetools = scipy_extension("sparse._sparsetools")
 # simulate_transplants's constants; its docstring says what each one sets
 TRUTH_STD = 0.25
 COVARIATE_COEF_STD = 0.5
@@ -182,12 +189,27 @@ class Column:
 
 
 @dataclass(frozen=True)
+class NewtonReport:
+    """How a Cox fit's Newton loop ended: its accepted steps, its step
+    halvings over all steps, and the largest penalized score entry, in
+    absolute value, at its last iterate."""
+
+    steps: int
+    halvings: int
+    max_score: float
+
+    def __str__(self):
+        return f"{self.steps} steps, {self.halvings} halvings, max |score| {self.max_score:.2g}"
+
+
+@dataclass(frozen=True)
 class CoxModel:
     coefficients: np.ndarray
     std_errors: np.ndarray
     penalty: float
     columns: tuple
     converged: bool
+    newton: NewtonReport = field(default=None, compare=False)  # not in to_dict() or ==
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
@@ -241,25 +263,114 @@ def _column_set(p, codes, min_count):
                     for d, r in held(pairs, pair_code)])
 
 
-def _csr(*args, **kwargs):
-    """``scipy.sparse.csr_matrix(*args, **kwargs)``.
+@dataclass(frozen=True, eq=False)
+class Design:
+    """A design matrix in compressed sparse row (CSR) form.
 
-    :mod:`scipy.sparse` is imported here, on the first Cox design, rather
-    than with this module: it and its array-API layer cost every process
-    about 20 MB and 0.1–0.2 s, and the network commands build no design.
+    Row ``i`` holds the entries ``data[indptr[i]:indptr[i + 1]]`` in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``.  ``data`` is stored as
+    float64 and both index arrays as ``np.intp``: the compiled
+    ``_sparsetools`` kernels that read a design take one index dtype per
+    call.  They do not check bounds, so the arrays are checked here.
     """
-    import scipy.sparse
 
-    return scipy.sparse.csr_matrix(*args, **kwargs)
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=float)
+        indices = np.asarray(self.indices, dtype=np.intp)
+        indptr = np.asarray(self.indptr, dtype=np.intp)
+        n, p = shape = tuple(int(k) for k in self.shape)
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+                or data.shape != indices.shape or indices.shape != (indptr[-1],)
+                or indices.size and not 0 <= indices.min() <= indices.max() < p):
+            raise ValueError(f"not a CSR matrix of shape {shape}")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "shape", shape)
+
+    def toarray(self):
+        """The dense (n, p) array, by ``csr_todense``."""
+        out = np.zeros(self.shape)
+        _sparsetools.csr_todense(*self.shape, self.indptr, self.indices, self.data, out)
+        return out
+
+    def __matmul__(self, w):
+        """``x @ w`` for a vector ``w`` with one entry per column, by ``csr_matvec``."""
+        w = np.asarray(w, dtype=float)
+        n, p = self.shape
+        if w.shape != (p,):
+            raise ValueError(f"a design of shape {self.shape} times a vector of shape {w.shape}")
+        out = np.zeros(n)
+        _sparsetools.csr_matvec(n, p, self.indptr, self.indices, self.data, w, out)
+        return out
+
+
+def _as_design(x):
+    """``x`` as a :class:`Design`, holding the entries, in their order, of
+    ``scipy.sparse.csr_matrix(x, dtype=float)``.
+
+    A :class:`Design` is returned as it is.  Anything with ``.tocsr()`` (a
+    SciPy sparse matrix or array) is read through the arrays of its CSR
+    form, so a CSR's unsorted or duplicate entries are kept, a COO's
+    duplicates are summed, and :mod:`scipy.sparse` is imported only by
+    whoever made ``x``.  Anything else is read as a dense array: its nonzero
+    entries, row by row.
+    """
+    if isinstance(x, Design):
+        return x
+    if hasattr(x, "tocsr"):
+        x = x.tocsr()
+        return Design(x.data, x.indices, x.indptr, x.shape)
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    rows, cols = a.nonzero()
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(a, axis=1), out=indptr[1:])
+    return Design(a[rows, cols], cols, indptr, a.shape)
+
+
+def _take_rows(x, rows):
+    """``x[rows]`` of a CSR matrix: the entries of each row in ``rows``, in order."""
+    counts = np.diff(x.indptr)[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    at = np.repeat(x.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+    return Design(x.data[at], x.indices[at], indptr, (rows.size, x.shape[1]))
+
+
+def _take_columns(x, mask):
+    """``x[:, mask]`` of a CSR matrix for a boolean ``mask`` over its columns:
+    the entries in the kept columns, in order, their columns renumbered."""
+    keep = mask[x.indices]
+    kept = np.zeros(keep.size + 1, dtype=np.intp)  # kept entries before each entry
+    np.cumsum(keep, out=kept[1:])
+    renumber = np.cumsum(mask) - 1
+    return Design(x.data[keep], renumber[x.indices[keep]], kept[x.indptr],
+                  (x.shape[0], np.count_nonzero(mask)))
+
+
+def _transpose(x):
+    """``x.T.tocsr()`` of a CSR matrix, by ``csr_tocsc``: the (p, n)
+    transpose, each row's entries in increasing column order."""
+    n, p = x.shape
+    indptr = np.empty(p + 1, dtype=np.intp)
+    indices = np.empty(x.indices.size, dtype=np.intp)
+    data = np.empty(x.data.size)
+    _sparsetools.csr_tocsc(n, p, x.indptr, x.indices, x.data, indptr, indices, data)
+    return Design(data, indices, indptr, (p, n))
 
 
 def build_design(data, columns):
-    """Sparse CSR design matrix for ``data`` using a fixed column set.
+    """The :class:`Design` of ``data`` on a fixed column set.
 
     A record has one entry per basic covariate, plus a 1 in its donor-type,
-    recipient-type and pair column where the column set has one.  Type
-    labels are stored, and so matched, as strings.  The first design built
-    in a process imports :mod:`scipy.sparse`; importing this module does not.
+    recipient-type and pair column where the column set has one, in
+    increasing column order.  Type labels are stored, and so matched, as
+    strings.
     """
     return _design(data, _type_codes(data), columns)
 
@@ -281,13 +392,16 @@ def _design(data, codes, columns):
                             pair_col[pair_code]])
     vals = np.column_stack([data.covariates[:, [int(columns[k].name[1:]) - 1 for k in basic]],
                             np.ones((n, 3))])
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    order = np.argsort(cols, axis=1, kind="stable")  # a no-op on _column_set's order
+    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
     keep = cols >= 0
-    return _csr((vals[keep], (rows[keep], cols[keep])), shape=(n, len(columns)))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return Design(vals[keep], cols[keep], indptr, (n, len(columns)))
 
 
 def design_matrix(data, min_count):
-    """Expanded sparse CSR design matrix plus column metadata.
+    """The expanded :class:`Design` plus its column metadata.
 
     Appends one-hot donor-type, recipient-type, and pair-indicator columns to
     the basic covariates, dropping type/pair columns supported by fewer than
@@ -301,7 +415,7 @@ def design_matrix(data, min_count):
 
 
 def _nonzero_columns(x):
-    """Mask of the columns of a CSR matrix that hold a nonzero entry."""
+    """Mask of the columns of a :class:`Design` that hold a nonzero entry."""
     return np.bincount(x.indices[x.data != 0], minlength=x.shape[1]) > 0
 
 
@@ -315,8 +429,9 @@ def _rev_cumsum(a):
 class _RiskSets:
     """What :func:`_risk_set_stats` needs of the records, built once by :func:`_risk_sets`."""
 
-    x: "scipy.sparse.csr_matrix"  # the design, (n, p)
-    xt: "scipy.sparse.csr_matrix"  # its transpose, (p, n)
+    x: Design  # the design, (n, p)
+    xt: Design  # its transpose, (p, n)
+    gram_nnz: int  # entries of xt @ x, whose pattern every weighted Gram xt @ diag(v) x shares
     xt_event: np.ndarray  # x^T event, the score's first term
     events: np.ndarray  # indices of the records with an event
     seg: np.ndarray  # each record's segment; m (past the last) if before every event
@@ -331,21 +446,28 @@ def _risk_sets(x, time, event):
     Segment k holds the records with ``T_k <= time < T_{k+1}`` over the
     sorted distinct event times T, so the risk set of T_k is segments k, k+1,
     ...  Nothing here depends on the coefficients, so a fit builds it once
-    and every :func:`_risk_set_stats` call reads it.  ``x`` is converted to
-    CSR.
+    and every :func:`_risk_set_stats` call reads it: that includes the
+    symbolic pass of the information's sparse product (``csr_matmat_maxnnz``),
+    whose pattern depends on the design alone.  ``x`` goes through
+    :func:`_as_design`.
     """
-    x = _csr(x, dtype=float)
+    x = _as_design(x)
     n, p = x.shape
     event_times = np.unique(time[event])
     m = event_times.size
     seg = np.searchsorted(event_times, time, side="right") - 1
     seg[seg < 0] = m  # before every event: in no risk set
-    counts = np.diff(x.indptr).astype(np.intp)
+    counts = np.diff(x.indptr)
     bins = np.repeat(seg, counts) * p + x.indices  # bin m * p + column: before every event
+    xt = _transpose(x)
+    xt_event = np.zeros(p)  # x.T @ event, by the kernel scipy.sparse runs for it
+    _sparsetools.csc_matvec(p, n, x.indptr, x.indices, x.data, event.astype(float), xt_event)
     return _RiskSets(
         x=x,
-        xt=x.T.tocsr(),
-        xt_event=x.T @ event.astype(float),
+        xt=xt,
+        gram_nnz=_sparsetools.csr_matmat_maxnnz(p, p, xt.indptr, xt.indices, x.indptr,
+                                                x.indices),
+        xt_event=xt_event,
         events=np.flatnonzero(event),
         seg=seg,
         d=np.bincount(seg[event], minlength=m),  # tied events share their risk set
@@ -363,7 +485,7 @@ def _risk_set_stats(risk_sets, w, need_hessian):
     sums over the segments, taken in place, give every risk-set sum.  The
     information's Sum_e S2_e/S0_e term collapses to a single weighted Gram
     matrix via Sum_e S2_e/S0_e = Sum_j r_j a_j x_j x_j^T with
-    a_j = Sum_{events e with t_e <= t_j} 1/S0_e.
+    a_j = Sum_{events e with t_e <= t_j} 1/S0_e (see :func:`_gram`).
     """
     rs = risk_sets
     x, d = rs.x, rs.d
@@ -383,10 +505,23 @@ def _risk_set_stats(risk_sets, w, need_hessian):
         a = np.zeros(m + 1)  # a[m] = 0: segment m is in no risk set
         np.cumsum(d / s0, out=a[:m])
         v = r * a[rs.seg]
-        vx = _csr((np.repeat(v, rs.counts) * x.data, x.indices, x.indptr), shape=x.shape)
         xbar *= np.sqrt(d)[:, None]  # the score has read xbar; the d_k events at T_k share it
-        info = (rs.xt @ vx).toarray() - xbar.T @ xbar
+        info = _gram(rs, np.repeat(v, rs.counts) * x.data) - xbar.T @ xbar
     return ll, grad, info
+
+
+def _gram(risk_sets, data):
+    """``(xt @ vx).toarray()``, ``vx`` being the design with the entries
+    ``data``, as :mod:`scipy.sparse` forms it: ``csr_matmat`` into the
+    pattern that :func:`_risk_sets` sized, then ``csr_todense``."""
+    xt, x, nnz = risk_sets.xt, risk_sets.x, risk_sets.gram_nnz
+    p = xt.shape[0]
+    indptr, indices, product = np.empty(p + 1, np.intp), np.empty(nnz, np.intp), np.empty(nnz)
+    _sparsetools.csr_matmat(p, p, xt.indptr, xt.indices, xt.data, x.indptr, x.indices, data,
+                            indptr, indices, product)
+    out = np.zeros((p, p))
+    _sparsetools.csr_todense(p, p, indptr, indices, product, out)
+    return out
 
 
 def breslow_loglik(x, time, event, w):
@@ -406,9 +541,10 @@ def check_penalty(lam):
 def cox_fit(x, time, event, lam, columns=None):
     """Newton maximization of the ridge-penalized Breslow partial likelihood.
 
-    ``x`` is converted to CSR and its :func:`_risk_sets` are built once; each
-    Newton step then runs :func:`_risk_set_stats` on them, which does only
-    the work that depends on the coefficients.  The fit has converged when
+    ``x`` (a :class:`Design`, a dense array, or a SciPy sparse matrix; see
+    :func:`_as_design`) has its :func:`_risk_sets` built once; each Newton
+    step then runs :func:`_risk_set_stats` on them, which does only the work
+    that depends on the coefficients.  The fit has converged when
     the largest penalized score entry is at most 1e-8 in absolute value,
     within 100 iterations.  A step is halved until the penalized ll falls by
     at most 1e-12, or by at most its own rounding (``16 * eps * |ll|``)
@@ -419,15 +555,16 @@ def cox_fit(x, time, event, lam, columns=None):
     raises ``ValueError``.
     Standard errors are square roots of the diagonal of the inverse penalized
     observed information at the optimum.  ``columns`` may carry the design
-    metadata so the fitted model can be turned into a network.
+    metadata so the fitted model can be turned into a network.  The model's
+    ``newton`` (:class:`NewtonReport`) says how the Newton loop ended.
     """
-    x = _csr(x, dtype=float)
+    x = _as_design(x)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     check_penalty(lam)
     if not _nonzero_columns(x).all():
         raise ValueError("design matrix has an all-zero column")
-    w, h, converged = _newton_fit(_risk_sets(x, time, event), x.shape[1], lam)
+    w, h, converged, newton = _newton_fit(_risk_sets(x, time, event), x.shape[1], lam)
     try:
         se = np.sqrt(np.clip(np.diag(np.linalg.inv(h)), 0.0, None))
     except np.linalg.LinAlgError as exc:
@@ -436,12 +573,14 @@ def cox_fit(x, time, event, lam, columns=None):
     if columns is None:
         columns = tuple(Column("basic", f"x{k + 1}") for k in range(w.size))
     return CoxModel(coefficients=w, std_errors=se, penalty=float(lam),
-                    columns=columns, converged=converged)
+                    columns=columns, converged=converged, newton=newton)
 
 
 def _newton_fit(risk_sets, p, lam):
-    """:func:`cox_fit`'s Newton loop on checked inputs: ``(w, info + lam I at w, converged)``."""
+    """:func:`cox_fit`'s Newton loop on checked inputs:
+    ``(w, info + lam I at w, converged, NewtonReport)``."""
     w = np.zeros(p)
+    steps = halvings = 0
     ll, grad, info = _risk_set_stats(risk_sets, w, need_hessian=True)
     ll_pen = ll - 0.5 * lam * w @ w
     for _ in range(_COX_MAX_ITER):
@@ -468,11 +607,14 @@ def _newton_fit(risk_sets, p, lam):
             ):
                 break
             scale *= 0.5
+            halvings += 1
         else:
             break  # no improving step; report current iterate
         w, ll_pen, grad, info = w_new, ll_pen_new, grad_new, info_new
-    converged = bool(np.max(np.abs(grad - lam * w)) <= _COX_GRAD_TOL)
-    return w, info + lam * np.eye(p), converged
+        steps += 1
+    max_score = float(np.max(np.abs(grad - lam * w)))
+    return (w, info + lam * np.eye(p), max_score <= _COX_GRAD_TOL,
+            NewtonReport(steps, halvings, max_score))
 
 
 def tune_lambda(x, time, event, lambda_grid, seed=0):
@@ -493,7 +635,7 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
         raise ValueError("lambda_grid must be non-empty")
     for lam in lambda_grid:
         check_penalty(lam)
-    x = _csr(x, dtype=float)
+    x = _as_design(x)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     n, p = x.shape
@@ -507,9 +649,10 @@ def tune_lambda(x, time, event, lambda_grid, seed=0):
         raise ValueError("could not draw folds containing events")
     folds = []  # per direction: the fit fold's columns and risk sets, the scoring fold's
     for tr, va in ((fold_a, fold_b), (fold_b, fold_a)):
-        present = _nonzero_columns(x[tr])
-        folds.append((present, _risk_sets(x[tr][:, present], time[tr], event[tr]),
-                      _risk_sets(x[va], time[va], event[va])))
+        x_tr = _take_rows(x, tr)
+        present = _nonzero_columns(x_tr)
+        folds.append((present, _risk_sets(_take_columns(x_tr, present), time[tr], event[tr]),
+                      _risk_sets(_take_rows(x, va), time[va], event[va])))
     best_lam, best_score = None, -np.inf
     for lam in lambda_grid:
         score = 0.0
@@ -750,12 +893,16 @@ class PipelineResult:
     deltas: dict  # method -> c_refined - c_raw
     lambda_used: float
     lsm_converged: bool
-    cox_converged: bool  # left out of to_dict(), so pipeline.json keeps its bytes
+    # left out of to_dict(), so pipeline.json keeps its bytes
+    cox_converged: bool
+    cox_newton: NewtonReport  # how the Cox fit's Newton loop ended
+    lsm_stop: str  # the LSM fit's FitResult.stop_summary(); None if no LSM fit ran
 
     def to_dict(self):
         d = asdict(self)
         d["lambda"] = d.pop("lambda_used")
-        d.pop("cox_converged")
+        for name in ("cox_converged", "cox_newton", "lsm_stop"):
+            d.pop(name)
         return d
 
 
@@ -778,7 +925,7 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
     The result is the same either way, and an error is that of the first
     failing method in ``methods``' order.  ``lsm_converged`` and
     ``cox_converged`` say whether the LSM refinement and the Cox fit
-    converged.
+    converged, and ``lsm_stop`` and ``cox_newton`` how each one ended.
     """
     fit_config = fit_config or FitConfig(dim=gen_config.dim, restarts=1, seed=gen_config.seed)
     train, test, truth = simulate_transplants(gen_config)
@@ -791,12 +938,13 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
         refined, result = refine(net, method, fit_config.dim, fit_config)
         sub = substitute_coefficients(model, refined)
         c = c_index(x_test @ sub.coefficients, test.time, test.event)
-        return c, None if result is None else result.converged
+        return c, None if result is None else (result.converged, result.stop_summary())
 
     outcomes = map_units(unit, [*methods, "raw"])
     c_raw = outcomes.pop()[0]
     c_ref = {m: c for m, (c, _) in zip(methods, outcomes)}
-    lsm_converged = next((ok for _, ok in reversed(outcomes) if ok is not None), True)
+    lsm_converged, lsm_stop = next((lsm for _, lsm in reversed(outcomes) if lsm is not None),
+                                   (True, None))
     deltas = {m: c_ref[m] - c_raw for m in c_ref}
     return PipelineResult(
         c_raw=c_raw,
@@ -805,4 +953,6 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
         lambda_used=float(lam),
         lsm_converged=lsm_converged,
         cox_converged=model.converged,
+        cox_newton=model.newton,
+        lsm_stop=lsm_stop,
     )

@@ -16,7 +16,7 @@ from netlsm.metrics import EvalReport
 from netlsm.model import FitConfig, FitError, fit
 from netlsm.network import load_network_dir
 from netlsm.simulate import ReplicateReport
-from netlsm.survival import ConvergenceError, PipelineResult, TransplantDataset
+from netlsm.survival import ConvergenceError, NewtonReport, PipelineResult, TransplantDataset
 
 
 def read(path):
@@ -235,9 +235,14 @@ class TestTransplantsAndCox:
         out = tmp_path / "cox"
         assert run(["coxph", "--data", data_dir / "train.csv", "--lam", 0.5,
                     "--out", out]) == 1
+        data = TransplantDataset.from_csv(data_dir / "train.csv")
+        x, columns = netlsm.survival.design_matrix(data, 10)
+        newton = netlsm.survival.cox_fit(x, data.time, data.event, 0.5, columns=columns).newton
+        assert newton.steps == 1 and newton.max_score > 1e-8
         assert capsys.readouterr().err.splitlines() == [
             "warning: not all fits converged (use --allow-nonconverged to tolerate)",
-            "  Cox fit at penalty 0.5",
+            f"  Cox fit at penalty 0.5: 1 steps, {newton.halvings} halvings, "
+            f"max |score| {newton.max_score:.2g}",
         ]
         assert json.loads((out / "coxph.json").read_text())["converged"] is False
 
@@ -479,24 +484,29 @@ class TestPipelineCommand:
     def test_an_unconverged_seed_is_named(self, tmp_path, monkeypatch, capsys):
         # seed 0's LSM fit is made to converge, seed 1's not
         real = netlsm.cli.pipeline_end_to_end
+        results = {}
 
         def seed_1_stops_short(gen, *args, **kwargs):
-            return replace(real(gen, *args, **kwargs), lsm_converged=gen.seed != 1)
+            results[gen.seed] = real(gen, *args, **kwargs)
+            return replace(results[gen.seed], lsm_converged=gen.seed != 1)
 
         monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_stops_short)
         out = tmp_path / "pipe"
         assert run(["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
                     "--restarts", 0, "--out", out]) == 1
+        assert results[1].lsm_stop.startswith("winning start 0 (mds) stopped after ")
         assert capsys.readouterr().err.splitlines() == [
             "warning: not all fits converged (use --allow-nonconverged to tolerate)",
-            "  seed 1: LSM fit",
+            f"  seed 1: LSM fit at dim 2: {results[1].lsm_stop}",
         ]
 
     def test_a_tolerated_seed_is_named_under_a_note(self, tmp_path, monkeypatch, capsys):
         real = netlsm.cli.pipeline_end_to_end
+        results = {}
 
         def seed_1_stops_short(gen, *args, **kwargs):
-            return replace(real(gen, *args, **kwargs), lsm_converged=gen.seed != 1)
+            results[gen.seed] = real(gen, *args, **kwargs)
+            return replace(results[gen.seed], lsm_converged=gen.seed != 1)
 
         monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_stops_short)
         out = tmp_path / "pipe"
@@ -504,7 +514,7 @@ class TestPipelineCommand:
                     "--restarts", 0, "--out", out, "--allow-nonconverged"]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "note: some fits did not converge (tolerated by --allow-nonconverged)",
-            "  seed 1: LSM fit",
+            f"  seed 1: LSM fit at dim 2: {results[1].lsm_stop}",
         ]
         assert [row["lsm_converged"] for row in
                 json.loads((out / "pipeline.json").read_text())["per_seed"]] == [True, False]
@@ -515,17 +525,40 @@ class TestPipelineCommand:
         # one Newton step leaves the seed's Cox fit short of its tolerance;
         # pipeline.json records no Cox status, so only these lines tell
         monkeypatch.setattr(netlsm.survival, "_COX_MAX_ITER", 1)
+        real = netlsm.cli.pipeline_end_to_end
+        results = []
+        monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end",
+                            lambda *a, **k: results.append(real(*a, **k)) or results[-1])
         out = tmp_path / "pipe"
         assert run(["pipeline", "--seeds", 1, "--seed", 3, "--n", 1000, "--min-count", 5,
                     "--restarts", 0, "--out", out] + ["--allow-nonconverged"] * allow) == int(
                         not allow)
+        (newton,) = [res.cox_newton for res in results]
+        assert newton.steps == 1 and newton.max_score > 1e-8
         assert capsys.readouterr().err.splitlines() == [
             "note: some fits did not converge (tolerated by --allow-nonconverged)" if allow else
             "warning: not all fits converged (use --allow-nonconverged to tolerate)",
-            "  seed 3: Cox fit at penalty 1.0",
+            f"  seed 3: Cox fit at penalty 1.0: 1 steps, {newton.halvings} halvings, "
+            f"max |score| {newton.max_score:.2g}",
         ]
         (row,) = json.loads((out / "pipeline.json").read_text())["per_seed"]
         assert "cox_converged" not in row and row["lsm_converged"] is True
+
+    def test_an_unconverged_lsm_fit_is_named_with_its_stop(self, tmp_path, monkeypatch, capsys):
+        # three L-BFGS-B iterations leave seed 0's LSM fit short; pipeline.json
+        # records only that it did not converge
+        monkeypatch.setattr(netlsm.cli, "FitConfig",
+                            lambda **kwargs: FitConfig(max_iter=3, **kwargs))
+        out = tmp_path / "pipe"
+        assert run(["pipeline", "--seeds", 1, "--n", 1000, "--min-count", 5,
+                    "--restarts", 0, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: not all fits converged (use --allow-nonconverged to tolerate)",
+            "  seed 0: LSM fit at dim 2: winning start 0 (mds) stopped after 3 L-BFGS-B "
+            "iteration(s): STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
+        ]
+        (row,) = json.loads((out / "pipeline.json").read_text())["per_seed"]
+        assert row["lsm_converged"] is False and "lsm_stop" not in row
 
     def test_a_seed_that_raises_another_error_exits_2(self, tmp_path, monkeypatch, capsys):
         # only fit failures are recorded; any other error stops the study
@@ -672,13 +705,15 @@ def test_coxph_tune_checks_a_negative_lam(data_dir, tmp_path, capsys):
                     ({"seed": 0},), ({"seed": 1, "error": "diverged"},)),
     EvalReport(rmse=0.5, mean_log_prob=-1.2, sign_accuracy=0.75, n_pairs=4),
     PipelineResult(c_raw=0.6, c_refined={"lsm": 0.62}, deltas={"lsm": 0.02},
-                   lambda_used=1.0, lsm_converged=True, cox_converged=False),
+                   lambda_used=1.0, lsm_converged=True, cox_converged=False,
+                   cox_newton=NewtonReport(100, 3, 2.1e-07), lsm_stop="winning start 0"),
 ], ids=["ReplicateReport", "EvalReport", "PipelineResult"])
 def test_a_record_writes_every_field(record):
     # pipeline.json has always called the ridge strength "lambda", and keeps
-    # its bytes without the Cox fit's status (the CLI names that fit instead)
+    # its bytes without the Cox fit's status or how either fit ended (the CLI
+    # names those fits instead)
     key = {"lambda_used": "lambda"}
-    unwritten = {"cox_converged"}
+    unwritten = {"cox_converged", "cox_newton", "lsm_stop"}
     d = record.to_dict()
     written = [f for f in fields(record) if f.name not in unwritten]
     assert sorted(d) == sorted(key.get(f.name, f.name) for f in written)

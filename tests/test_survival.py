@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +24,8 @@ from netlsm import (
 from netlsm.model import FitConfig, RefinedEstimates
 import netlsm._util
 import netlsm.survival
-from netlsm.survival import (Column, _risk_set_stats, _risk_sets, breslow_loglik,
-                             build_design)
+from netlsm.survival import (Column, Design, _as_design, _gram, _risk_set_stats, _risk_sets,
+                             _take_columns, _take_rows, _transpose, breslow_loglik, build_design)
 from netlsm._util import substream
 
 from helpers import LABELS
@@ -187,6 +188,7 @@ class TestDesignMatrix:
     def test_one_hot_per_record(self):
         data = toy_dataset()
         x, cols = design_matrix(data, min_count=1)
+        x = x.toarray()
         d_cols = [k for k, c in enumerate(cols) if c.kind == "donor"]
         r_cols = [k for k, c in enumerate(cols) if c.kind == "recipient"]
         assert np.all(x[:, d_cols].sum(axis=1) == 1.0)
@@ -200,7 +202,7 @@ class TestDesignMatrix:
     def test_sparse_one_hot_at_defaults(self):
         train, _, _ = simulate_transplants(SurvivalGenConfig(seed=0))
         x, cols = design_matrix(train, 10)
-        assert sp.issparse(x) and x.format == "csr"
+        assert isinstance(x, Design) and x.shape == (train.n, len(cols))
         # 4 covariates, one donor, one recipient and (here always) one pair
         assert np.all(np.diff(x.indptr) == 7)
 
@@ -385,6 +387,31 @@ class TestCoxFit:
         assert model.converged
         assert len(lls) <= 8
 
+    def test_newton_report_counts_every_evaluation(self, monkeypatch):
+        for seed in (0, 1):
+            model, lls = self.pipeline_fit(monkeypatch, seed)
+            report = model.newton
+            # the start, then one evaluation per accepted step and one per halving
+            assert len(lls) == 1 + report.steps + report.halvings and report.steps >= 1
+            assert model.converged and 0.0 <= report.max_score <= 1e-8
+
+    def test_an_unconverged_fit_reports_its_last_score(self, monkeypatch):
+        monkeypatch.setattr(netlsm.survival, "_COX_MAX_ITER", 1)
+        train, _, _ = simulate_transplants(SurvivalGenConfig(seed=2))
+        x, columns = design_matrix(train, 10)
+        model = cox_fit(x, train.time, train.event, 1.0, columns=columns)
+        grad = _risk_set_stats(_risk_sets(x, train.time, train.event), model.coefficients,
+                               need_hessian=False)[1]
+        score = np.max(np.abs(grad - model.coefficients))
+        assert not model.converged and model.newton.steps == 1
+        assert model.newton.max_score == score > 1e-8
+        assert str(model.newton) == (f"1 steps, {model.newton.halvings} halvings, "
+                                     f"max |score| {score:.2g}")
+        # the report is in neither the model's dict nor its ==
+        assert replace(model, newton=None) == model
+        assert set(model.to_dict()) == {"coefficients", "std_errors", "penalty", "column_names",
+                                        "column_kinds", "converged"}
+
     def test_fit_without_a_rejected_step_keeps_its_bytes(self, monkeypatch):
         model, lls = self.pipeline_fit(monkeypatch, 1)
         # every evaluated point was accepted under the absolute test alone
@@ -502,6 +529,119 @@ class TestKernelReferences:
         t[[5, 9]] = np.nan
         e[[5, 17]] = True
         assert c_index(risk, t, e) == c_index_reference(risk, t, e)
+
+
+def random_csr(rng, index_dtype, canonical=True):
+    """A random SciPy CSR matrix with empty rows and stored zeros, its index
+    arrays of ``index_dtype``; unless ``canonical``, each row's entries come
+    in random order and some repeat a column."""
+    n, p = int(rng.integers(1, 40)), int(rng.integers(1, 10))
+    indices, counts = [], []
+    for _ in range(n):
+        cols = rng.choice(p, int(rng.integers(0, p + 1)) * (rng.random() > 0.2), replace=False)
+        if canonical:
+            cols.sort()
+        else:
+            cols = rng.permutation(np.concatenate([cols, rng.choice(p, int(rng.integers(0, 3)))]))
+        indices.append(cols)
+        counts.append(cols.size)
+    indices = np.concatenate(indices)
+    data = rng.standard_normal(indices.size) * (rng.random(indices.size) > 0.15)
+    x = sp.csr_matrix((data, indices, np.concatenate([[0], np.cumsum(counts)])), shape=(n, p))
+    # the constructor narrows indices that fit int32; the arrays may be set
+    x.indices, x.indptr = x.indices.astype(index_dtype), x.indptr.astype(index_dtype)
+    return x
+
+
+def csr_cases():
+    """``(name, SciPy CSR matrix)``: random ones of both index dtypes, canonical
+    or not, and the 1x1 designs with a value and with a stored zero."""
+    for index_dtype in (np.int32, np.int64):
+        for canonical in (True, False):
+            for seed in range(12):
+                rng = substream(seed, "sparse-kernels", str(canonical))
+                yield (f"{np.dtype(index_dtype).name}/{canonical}/s{seed}",
+                       random_csr(rng, index_dtype, canonical))
+        for value in (2.5, 0.0):
+            one = sp.csr_matrix((np.array([value]), np.array([0]), np.array([0, 1])), shape=(1, 1))
+            one.indices = one.indices.astype(index_dtype)
+            one.indptr = one.indptr.astype(index_dtype)
+            yield f"{np.dtype(index_dtype).name}/1x1/{value}", one
+
+
+def same_csr(design, x):
+    """Whether a :class:`Design` holds the shape and entries, in order, of a SciPy CSR matrix."""
+    return (design.shape == x.shape and np.array_equal(design.data, x.data)
+            and np.array_equal(design.indices, x.indices)
+            and np.array_equal(design.indptr, x.indptr))
+
+
+CSR_CASES = list(csr_cases())
+
+
+class TestSparseKernels:
+    """Each operation the design replaced gives the bits of the scipy.sparse
+    expression it replaced: the same compiled kernels on the same entries."""
+
+    @pytest.mark.parametrize("name, x", CSR_CASES, ids=[c[0] for c in CSR_CASES])
+    def test_each_operation_equals_scipy_sparse(self, name, x):
+        rng = substream(0, "sparse-kernel-args", name)
+        n, p = x.shape
+        design = _as_design(x)
+        assert same_csr(design, x) and np.array_equal(design.toarray(), x.toarray())
+        w = rng.standard_normal(p)
+        assert np.array_equal(design @ w, x @ w)
+        time, event = rng.exponential(1.0, n), rng.random(n) < 0.6
+        risk_sets = _risk_sets(x, time, event)
+        assert np.array_equal(risk_sets.xt_event, x.T @ event.astype(float))
+        assert same_csr(_transpose(design), x.T.tocsr())
+        assert same_csr(risk_sets.xt, x.T.tocsr())
+        for rows in (rng.permutation(n)[: max(1, n // 2)], rng.integers(0, n, 2 * n)):
+            assert same_csr(_take_rows(design, rows), x[rows])
+        for mask in (rng.random(p) < 0.5, np.ones(p, bool), np.zeros(p, bool)):
+            assert same_csr(_take_columns(design, mask), x[:, mask])
+        weights = rng.standard_normal(x.data.size)
+        vx = sp.csr_matrix((weights, x.indices, x.indptr), shape=x.shape)
+        assert np.array_equal(_gram(risk_sets, weights), (x.T.tocsr() @ vx).toarray())
+
+    def test_cox_fit_reads_dense_coo_and_csr_as_scipy_does(self):
+        for seed in range(6):
+            x, t, e, _ = tied_design(seed)
+            x = x[:, x.any(axis=0)]  # a one-hot column no record holds
+            rng = substream(seed, "sparse-inputs")
+            rows, cols = x.nonzero()
+            # COO with every entry split in two, and an int dense array
+            coo = sp.coo_matrix((np.concatenate([x[rows, cols] / 2] * 2),
+                                 (np.concatenate([rows] * 2), np.concatenate([cols] * 2))),
+                                shape=x.shape)
+            ints = rng.integers(-2, 3, x.shape)
+            ints[:, ~ints.any(axis=0)] = 1
+            for given in (x, ints, coo, coo.tocsc(), sp.csr_matrix(x)):
+                reference = sp.csr_matrix(given, dtype=float)
+                assert same_csr(_as_design(given), reference)
+                fit = cox_fit(given, t, e, 1.0)
+                expected = cox_fit(Design(reference.data, reference.indices, reference.indptr,
+                                          reference.shape), t, e, 1.0)
+                assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+                assert fit.std_errors.tobytes() == expected.std_errors.tobytes()
+
+    def test_a_design_refuses_arrays_that_are_not_csr(self):
+        good = Design([1.0, 2.0], [0, 1], [0, 1, 2], (2, 2))
+        assert good.data.dtype == float and good.indices.dtype == good.indptr.dtype == np.intp
+        for data, indices, indptr, shape in [
+            ([1.0, 2.0], [0, 2], [0, 1, 2], (2, 2)),  # a column out of range
+            ([1.0, 2.0], [0, -1], [0, 1, 2], (2, 2)),
+            ([1.0, 2.0], [0, 1], [0, 2], (2, 2)),  # an indptr entry short
+            ([1.0, 2.0], [0, 1], [1, 1, 2], (2, 2)),
+            ([1.0, 2.0], [0, 1], [0, 2, 1], (2, 2)),  # decreasing
+            ([1.0, 2.0], [0, 1], [0, 1, 1], (2, 2)),  # more entries than indptr counts
+            ([1.0], [0, 1], [0, 1, 2], (2, 2)),
+        ]:
+            with pytest.raises(ValueError, match=r"not a CSR matrix of shape \(2, 2\)"):
+                Design(data, indices, indptr, shape)
+        with pytest.raises(ValueError,
+                           match=r"design of shape \(2, 2\) times a vector of shape \(3,\)"):
+            good @ np.ones(3)
 
 
 class TestTuneLambda:
@@ -930,6 +1070,22 @@ class TestPipeline:
         monkeypatch.setattr(netlsm._util, "_workers", lambda: 2)
         assert pipeline_end_to_end(cfg, min_count=5) == inline
         assert forks == [1]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_an_unconverged_lsm_fit_says_how_it_ended_from_either_process(self, monkeypatch):
+        # lsm is item 1 here, so the forked child runs it and sends its stop back
+        cfg = SurvivalGenConfig(n_per_split=1000, seed=0)
+        fit_config = FitConfig(dim=2, restarts=0, seed=0, max_iter=3)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(netlsm._util, "_workers", lambda: workers)
+            runs[workers] = pipeline_end_to_end(cfg, fit_config, min_count=5,
+                                                methods=("nmtf", "lsm"))
+        assert runs[1] == runs[2] and not runs[1].lsm_converged
+        assert runs[1].lsm_stop == ("winning start 0 (mds) stopped after 3 L-BFGS-B "
+                                    "iteration(s): STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+        assert runs[1].cox_converged and runs[1].cox_newton.max_score <= 1e-8
+        assert pipeline_end_to_end(cfg, min_count=5, methods=("raw",)).lsm_stop is None
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_four_workers_fork_once(self, monkeypatch):
