@@ -158,8 +158,9 @@ def run_table1(cfg, out):
     reports = run_blocks(blocks, _fit_config(cfg), cfg["reps"])
     payload = {key: report.to_dict() for key, report in zip(keys, reports)}
     tables = [format_report_table(report, title=key) for key, report in zip(keys, reports)]
-    stops = [f"  {key} replicate seed {r['seed']}" for key, report in zip(keys, reports)
-             for r in report.per_replicate if not r["converged"]]
+    stops = [f"  {key} replicate seed {r['seed']}: {result.stop_summary()}"
+             for key, report in zip(keys, reports)
+             for r, result in zip(report.per_replicate, report.fits) if not result.converged]
     failed = any(report.failures for report in reports)
     dump_json(payload, os.path.join(out, "table1.json"))
     write_text_atomic(os.path.join(out, "table1.txt"), "\n".join(tables))
@@ -200,10 +201,10 @@ def run_pipeline(cfg, out):
         except (FitError, ConvergenceError) as exc:  # any other error stops the study
             failures.append({"seed": seed, "error": str(exc)})
             continue
-        if not res.cox_converged:
-            stops.append(f"  seed {seed}: Cox fit at penalty {res.lambda_used}: {res.cox_newton}")
-        if not res.lsm_converged:
-            stops.append(f"  seed {seed}: LSM fit at dim {cfg['dim']}: {res.lsm_stop}")
+        if not res.cox.converged:
+            stops.append(f"  seed {seed}: Cox fit at penalty {res.cox.penalty}: {res.cox.newton}")
+        if not res.lsm.converged:
+            stops.append(f"  seed {seed}: LSM fit at dim {cfg['dim']}: {res.lsm.stop_summary()}")
         per_seed.append({"seed": seed, **res.to_dict()})
     methods = sorted(per_seed[0]["deltas"]) if per_seed else []
     aggregate = {
@@ -221,8 +222,8 @@ def run_pipeline(cfg, out):
 
 
 # Each runner writes its artifacts and returns (artifacts, stops, failed):
-# ``stops`` names each fit that did not converge (all but table1 also say how
-# it ended), one line each, printed under the warning that says so;
+# ``stops`` names each fit that did not converge and says how it ended, one
+# line each, printed under the warning that says so;
 # ``failed`` says that a seed or replicate raised (its error is recorded in
 # the artifacts), which exits 1 whatever --allow-nonconverged says.
 _RUNNERS = {

@@ -38,7 +38,7 @@ one factorization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class FitError(RuntimeError):
     """The network cannot be fit; the message says why."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsmParams:
     """Full parameter set (positions, intercept, slope, node effects)."""
 
@@ -155,7 +155,7 @@ class StartRecord:
     stop: str  # the stop reason setulb gave, e.g. "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     params: LsmParams
     log_likelihood: float
@@ -163,8 +163,7 @@ class FitResult:
     grad_norm: float
     restart_index: int
     converged: bool
-    # one StartRecord per start, in restart order; not in to_dict() or ==
-    restarts: tuple = field(default=(), compare=False)
+    restarts: tuple = ()  # one StartRecord per start, in restart order; not in to_dict()
 
     def to_dict(self):
         d = self.params.to_dict()

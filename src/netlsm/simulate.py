@@ -9,7 +9,7 @@ lockstep (:func:`run_blocks`).
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,7 +150,8 @@ def _r2(pred, target):
 
 @dataclass(frozen=True)
 class ReplicateReport:
-    """Mean +/- standard error of RMSE / R^2 per quantity across replicates."""
+    """Mean +/- standard error of RMSE / R^2 per quantity across replicates, and
+    the ``FitResult`` of each ``per_replicate`` entry, outside ``to_dict()`` and ``==``."""
 
     n_reps: int
     rmse_mean: dict
@@ -159,9 +160,12 @@ class ReplicateReport:
     r2_se: dict
     per_replicate: tuple
     failures: tuple
+    fits: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self):
-        return asdict(self)
+        return {"n_reps": self.n_reps, "rmse_mean": self.rmse_mean, "rmse_se": self.rmse_se,
+                "r2_mean": self.r2_mean, "r2_se": self.r2_se,
+                "per_replicate": self.per_replicate, "failures": self.failures}
 
 
 def _replicate_metrics(config, sim, result, rep_seed):
@@ -187,7 +191,7 @@ def _replicate_metrics(config, sim, result, rep_seed):
     return {"seed": rep_seed, "rmse": errors, "r2": r2, "converged": result.converged}
 
 
-def _report(n_reps, per_rep, failures):
+def _report(n_reps, per_rep, failures, fits):
     """Mean and standard error across ``per_rep`` of each quantity its records carry."""
     stats = []
     for metric in ("rmse", "r2"):
@@ -197,7 +201,7 @@ def _report(n_reps, per_rep, failures):
             mean[q] = float(vals.mean())
             se[q] = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
         stats += [mean, se]
-    return ReplicateReport(n_reps, *stats, tuple(per_rep), tuple(failures))
+    return ReplicateReport(n_reps, *stats, tuple(per_rep), tuple(failures), tuple(fits))
 
 
 def run_blocks(configs, fit_config, n_reps):
@@ -220,6 +224,7 @@ def run_blocks(configs, fit_config, n_reps):
         raise ValueError("blocks must share their seed and network shape")
     per_rep = [[] for _ in configs]
     failures = [[] for _ in configs]
+    fits = [[] for _ in configs]
     for rep_seed in range(configs[0].seed, configs[0].seed + n_reps):
         sims = [simulate(replace(c, seed=rep_seed)) for c in configs]
         outcomes = fit_networks([sim.observed for sim in sims], replace(fit_config, seed=rep_seed))
@@ -228,7 +233,8 @@ def run_blocks(configs, fit_config, n_reps):
                 failures[b].append({"seed": rep_seed, "error": str(outcome)})
             else:
                 per_rep[b].append(_replicate_metrics(config, sim, outcome, rep_seed))
-    return [_report(n_reps, p, f) for p, f in zip(per_rep, failures)]
+                fits[b].append(outcome)
+    return [_report(n_reps, *block) for block in zip(per_rep, failures, fits)]
 
 
 def run_replicates(config, fit_config, n_reps):

@@ -19,7 +19,7 @@ concordance index is sort-based, O(n log^2 n), with exact integer counts.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
@@ -30,7 +30,7 @@ from .metrics import refine
 # ``fit`` is not called here, but perfbench/test_perfbench.py checks that the
 # benchmark's tracer rebinds ``survival.fit``.
 from .model import fit  # noqa: F401
-from .model import FitConfig, LsmParams
+from .model import FitConfig, FitResult, LsmParams
 from .network import CompatibilityNetwork
 from .simulate import sample_truth
 
@@ -202,14 +202,14 @@ class NewtonReport:
         return f"{self.steps} steps, {self.halvings} halvings, max |score| {self.max_score:.2g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoxModel:
     coefficients: np.ndarray
     std_errors: np.ndarray
     penalty: float
     columns: tuple
     converged: bool
-    newton: NewtonReport = field(default=None, compare=False)  # not in to_dict() or ==
+    newton: NewtonReport = None  # not in to_dict()
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
@@ -888,22 +888,23 @@ def simulate_transplants(cfg):
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """One pipeline seed's test-set C-indices, and the Cox model and the LSM fit
+    (``None`` without an ``lsm`` method) behind them.  ``==`` leaves both fits
+    out, and :meth:`to_dict` takes only the ridge strength and LSM converged flag."""
+
     c_raw: float
     c_refined: dict  # method -> c-index
-    deltas: dict  # method -> c_refined - c_raw
-    lambda_used: float
-    lsm_converged: bool
-    # left out of to_dict(), so pipeline.json keeps its bytes
-    cox_converged: bool
-    cox_newton: NewtonReport  # how the Cox fit's Newton loop ended
-    lsm_stop: str  # the LSM fit's FitResult.stop_summary(); None if no LSM fit ran
+    cox: CoxModel = field(compare=False, repr=False)
+    lsm: FitResult = field(compare=False, repr=False)
+
+    @property
+    def deltas(self):  # method -> c_refined - c_raw
+        return {m: c - self.c_raw for m, c in self.c_refined.items()}
 
     def to_dict(self):
-        d = asdict(self)
-        d["lambda"] = d.pop("lambda_used")
-        for name in ("cox_converged", "cox_newton", "lsm_stop"):
-            d.pop(name)
-        return d
+        return {"c_raw": self.c_raw, "c_refined": self.c_refined, "deltas": self.deltas,
+                "lambda": self.cox.penalty,
+                "lsm_converged": self.lsm is None or self.lsm.converged}
 
 
 def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
@@ -923,9 +924,10 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
     :func:`netlsm._util.map_units`: on two CPUs, the first method (``lsm``
     by default) runs here and the rest, then ``raw``, in one forked child.
     The result is the same either way, and an error is that of the first
-    failing method in ``methods``' order.  ``lsm_converged`` and
-    ``cox_converged`` say whether the LSM refinement and the Cox fit
-    converged, and ``lsm_stop`` and ``cox_newton`` how each one ended.
+    failing method in ``methods``' order.  The result holds the Cox model
+    and the LSM fit (``None`` without an ``lsm`` method), which the forked
+    child pickles back when it runs ``lsm``; they say whether each fit
+    converged and how it ended.
     """
     fit_config = fit_config or FitConfig(dim=gen_config.dim, restarts=1, seed=gen_config.seed)
     train, test, truth = simulate_transplants(gen_config)
@@ -937,22 +939,10 @@ def pipeline_end_to_end(gen_config, fit_config=None, lam=1.0, min_count=10,
     def unit(method):
         refined, result = refine(net, method, fit_config.dim, fit_config)
         sub = substitute_coefficients(model, refined)
-        c = c_index(x_test @ sub.coefficients, test.time, test.event)
-        return c, None if result is None else (result.converged, result.stop_summary())
+        return c_index(x_test @ sub.coefficients, test.time, test.event), result
 
     outcomes = map_units(unit, [*methods, "raw"])
     c_raw = outcomes.pop()[0]
-    c_ref = {m: c for m, (c, _) in zip(methods, outcomes)}
-    lsm_converged, lsm_stop = next((lsm for _, lsm in reversed(outcomes) if lsm is not None),
-                                   (True, None))
-    deltas = {m: c_ref[m] - c_raw for m in c_ref}
-    return PipelineResult(
-        c_raw=c_raw,
-        c_refined=c_ref,
-        deltas=deltas,
-        lambda_used=float(lam),
-        lsm_converged=lsm_converged,
-        cox_converged=model.converged,
-        cox_newton=model.newton,
-        lsm_stop=lsm_stop,
-    )
+    lsm = next((result for _, result in outcomes if result is not None), None)
+    return PipelineResult(c_raw=c_raw, c_refined={m: c for m, (c, _) in zip(methods, outcomes)},
+                          cox=model, lsm=lsm)

@@ -13,10 +13,11 @@ import netlsm.survival
 from netlsm._util import dump_json
 from netlsm.cli import _config_from_args, _matches, _read_manifest, build_parser, main
 from netlsm.metrics import EvalReport
-from netlsm.model import FitConfig, FitError, fit
+from netlsm.model import FitConfig, FitError, FitResult, LsmParams, fit
 from netlsm.network import load_network_dir
 from netlsm.simulate import ReplicateReport
-from netlsm.survival import ConvergenceError, NewtonReport, PipelineResult, TransplantDataset
+from netlsm.survival import (Column, ConvergenceError, CoxModel, NewtonReport, PipelineResult,
+                             TransplantDataset)
 
 
 def read(path):
@@ -488,16 +489,17 @@ class TestPipelineCommand:
 
         def seed_1_stops_short(gen, *args, **kwargs):
             results[gen.seed] = real(gen, *args, **kwargs)
-            return replace(results[gen.seed], lsm_converged=gen.seed != 1)
+            res = results[gen.seed]
+            return replace(res, lsm=replace(res.lsm, converged=gen.seed != 1))
 
         monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_stops_short)
         out = tmp_path / "pipe"
         assert run(["pipeline", "--seeds", 2, "--n", 1000, "--min-count", 5,
                     "--restarts", 0, "--out", out]) == 1
-        assert results[1].lsm_stop.startswith("winning start 0 (mds) stopped after ")
+        assert results[1].lsm.stop_summary().startswith("winning start 0 (mds) stopped after ")
         assert capsys.readouterr().err.splitlines() == [
             "warning: not all fits converged (use --allow-nonconverged to tolerate)",
-            f"  seed 1: LSM fit at dim 2: {results[1].lsm_stop}",
+            f"  seed 1: LSM fit at dim 2: {results[1].lsm.stop_summary()}",
         ]
 
     def test_a_tolerated_seed_is_named_under_a_note(self, tmp_path, monkeypatch, capsys):
@@ -506,7 +508,8 @@ class TestPipelineCommand:
 
         def seed_1_stops_short(gen, *args, **kwargs):
             results[gen.seed] = real(gen, *args, **kwargs)
-            return replace(results[gen.seed], lsm_converged=gen.seed != 1)
+            res = results[gen.seed]
+            return replace(res, lsm=replace(res.lsm, converged=gen.seed != 1))
 
         monkeypatch.setattr(netlsm.cli, "pipeline_end_to_end", seed_1_stops_short)
         out = tmp_path / "pipe"
@@ -514,7 +517,7 @@ class TestPipelineCommand:
                     "--restarts", 0, "--out", out, "--allow-nonconverged"]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "note: some fits did not converge (tolerated by --allow-nonconverged)",
-            f"  seed 1: LSM fit at dim 2: {results[1].lsm_stop}",
+            f"  seed 1: LSM fit at dim 2: {results[1].lsm.stop_summary()}",
         ]
         assert [row["lsm_converged"] for row in
                 json.loads((out / "pipeline.json").read_text())["per_seed"]] == [True, False]
@@ -533,7 +536,7 @@ class TestPipelineCommand:
         assert run(["pipeline", "--seeds", 1, "--seed", 3, "--n", 1000, "--min-count", 5,
                     "--restarts", 0, "--out", out] + ["--allow-nonconverged"] * allow) == int(
                         not allow)
-        (newton,) = [res.cox_newton for res in results]
+        (newton,) = [res.cox.newton for res in results]
         assert newton.steps == 1 and newton.max_score > 1e-8
         assert capsys.readouterr().err.splitlines() == [
             "note: some fits did not converge (tolerated by --allow-nonconverged)" if allow else
@@ -700,25 +703,35 @@ def test_coxph_tune_checks_a_negative_lam(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("record", [
-    ReplicateReport(2, {"w": 0.1}, {"w": 0.01}, {"w": 0.9}, {"w": 0.02},
-                    ({"seed": 0},), ({"seed": 1, "error": "diverged"},)),
-    EvalReport(rmse=0.5, mean_log_prob=-1.2, sign_accuracy=0.75, n_pairs=4),
-    PipelineResult(c_raw=0.6, c_refined={"lsm": 0.62}, deltas={"lsm": 0.02},
-                   lambda_used=1.0, lsm_converged=True, cox_converged=False,
-                   cox_newton=NewtonReport(100, 3, 2.1e-07), lsm_stop="winning start 0"),
-], ids=["ReplicateReport", "EvalReport", "PipelineResult"])
-def test_a_record_writes_every_field(record):
+def _pipeline_result():
+    cox = CoxModel(coefficients=[0.1], std_errors=[0.2], penalty=1.0,
+                   columns=(Column("pair", "pair_D_R", donor="D", recipient="R"),),
+                   converged=False, newton=NewtonReport(100, 3, 2.1e-07))
+    params = LsmParams(z_d=[[0.0]], z_r=[[0.0]], alpha=0.0, beta=1.0, delta=[0.0], gamma=[0.0])
+    lsm = FitResult(params=params, log_likelihood=-1.5, iterations=3, grad_norm=0.1,
+                    restart_index=0, converged=True)
+    return PipelineResult(c_raw=0.6, c_refined={"lsm": 0.62}, cox=cox, lsm=lsm)
+
+
+@pytest.mark.parametrize("record,written", [
+    (ReplicateReport(2, {"w": 0.1}, {"w": 0.01}, {"w": 0.9}, {"w": 0.02},
+                     ({"seed": 0},), ({"seed": 1, "error": "diverged"},)),
+     {"n_reps": 2, "rmse_mean": {"w": 0.1}, "rmse_se": {"w": 0.01}, "r2_mean": {"w": 0.9},
+      "r2_se": {"w": 0.02}, "per_replicate": ({"seed": 0},),
+      "failures": ({"seed": 1, "error": "diverged"},)}),
+    (EvalReport(rmse=0.5, mean_log_prob=-1.2, sign_accuracy=0.75, n_pairs=4),
+     {"rmse": 0.5, "mean_log_prob": -1.2, "sign_accuracy": 0.75, "n_pairs": 4}),
     # pipeline.json has always called the ridge strength "lambda", and keeps
     # its bytes without the Cox fit's status or how either fit ended (the CLI
     # names those fits instead)
-    key = {"lambda_used": "lambda"}
-    unwritten = {"cox_converged", "cox_newton", "lsm_stop"}
+    (_pipeline_result(),
+     {"c_raw": 0.6, "c_refined": {"lsm": 0.62}, "deltas": {"lsm": 0.62 - 0.6}, "lambda": 1.0,
+      "lsm_converged": True}),
+], ids=["ReplicateReport", "EvalReport", "PipelineResult"])
+def test_a_record_writes_every_field(record, written):
     d = record.to_dict()
-    written = [f for f in fields(record) if f.name not in unwritten]
-    assert sorted(d) == sorted(key.get(f.name, f.name) for f in written)
-    for f in written:
-        assert d[key.get(f.name, f.name)] == getattr(record, f.name)
+    assert d == written
+    assert {k: type(v) for k, v in d.items()} == {k: type(v) for k, v in written.items()}
 
 
 class TestTable1:
@@ -748,9 +761,30 @@ class TestTable1:
         assert all(not r["converged"] for k in keys for r in payload[k]["per_replicate"])
         assert capsys.readouterr().err.splitlines() == [
             "warning: not all fits converged (use --allow-nonconverged to tolerate)",
-            *(f"  {k} replicate seed {r['seed']}" for k in keys
-              for r in payload[k]["per_replicate"]),
+            *(f"  {k} replicate seed {r['seed']}: winning start 0 (mds) stopped after 2 "
+              "L-BFGS-B iteration(s): STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+              for k in keys for r in payload[k]["per_replicate"]),
         ]
+
+    def test_a_tolerated_replicate_names_its_winning_start_and_stop(self, tmp_path, capsys):
+        # three L-BFGS-B iterations leave each of the five starts short; the
+        # classical-scaling start wins every block, and table1.json records
+        # only that the fit did not converge
+        out = tmp_path / "t1"
+        assert run(["table1", "--reps", 1, "--seed", 7, "--max-iter", 3, "--out", out,
+                    "--allow-nonconverged"]) == 0
+        stop = ("winning start 0 (mds) stopped after 3 L-BFGS-B iteration(s): "
+                "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+        assert capsys.readouterr().err.splitlines() == [
+            "note: some fits did not converge (tolerated by --allow-nonconverged)",
+            f"  low_noise/pair_term_only replicate seed 7: {stop}",
+            f"  low_noise/full_compatibility replicate seed 7: {stop}",
+            f"  high_noise/pair_term_only replicate seed 7: {stop}",
+            f"  high_noise/full_compatibility replicate seed 7: {stop}",
+        ]
+        for report in json.loads((out / "table1.json").read_text()).values():
+            (row,) = report["per_replicate"]
+            assert sorted(row) == ["converged", "r2", "rmse", "seed"] and not row["converged"]
 
     def test_a_replicate_that_raises_exits_1(self, tmp_path, monkeypatch, capsys):
         # ``netlsm.simulate`` is the re-exported function, not the module; each
